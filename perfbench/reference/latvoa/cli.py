@@ -1,0 +1,599 @@
+"""Command-line front end: lattice reports, groundstates, kernels,
+screening application, characters, degeneracy tables, Virasoro checks.
+
+Every command emits a JSON document (or a TSV/Markdown projection of its
+main table) and exits 0 exactly when all requested checks pass.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+from .characters import graded_dim_module, sf_characters
+from .degeneracy import (
+    classification_table,
+    classify,
+    divided_power_orders,
+    extension_report,
+    extension_table,
+)
+from .expr import format_momentum, format_state, parse_momentum, parse_state
+from .freefield import FieldElement
+from .lattice import ScreeningLattices, groundstates, num_simples, quadratic_form_F
+from .rootdata import build_root_system, parse_label
+from .scalars import Scalar
+from .screening import (
+    braiding_matrix,
+    kernel_report,
+    layer_basis,
+    long_screening_suite,
+    nichols_check,
+    short_screening_set,
+)
+from .vertexop import residue_op
+from .virasoro import commutator_check, stress_tensor, virasoro_mode
+
+SCHEMA_PREFIX = "latvoa"
+MODULE_NAMES = ("blue", "center", "green", "steinberg")
+
+
+def _root_system(args):
+    series, rank = parse_label(args.algebra) if args.algebra[-1].isdigit() else (args.algebra[0], None)
+    if rank is None:
+        if args.n is None:
+            raise SystemExit(f"--algebra {args.algebra} needs --n RANK")
+        rank = args.n
+    return build_root_system(series, rank)
+
+
+def _mom_str(m) -> str:
+    return format_momentum(m.coords)
+
+
+def _emit(report: dict, args) -> int:
+    fmt = getattr(args, "format", "json")
+    golden_note = _golden_compare(report, args)
+    if golden_note:
+        report.setdefault("checks", []).append(golden_note)
+    ok = all(c.get("ok", True) for c in report.get("checks", []))
+    report["ok"] = ok and not report.get("errors")
+    if fmt == "json":
+        print(json.dumps(report, indent=2))
+    elif fmt in ("tsv", "md"):
+        table = report.get("table")
+        if not table:
+            print(json.dumps(report, indent=2))
+        elif fmt == "tsv":
+            print("\t".join(table["headers"]))
+            for row in table["rows"]:
+                print("\t".join(str(x) for x in row))
+        else:
+            print("| " + " | ".join(table["headers"]) + " |")
+            print("|" + "---|" * len(table["headers"]))
+            for row in table["rows"]:
+                print("| " + " | ".join(str(x) for x in row) + " |")
+    return 0 if report["ok"] else 1
+
+
+def _golden_compare(report: dict, args) -> dict | None:
+    golden_dir = getattr(args, "golden_dir", None)
+    if not golden_dir:
+        return None
+    path = Path(golden_dir) / (report["golden_key"] + ".json")
+    payload = {k: v for k, v in report.items() if k not in ("checks", "ok")}
+    if path.exists():
+        stored = json.loads(path.read_text())
+        return {"name": f"golden match {path.name}", "ok": stored == payload}
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+    return {"name": f"golden recorded {path.name}", "ok": True}
+
+
+def _check(name: str, ok: bool, detail: str = "") -> dict:
+    out = {"name": name, "ok": bool(ok)}
+    if detail:
+        out["detail"] = detail
+    return out
+
+
+# --- commands ---------------------------------------------------------------
+
+
+def cmd_lattice_info(args) -> int:
+    rs = _root_system(args)
+    sl = ScreeningLattices(rs, args.ell)
+    qg = sl.module_cosets()
+    checks = [
+        _check("h(short momenta) = 1", all(sl.conformal_dim(a) == 1 for a in sl.basis_short)),
+        _check("h(long momenta) = 1", all(sl.conformal_dim(a) == 1 for a in sl.basis_long)),
+        _check(
+            "num_simples = quotient order",
+            num_simples(rs, args.ell) == qg.order,
+            f"{num_simples(rs, args.ell)} vs {qg.order}",
+        ),
+    ]
+    report = {
+        "schema": f"{SCHEMA_PREFIX}/lattice-info/v1",
+        "golden_key": f"lattice-info_{rs.label}_l{args.ell}",
+        "algebra": rs.label,
+        "ell": args.ell,
+        "p": sl.p,
+        "gram": [[int(x) for x in row] for row in rs.gram],
+        "positive_roots": [list(r) for r in rs.positive_roots],
+        "rho": [str(x) for x in rs.rho],
+        "rho_dual": [str(x) for x in rs.rho_dual],
+        "Q": _mom_str(sl.Q),
+        "central_charge": str(sl.central_charge),
+        "basis_short": [_mom_str(b) for b in sl.basis_short],
+        "basis_long": [_mom_str(b) for b in sl.basis_long],
+        "basis_dual": [_mom_str(b) for b in sl.basis_dual],
+        "short_screening_set": [_mom_str(b) for b in short_screening_set(sl)],
+        "braiding_exponents": [
+            [str(x) for x in row] for row in braiding_matrix(sl).q_exponents
+        ],
+        "num_simples": num_simples(rs, args.ell),
+        "quotient_invariant_factors": qg.invariant_factors,
+        "checks": checks,
+    }
+    report["table"] = {
+        "headers": ["quantity", "value"],
+        "rows": [
+            ["algebra", rs.label],
+            ["ell", args.ell],
+            ["Q", report["Q"]],
+            ["central charge", report["central_charge"]],
+            ["num simples", report["num_simples"]],
+            ["invariant factors", report["quotient_invariant_factors"]],
+        ],
+    }
+    return _emit(report, args)
+
+
+def cmd_groundstates(args) -> int:
+    rs = _root_system(args)
+    sl = ScreeningLattices(rs, args.ell)
+    rows = []
+    modules = []
+    for name, coset in sl.named_cosets().items():
+        gs, h = groundstates(sl, coset)
+        f_exp = quadratic_form_F(sl, coset)
+        modules.append(
+            {
+                "module": name,
+                "representative": _mom_str(coset.rep),
+                "count": len(gs),
+                "conformal_dim": str(h),
+                "groundstates": [_mom_str(g) for g in gs],
+                "F_exponent": str(f_exp),
+                "F": str(Scalar.phase(1, f_exp)),
+            }
+        )
+        rows.append([name, len(gs), str(h), "; ".join(_mom_str(g) for g in gs)])
+    report = {
+        "schema": f"{SCHEMA_PREFIX}/groundstates/v1",
+        "golden_key": f"groundstates_{rs.label}_l{args.ell}",
+        "algebra": rs.label,
+        "ell": args.ell,
+        "modules": modules,
+        "table": {"headers": ["module", "count", "h", "groundstates"], "rows": rows},
+        "checks": [],
+    }
+    return _emit(report, args)
+
+
+def cmd_kernel(args) -> int:
+    rs = _root_system(args)
+    sl = ScreeningLattices(rs, args.ell)
+    coset = sl.named_cosets()[args.module]
+    screens = short_screening_set(sl)
+    _gs, h0 = groundstates(sl, coset)
+    hs = [h0 + lvl for lvl in range(args.max_level + 1)]
+    rep = kernel_report(sl, coset, screens, hs)
+    rows = rep.rows()
+    layers = []
+    for lay in rep.layers:
+        layers.append(
+            {
+                "h": str(lay.h),
+                "dim": lay.dim,
+                "ker_dims": lay.ker_dims,
+                "intersection_dim": lay.intersection_dim,
+                "intersection_basis": [format_state(v) for v in lay.intersection_basis],
+            }
+        )
+    checks = [
+        _check(
+            "intersection <= min kernel",
+            all(l.intersection_dim <= min(l.ker_dims) for l in rep.layers if l.ker_dims),
+        )
+    ]
+    report = {
+        "schema": f"{SCHEMA_PREFIX}/kernel/v1",
+        "golden_key": f"kernel_{rs.label}_l{args.ell}_{args.module}_lvl{args.max_level}",
+        "algebra": rs.label,
+        "ell": args.ell,
+        "module": args.module,
+        "screenings": [_mom_str(a) for a in screens],
+        "weyl_powers": rep.weyl_powers,
+        "rows": rows,
+        "layers": layers,
+        "table": {
+            "headers": ["h", "dim", "ker", "intersection"],
+            "rows": [[lay["h"], lay["dim"], lay["ker_dims"], lay["intersection_dim"]] for lay in layers],
+        },
+        "checks": checks,
+    }
+    return _emit(report, args)
+
+
+def cmd_screen_apply(args) -> int:
+    rs = _root_system(args)
+    sl = ScreeningLattices(rs, args.ell)
+    errors = []
+    result_repr = None
+    approx = None
+    try:
+        mom = parse_momentum(args.momentum, sl)
+        state = parse_state(args.state, sl)
+    except ValueError as exc:
+        errors.append(str(exc))
+        mom = state = None
+    if not errors:
+        screen_exp = FieldElement.exponential(sl.space, mom)
+        if args.fractional:
+            res = residue_op(screen_exp, state, fractional=True, truncate=args.truncate)
+            approx = {
+                "truncation": res.truncation,
+                "tail_scale": {str(k): v for k, v in sorted(res.tail_scale.items())},
+                "terms": [
+                    {"momentum": format_momentum(k[0]), "monomial": list(k[1]), "coeff": repr(c)}
+                    for k, c in sorted(res.element_terms.items())
+                ],
+            }
+        else:
+            try:
+                out = residue_op(screen_exp, state)
+                result_repr = format_state(out)
+            except ValueError as exc:
+                errors.append(f"{exc}; rerun with --fractional --truncate K")
+    report = {
+        "schema": f"{SCHEMA_PREFIX}/screen-apply/v1",
+        "golden_key": f"screen-apply_{rs.label}_l{args.ell}",
+        "algebra": rs.label,
+        "ell": args.ell,
+        "momentum": args.momentum,
+        "state": args.state,
+        "checks": [],
+    }
+    if result_repr is not None:
+        report["result"] = result_repr
+    if approx is not None:
+        report["banner"] = "APPROXIMATE: fractional residue truncated; coefficients are complex floats"
+        report["approximate_result"] = approx
+    if errors:
+        report["errors"] = errors
+    return _emit(report, args)
+
+
+def cmd_characters(args) -> int:
+    rs = _root_system(args)
+    sl = ScreeningLattices(rs, args.ell)
+    series = {}
+    rows = []
+    for name, coset in sl.named_cosets().items():
+        dim = graded_dim_module(sl, coset, args.order).normalized()
+        series[name] = dim.to_json_dict()
+        rows.append([name, str(dim.offset), " ".join(str(int(c)) for c in dim.coeffs[:8])])
+    checks = []
+    if args.check_jtp:
+        n = rs.rank
+        chars = sf_characters(n, args.order + 1)
+        blue = graded_dim_module(sl, sl.named_cosets()["blue"], args.order + 1)
+        target = Fraction(2 ** (n - 1)) * chars["ns+"]
+        bound = Fraction(args.order) + chars["ns+"].offset
+        ok = blue.agrees_with(target, through=bound)
+        checks.append(_check("vacuum character matches 2^{n-1} chi_ns+", ok))
+        print(f"JTP check: {'MATCH' if ok else 'MISMATCH'}", file=sys.stderr)
+    report = {
+        "schema": f"{SCHEMA_PREFIX}/characters/v1",
+        "golden_key": f"characters_{rs.label}_l{args.ell}_o{args.order}",
+        "algebra": rs.label,
+        "ell": args.ell,
+        "order": args.order,
+        "graded_dimensions": series,
+        "table": {"headers": ["module", "offset", "coefficients"], "rows": rows},
+        "checks": checks,
+    }
+    return _emit(report, args)
+
+
+def cmd_sf_characters(args) -> int:
+    chars = sf_characters(args.pairs, args.order)
+    report = {
+        "schema": f"{SCHEMA_PREFIX}/sf-characters/v1",
+        "golden_key": f"sf-characters_n{args.pairs}_o{args.order}",
+        "pairs": args.pairs,
+        "order": args.order,
+        "characters": {k: v.to_json_dict() for k, v in chars.items()},
+        "table": {
+            "headers": ["character", "offset", "step", "coefficients"],
+            "rows": [
+                [k, str(v.offset), str(v.step), " ".join(str(int(c)) for c in v.coeffs[:9])]
+                for k, v in chars.items()
+            ],
+        },
+        "checks": [
+            _check("chi1 + chi2 = chi_ns+", chars["chi1"] + chars["chi2"] == chars["ns+"]),
+            _check("chi3 + chi4 = chi_r+", chars["chi3"] + chars["chi4"] == chars["r+"]),
+        ],
+    }
+    return _emit(report, args)
+
+
+def cmd_degeneracy(args) -> int:
+    if args.table:
+        rows = classification_table()
+        ext = extension_table()
+        checks = [
+            _check(
+                f"dim X routes agree for {r.g} l={r.ell}",
+                r.dim_x == r.dim_x_from_counts,
+            )
+            for r in ext
+        ] + [
+            _check(
+                f"central charge matches table formula for {r.g} l={r.ell}",
+                r.central_charge_consistent,
+                f"{r.central_charge} vs {r.central_charge_table}",
+            )
+            for r in ext
+        ]
+        report = {
+            "schema": f"{SCHEMA_PREFIX}/degeneracy-table/v1",
+            "golden_key": "degeneracy-table",
+            "classification": rows,
+            "extension": [
+                {
+                    "g": r.g,
+                    "ell": r.ell,
+                    "num_simples": r.num_simples,
+                    "dim_X": r.dim_x,
+                    "g0": r.g0,
+                    "g0_num_simples": r.g0_num_simples,
+                    "central_charge": str(r.central_charge),
+                    "global_symmetry": r.global_symmetry,
+                }
+                for r in ext
+            ],
+            "table": {
+                "headers": ["g", "ell", "#simples", "dim X", "g0", "g0 #simples", "c", "symmetry"],
+                "rows": [
+                    [r.g, r.ell, r.num_simples, r.dim_x, r.g0,
+                     r.g0_num_simples, str(r.central_charge), r.global_symmetry]
+                    for r in ext
+                ],
+            },
+            "checks": checks,
+        }
+        return _emit(report, args)
+    rs = _root_system(args)
+    checks = []
+    try:
+        g0, gl = classify(rs, args.ell)
+    except ValueError as exc:
+        report = {
+            "schema": f"{SCHEMA_PREFIX}/degeneracy/v1",
+            "golden_key": f"degeneracy_{rs.label}_l{args.ell}",
+            "algebra": rs.label,
+            "ell": args.ell,
+            "errors": [str(exc)],
+            "checks": [],
+        }
+        return _emit(report, args)
+    payload = {
+        "schema": f"{SCHEMA_PREFIX}/degeneracy/v1",
+        "golden_key": f"degeneracy_{rs.label}_l{args.ell}",
+        "algebra": rs.label,
+        "ell": args.ell,
+        "g0": g0,
+        "gl": gl,
+        "divided_power_orders": divided_power_orders(rs, args.ell),
+        "checks": checks,
+    }
+    try:
+        rep = extension_report(rs, args.ell)
+    except ValueError:
+        rep = None
+    if rep is not None:
+        payload.update(
+            {
+                "num_simples": rep.num_simples,
+                "dim_X": rep.dim_x,
+                "dim_X_from_counts": rep.dim_x_from_counts,
+                "g0_num_simples": rep.g0_num_simples,
+                "central_charge": str(rep.central_charge),
+                "central_charge_table": str(rep.central_charge_table),
+                "global_symmetry": rep.global_symmetry,
+            }
+        )
+        checks.append(_check("dim X routes agree", rep.dim_x == rep.dim_x_from_counts))
+        checks.append(
+            _check(
+                "central charge matches table formula",
+                rep.central_charge_consistent,
+                f"{rep.central_charge} vs {rep.central_charge_table}",
+            )
+        )
+        payload["table"] = {
+            "headers": ["g", "ell", "#simples", "dim X", "g0", "g0 #simples", "c", "symmetry"],
+            "rows": [
+                [
+                    rs.label,
+                    args.ell,
+                    rep.num_simples,
+                    rep.dim_x,
+                    rep.g0,
+                    rep.g0_num_simples,
+                    str(rep.central_charge),
+                    rep.global_symmetry,
+                ]
+            ],
+        }
+    return _emit(payload, args)
+
+
+def cmd_virasoro_check(args) -> int:
+    rs = _root_system(args)
+    sl = ScreeningLattices(rs, args.ell)
+    st = stress_tensor(sl)
+    blue = sl.named_cosets()["blue"]
+    states = []
+    for lvl in range(args.max_level + 1):
+        states.extend(layer_basis(sl, blue, lvl).basis)
+    rep = commutator_check(st, states, max_mode=args.max_mode)
+    suite = long_screening_suite(sl, st)
+    checks = [
+        _check(
+            f"[Lm, Ln] identity, |m|,|n| <= {args.max_mode} on {rep.states_checked} states",
+            rep.ok,
+        ),
+        *[_check(c.name, c.ok) for c in suite.checks],
+    ]
+    # L_{-1} = derivation on one layer of states
+    ok_der = all(virasoro_mode(st, -1, v) == v.derive() for v in states[: min(len(states), 40)])
+    checks.append(_check("L_{-1} = derivation", ok_der))
+    report = {
+        "schema": f"{SCHEMA_PREFIX}/virasoro-check/v1",
+        "golden_key": f"virasoro-check_{rs.label}_l{args.ell}_m{args.max_mode}_lvl{args.max_level}",
+        "algebra": rs.label,
+        "ell": args.ell,
+        "central_charge": str(st.c),
+        "max_mode": args.max_mode,
+        "max_level": args.max_level,
+        "states_checked": rep.states_checked,
+        "checks": checks,
+    }
+    return _emit(report, args)
+
+
+def cmd_nichols(args) -> int:
+    rs = _root_system(args)
+    sl = ScreeningLattices(rs, args.ell)
+    screens = short_screening_set(sl)
+    cosets = sl.named_cosets()
+    reports = nichols_check(
+        sl, screens, [cosets["blue"], cosets["green"]], max_level=args.max_level
+    )
+    report = {
+        "schema": f"{SCHEMA_PREFIX}/nichols/v1",
+        "golden_key": f"nichols_{rs.label}_l{args.ell}_lvl{args.max_level}",
+        "algebra": rs.label,
+        "ell": args.ell,
+        "relations": [r.name for r in reports],
+        "checks": [_check(r.name, r.ok) for r in reports],
+    }
+    return _emit(report, args)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="latvoa",
+        description="Lattice vertex algebra screening-kernel toolkit (exact arithmetic)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def common(p, ell_default=None):
+        p.add_argument("--algebra", required=True, help="root system label, e.g. A1, B2, Bn")
+        p.add_argument("--n", type=int, help="rank when the label ends in 'n'")
+        if ell_default is None:
+            p.add_argument("--ell", type=int, required=True, help="even level l = 2p")
+        else:
+            p.add_argument("--ell", type=int, default=ell_default)
+        p.add_argument("--format", choices=("json", "tsv", "md"), default="json")
+        p.add_argument("--golden-dir", help="directory of golden JSON files for regression")
+
+    p = sub.add_parser("lattice-info", help="lattices, Q, central charge, braiding")
+    common(p)
+    p.set_defaults(func=cmd_lattice_info)
+
+    p = sub.add_parser("groundstates", help="groundstate table of every module")
+    common(p)
+    p.set_defaults(func=cmd_groundstates)
+
+    p = sub.add_parser("kernel", help="screening kernels layer by layer")
+    common(p)
+    p.add_argument("--module", choices=MODULE_NAMES, default="blue")
+    p.add_argument("--max-level", type=int, default=1)
+    p.set_defaults(func=cmd_kernel)
+
+    p = sub.add_parser("screen-apply", help="apply one screening charge to a state")
+    common(p)
+    p.add_argument("--momentum", required=True, help='e.g. "-a/sqrtp" or "-a2"')
+    p.add_argument("--state", required=True, help='e.g. "d phi[a1] * exp[a1]"')
+    p.add_argument("--fractional", action="store_true")
+    p.add_argument("--truncate", type=int, default=8)
+    p.set_defaults(func=cmd_screen_apply)
+
+    p = sub.add_parser("characters", help="graded dimensions of the four modules")
+    common(p)
+    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--check-jtp", action="store_true", help="match vacuum character against fermions")
+    p.set_defaults(func=cmd_characters)
+
+    p = sub.add_parser("sf-characters", help="symplectic fermion characters")
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--order", type=int, default=12)
+    p.add_argument("--format", choices=("json", "tsv", "md"), default="json")
+    p.add_argument("--golden-dir")
+    p.set_defaults(func=cmd_sf_characters)
+
+    p = sub.add_parser("degeneracy", help="quantum-group degeneracy and extension data")
+    p.add_argument("--algebra")
+    p.add_argument("--n", type=int)
+    p.add_argument("--ell", type=int)
+    p.add_argument("--table", action="store_true", help="emit the full classification table")
+    p.add_argument("--format", choices=("json", "tsv", "md"), default="json")
+    p.add_argument("--golden-dir")
+    p.set_defaults(func=cmd_degeneracy)
+
+    p = sub.add_parser("virasoro-check", help="commutator identity on vacuum layers")
+    common(p)
+    p.add_argument("--max-mode", type=int, default=3)
+    p.add_argument("--max-level", type=int, default=5)
+    p.set_defaults(func=cmd_virasoro_check)
+
+    p = sub.add_parser("nichols", help="screening nilpotency/commutation relations")
+    common(p)
+    p.add_argument("--max-level", type=int, default=2)
+    p.set_defaults(func=cmd_nichols)
+
+    if argv is None:
+        argv = sys.argv[1:]
+    # let values like "-a/sqrtp" follow their flag without argparse
+    # mistaking them for options
+    glued = []
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok in ("--momentum", "--state") and i + 1 < len(argv):
+            glued.append(f"{tok}={argv[i + 1]}")
+            i += 2
+        else:
+            glued.append(tok)
+            i += 1
+    args = parser.parse_args(glued)
+    if args.command == "degeneracy" and not args.table and not args.algebra:
+        parser.error("degeneracy requires --algebra (or --table)")
+    try:
+        return args.func(args)
+    except (ValueError, KeyError) as exc:
+        print(json.dumps({"ok": False, "errors": [str(exc)]}, indent=2))
+        return 2
+
+
+if __name__ == "__main__":
+    sys.exit(main())

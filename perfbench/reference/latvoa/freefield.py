@@ -1,0 +1,387 @@
+"""The graded commutative Hopf algebra of differential polynomials times
+exponentials, with product, coproduct, derivation and the Laurent-valued
+Hopf pairing.
+
+A term is a pair (momentum coords, monomial) with a scalar coefficient.
+The monomial is a sorted tuple of factors (order m, basis index i), one
+entry per factor of the product of derivative generators of order m in
+the i-th ambient direction; its total degree is the sum of the orders.
+Derivative generators with arbitrary momentum are expanded over the
+ambient basis before storage, so terms form an honest linear basis.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import product as iproduct
+
+from .lattice import Momentum, MomentumSpace
+
+Mono = tuple[tuple[int, int], ...]  # sorted ((order, index), ...)
+TermKey = tuple[tuple[Fraction, ...], Mono]
+
+
+class FracLaurent:
+    """Finite Laurent polynomial with rational exponents."""
+
+    def __init__(self, data: dict | None = None):
+        self.data: dict[Fraction, object] = {}
+        if data:
+            for e, c in data.items():
+                if c:
+                    self.data[Fraction(e)] = c
+
+    @staticmethod
+    def monomial(coeff, exponent) -> "FracLaurent":
+        return FracLaurent({Fraction(exponent): coeff})
+
+    def coefficient(self, exponent):
+        return self.data.get(Fraction(exponent), Fraction(0))
+
+    def __add__(self, other: "FracLaurent") -> "FracLaurent":
+        out = dict(self.data)
+        for e, c in other.data.items():
+            new = out.get(e, 0) + c
+            if new:
+                out[e] = new
+            elif e in out:
+                del out[e]
+        return FracLaurent(out)
+
+    def __neg__(self) -> "FracLaurent":
+        return FracLaurent({e: -c for e, c in self.data.items()})
+
+    def __sub__(self, other: "FracLaurent") -> "FracLaurent":
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, FracLaurent):
+            out: dict[Fraction, object] = {}
+            for e1, c1 in self.data.items():
+                for e2, c2 in other.data.items():
+                    e = e1 + e2
+                    new = out.get(e, 0) + c1 * c2
+                    if new:
+                        out[e] = new
+                    elif e in out:
+                        del out[e]
+            return FracLaurent(out)
+        return FracLaurent({e: c * other for e, c in self.data.items()})
+
+    __rmul__ = __mul__
+
+    def d_dz(self) -> "FracLaurent":
+        return FracLaurent({e - 1: c * e for e, c in self.data.items() if e != 0})
+
+    def exponents(self):
+        return sorted(self.data)
+
+    def is_zero(self) -> bool:
+        return not self.data
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, FracLaurent) and self.data == other.data
+
+    def __repr__(self) -> str:
+        if not self.data:
+            return "0"
+        return " + ".join(f"({c}) z^{e}" for e, c in sorted(self.data.items()))
+
+
+def _merge_mono(a: Mono, b: Mono) -> Mono:
+    return tuple(sorted(a + b))
+
+
+def _mono_degree(mono: Mono) -> int:
+    return sum(m for m, _ in mono)
+
+
+_SPLIT_CACHE: dict[Mono, tuple] = {}
+
+
+def _mono_splits(mono: Mono):
+    """All coproduct splits (left, right, multiplicity, right degree) of a
+    monomial.  A factor repeated n times contributes binomial(n, j) ways of
+    sending j copies left."""
+    hit = _SPLIT_CACHE.get(mono)
+    if hit is not None:
+        return hit
+    distinct: list[tuple[tuple[int, int], int]] = []
+    for f in mono:
+        if distinct and distinct[-1][0] == f:
+            distinct[-1] = (f, distinct[-1][1] + 1)
+        else:
+            distinct.append((f, 1))
+    choices = [range(n + 1) for _, n in distinct]
+    out = []
+    for combo in iproduct(*choices):
+        left: list[tuple[int, int]] = []
+        right: list[tuple[int, int]] = []
+        mult = 1
+        for (f, n), j in zip(distinct, combo):
+            left.extend([f] * j)
+            right.extend([f] * (n - j))
+            mult *= math.comb(n, j)
+        out.append((tuple(left), tuple(right), mult, sum(m for m, _ in right)))
+    result = tuple(out)
+    _SPLIT_CACHE[mono] = result
+    return result
+
+
+class FieldElement:
+    """Finite linear combination of terms u e^{phi_mom}."""
+
+    __slots__ = ("space", "terms")
+
+    def __init__(self, space: MomentumSpace, terms: dict[TermKey, object] | None = None):
+        self.space = space
+        self.terms: dict[TermKey, object] = {}
+        if terms:
+            for k, c in terms.items():
+                if c:
+                    self.terms[k] = c
+
+    # -- constructors ---------------------------------------------------
+    @staticmethod
+    def zero(space: MomentumSpace) -> "FieldElement":
+        return FieldElement(space)
+
+    @staticmethod
+    def vacuum(space: MomentumSpace) -> "FieldElement":
+        return FieldElement.exponential(space, space.zero())
+
+    @staticmethod
+    def exponential(space: MomentumSpace, mom: Momentum) -> "FieldElement":
+        return FieldElement(space, {(mom.coords, ()): Fraction(1)})
+
+    @staticmethod
+    def dphi(space: MomentumSpace, mom: Momentum, order: int = 1) -> "FieldElement":
+        """The derivative generator of the given order and momentum,
+        expanded linearly over the ambient basis."""
+        if order < 1:
+            raise ValueError("derivative order must be >= 1")
+        zero = space.zero().coords
+        terms = {}
+        for i, c in enumerate(mom.coords):
+            if c:
+                terms[(zero, ((order, i),))] = c
+        return FieldElement(space, terms)
+
+    # -- ring structure ---------------------------------------------------
+    def _check_space(self, other: "FieldElement") -> None:
+        if self.space != other.space:
+            raise ValueError("elements live over different lattices")
+
+    def __add__(self, other: "FieldElement") -> "FieldElement":
+        self._check_space(other)
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            new = out.get(k, 0) + c
+            if new:
+                out[k] = new
+            elif k in out:
+                del out[k]
+        return FieldElement(self.space, out)
+
+    def __neg__(self) -> "FieldElement":
+        return FieldElement(self.space, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "FieldElement") -> "FieldElement":
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, FieldElement):
+            self._check_space(other)
+            out: dict[TermKey, object] = {}
+            for (ma, ua), ca in self.terms.items():
+                for (mb, ub), cb in other.terms.items():
+                    key = (
+                        tuple(x + y for x, y in zip(ma, mb)),
+                        _merge_mono(ua, ub),
+                    )
+                    new = out.get(key, 0) + ca * cb
+                    if new:
+                        out[key] = new
+                    elif key in out:
+                        del out[key]
+            return FieldElement(self.space, out)
+        if not other:
+            return FieldElement.zero(self.space)
+        return FieldElement(self.space, {k: c * other for k, c in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "FieldElement":
+        return self * (Fraction(1) / Fraction(scalar))
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FieldElement)
+            and self.space == other.space
+            and self.terms == other.terms
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    # -- Hopf structure -------------------------------------------------
+    def derive(self) -> "FieldElement":
+        """Hopf derivation: Leibniz on factors plus the exponential rule."""
+        out: dict[TermKey, object] = {}
+
+        def add(key, c):
+            new = out.get(key, 0) + c
+            if new:
+                out[key] = new
+            elif key in out:
+                del out[key]
+
+        for (mom, mono), c in self.terms.items():
+            seen = set()
+            for pos, (m, i) in enumerate(mono):
+                if (m, i) in seen:
+                    continue
+                seen.add((m, i))
+                mult = sum(1 for f in mono if f == (m, i))
+                rest = list(mono)
+                rest.remove((m, i))
+                add((mom, tuple(sorted(rest + [(m + 1, i)]))), c * mult)
+            for i, x in enumerate(mom):
+                if x:
+                    add((mom, _merge_mono(mono, ((1, i),))), c * x)
+        return FieldElement(self.space, out)
+
+    def coproduct(self) -> dict[tuple[TermKey, TermKey], object]:
+        """Coproduct as a dictionary keyed by (left term, right term)."""
+        out: dict[tuple[TermKey, TermKey], object] = {}
+        for (mom, mono), c in self.terms.items():
+            for left, right, mult, _deg in _mono_splits(mono):
+                key = ((mom, left), (mom, right))
+                out[key] = out.get(key, 0) + c * mult
+        return {k: v for k, v in out.items() if v}
+
+    def pair(self, other: "FieldElement") -> FracLaurent:
+        """Hopf pairing with values in Laurent polynomials in z."""
+        self._check_space(other)
+        out = FracLaurent()
+        for (ma, ua), ca in self.terms.items():
+            for (mb, ub), cb in other.terms.items():
+                coeff = _match_coefficient(self.space, list(ua), list(ub), ma, mb)
+                if coeff:
+                    e = self.space.pair(Momentum(ma), Momentum(mb)) - _mono_degree(
+                        ua
+                    ) - _mono_degree(ub)
+                    out = out + FracLaurent.monomial(ca * cb * coeff, e)
+        return out
+
+    # -- gradings ----------------------------------------------------------
+    def n0_degrees(self) -> set[int]:
+        return {_mono_degree(mono) for (_, mono) in self.terms}
+
+    def momenta(self) -> set[tuple[Fraction, ...]]:
+        return {mom for (mom, _) in self.terms}
+
+    def conformal_weights(self, sl) -> set[Fraction]:
+        """Set of h-values of the terms (h(mom) + degree)."""
+        out = set()
+        for (mom, mono), _ in self.terms.items():
+            out.add(sl.conformal_dim(Momentum(mom)) + _mono_degree(mono))
+        return out
+
+    def __repr__(self) -> str:
+        try:
+            from .expr import format_state
+
+            return f"<{format_state(self)}>"
+        except ImportError:
+            return f"FieldElement({self.terms!r})"
+
+
+# --- base pairings -------------------------------------------------------
+#
+# The four generator pairings, extended to higher orders by equivariance:
+# a derivation in the left slot acts as +d/dz on the value, in the right
+# slot as -d/dz (signs forced by the four base values).
+
+
+def _pp_coeff(space: MomentumSpace, f_left: tuple[int, int], f_right: tuple[int, int]) -> Fraction:
+    (m, i), (k, j) = f_left, f_right
+    c = space.gram[i][j]
+    e = Fraction(-2)
+    for _ in range(k - 1):  # right slot: -d/dz
+        c *= -e
+        e -= 1
+    for _ in range(m - 1):  # left slot: +d/dz
+        c *= e
+        e -= 1
+    return c
+
+
+def _pe_coeff(space: MomentumSpace, f_left: tuple[int, int], beta) -> Fraction:
+    m, i = f_left
+    c = sum(space.gram[i][j] * x for j, x in enumerate(beta))
+    e = Fraction(-1)
+    for _ in range(m - 1):
+        c *= e
+        e -= 1
+    return c
+
+
+def _ep_coeff(space: MomentumSpace, alpha, f_right: tuple[int, int]) -> Fraction:
+    k, j = f_right
+    c = -sum(space.gram[i][j] * x for i, x in enumerate(alpha))
+    e = Fraction(-1)
+    for _ in range(k - 1):
+        c *= -e
+        e -= 1
+    return c
+
+
+def _match_coefficient(space, fa: list, fb: list, alpha, beta) -> Fraction:
+    """Sum over partial matchings of the left factor list against the right.
+
+    Every left factor pairs with one right factor or with e^{phi_beta};
+    leftover right factors pair with e^{phi_alpha}.  The z-exponent is
+    fixed by the total derivative order, so only the scalar is needed.
+    """
+    if not fa:
+        total = Fraction(1)
+        for g in fb:
+            total *= _ep_coeff(space, alpha, g)
+            if not total:
+                return total
+        return total
+    f, rest = fa[0], fa[1:]
+    total = _pe_coeff(space, f, beta) * _match_coefficient(space, rest, fb, alpha, beta)
+    for pos in range(len(fb)):
+        c = _pp_coeff(space, f, fb[pos])
+        if c:
+            total += c * _match_coefficient(
+                space, rest, fb[:pos] + fb[pos + 1 :], alpha, beta
+            )
+    return total
+
+
+def tensor_multiply(
+    left: dict[tuple[TermKey, TermKey], object],
+    right: dict[tuple[TermKey, TermKey], object],
+    space: MomentumSpace,
+) -> dict[tuple[TermKey, TermKey], object]:
+    """Componentwise product of two coproduct tensors (for algebra-map tests)."""
+    out: dict[tuple[TermKey, TermKey], object] = {}
+    for ((la, ra)), ca in left.items():
+        ea = (FieldElement(space, {la: 1}), FieldElement(space, {ra: 1}))
+        for ((lb, rb)), cb in right.items():
+            eb = (FieldElement(space, {lb: 1}), FieldElement(space, {rb: 1}))
+            prod_l = ea[0] * eb[0]
+            prod_r = ea[1] * eb[1]
+            for kl, cl in prod_l.terms.items():
+                for kr, cr in prod_r.terms.items():
+                    key = (kl, kr)
+                    new = out.get(key, 0) + ca * cb * cl * cr
+                    if new:
+                        out[key] = new
+                    elif key in out:
+                        del out[key]
+    return out

@@ -1,0 +1,404 @@
+"""Rescaled screening lattices, conformal dimensions and coset arithmetic.
+
+All momenta live in the ambient basis {a_i / sqrt(p)} where a_i are the
+simple roots, so every inner product is an exact rational: the ambient Gram
+matrix is gram(a_i, a_j) / p and sqrt(p) never appears unsquared.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+from . import linalg
+from .rootdata import RootSystem, build_root_system, short_simple_system
+
+
+@dataclass(frozen=True)
+class Momentum:
+    coords: tuple[Fraction, ...]
+
+    def __add__(self, other: "Momentum") -> "Momentum":
+        return Momentum(tuple(a + b for a, b in zip(self.coords, other.coords)))
+
+    def __sub__(self, other: "Momentum") -> "Momentum":
+        return Momentum(tuple(a - b for a, b in zip(self.coords, other.coords)))
+
+    def __neg__(self) -> "Momentum":
+        return Momentum(tuple(-a for a in self.coords))
+
+    def __rmul__(self, scalar) -> "Momentum":
+        s = Fraction(scalar)
+        return Momentum(tuple(s * a for a in self.coords))
+
+    __mul__ = __rmul__
+
+    def is_zero(self) -> bool:
+        return all(a == 0 for a in self.coords)
+
+    def __repr__(self) -> str:
+        return "Momentum(" + ", ".join(str(c) for c in self.coords) + ")"
+
+
+class MomentumSpace:
+    """Rational quadratic space holding the ambient Gram matrix."""
+
+    def __init__(self, gram: list[list[Fraction]], p: int):
+        self.p = p
+        self.rank = len(gram)
+        self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
+
+    def momentum(self, coords) -> Momentum:
+        c = tuple(Fraction(x) for x in coords)
+        if len(c) != self.rank:
+            raise ValueError(f"expected {self.rank} coordinates, got {len(c)}")
+        return Momentum(c)
+
+    def zero(self) -> Momentum:
+        return self.momentum([0] * self.rank)
+
+    def basis_vector(self, i: int) -> Momentum:
+        return self.momentum([int(j == i) for j in range(self.rank)])
+
+    def pair(self, u: Momentum, v: Momentum) -> Fraction:
+        total = Fraction(0)
+        for i, ui in enumerate(u.coords):
+            if ui:
+                row = self.gram[i]
+                for j, vj in enumerate(v.coords):
+                    if vj:
+                        total += ui * row[j] * vj
+        return total
+
+    def norm(self, u: Momentum) -> Fraction:
+        return self.pair(u, u)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, MomentumSpace) and self.gram == other.gram and self.p == other.p
+
+    def __hash__(self):
+        return hash((self.gram, self.p))
+
+
+@dataclass(frozen=True)
+class Coset:
+    """A coset rep + span_Z(basis) inside a MomentumSpace."""
+
+    space: MomentumSpace
+    rep: Momentum
+    basis: tuple[Momentum, ...]
+
+    def _coords_in_basis(self, v: Momentum):
+        mat = linalg.transpose([list(b.coords) for b in self.basis])
+        return linalg.solve(mat, list(v.coords))
+
+    def contains(self, v: Momentum) -> bool:
+        sol = self._coords_in_basis(v - self.rep)
+        return sol is not None and all(x.denominator == 1 for x in sol)
+
+    def canonical_rep(self) -> Momentum:
+        """Representative reduced into the fundamental cell of the Hermite
+        normal form of the lattice basis (deterministic equality testing).
+
+        Falls back to the construction basis when the lattice is not
+        integral in ambient coordinates.
+        """
+        basis = self.basis
+        if all(c.denominator == 1 for b in self.basis for c in b.coords):
+            hnf = linalg.hnf_row([[int(c) for c in b.coords] for b in self.basis])
+            basis = tuple(
+                self.space.momentum(row) for row in hnf if any(row)
+            )
+        mat = linalg.transpose([list(b.coords) for b in basis])
+        sol = linalg.solve(mat, list(self.rep.coords))
+        assert sol is not None
+        shift = self.space.zero()
+        for x, b in zip(sol, basis):
+            shift = shift + Fraction(math.floor(x)) * b
+        return self.rep - shift
+
+    def shifted(self, v: Momentum) -> "Coset":
+        return Coset(self.space, self.rep + v, self.basis)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Coset)
+            and self.space == other.space
+            and self.basis == other.basis
+            and self.contains(other.rep)
+        )
+
+    def __hash__(self):
+        return hash((self.space, self.basis, self.canonical_rep().coords))
+
+
+@dataclass
+class QuotientGroup:
+    invariant_factors: list[int]
+    coset_reps: list[Momentum]
+
+    @property
+    def order(self) -> int:
+        return math.prod(self.invariant_factors) if self.invariant_factors else 1
+
+    @property
+    def is_cyclic(self) -> bool:
+        return len([f for f in self.invariant_factors if f > 1]) <= 1
+
+
+class ScreeningLattices:
+    """All lattice data attached to a root system and an even level ell = 2p."""
+
+    def __init__(self, rs: RootSystem, ell: int):
+        if ell <= 0 or ell % 2 != 0:
+            raise ValueError(f"level must be an even positive integer, got {ell}")
+        for i in range(rs.rank):
+            if ell % rs.gram[i][i] != 0:
+                raise ValueError(
+                    f"level {ell} is not divisible by (a_{i + 1}, a_{i + 1}) = {rs.gram[i][i]}"
+                )
+        self.rs = rs
+        self.ell = ell
+        self.p = ell // 2
+        gram_ambient = [
+            [Fraction(rs.gram[i][j], self.p) for j in range(rs.rank)] for i in range(rs.rank)
+        ]
+        self.space = MomentumSpace(gram_ambient, self.p)
+
+        rank = rs.rank
+        # short momenta -a_i/sqrt(p); ambient basis is a_i/sqrt(p) itself
+        self.basis_short = tuple(
+            self.space.momentum([-int(i == j) for j in range(rank)]) for i in range(rank)
+        )
+        # long momenta +a_i^v sqrt(p) = (2p/(a_i,a_i)) * e_i
+        self.basis_long = tuple(
+            self.space.momentum(
+                [int(i == j) * (2 * self.p // rs.gram[i][i]) for j in range(rank)]
+            )
+            for i in range(rank)
+        )
+        # dual basis lambda_i / sqrt(p)
+        self.basis_dual = tuple(self.space.momentum(list(w)) for w in rs.fund_weights)
+
+        q_num = [self.p * rd - r for rd, r in zip(rs.rho_dual, rs.rho)]
+        self.Q = self.space.momentum(q_num)
+        self.central_charge = Fraction(rank) - 12 * self.space.norm(self.Q)
+
+        self._check_invariants()
+
+    # -- construction-time invariants --------------------------------
+    def _check_invariants(self) -> None:
+        for i, a in enumerate(self.basis_short):
+            if self.conformal_dim(a) != 1:
+                raise AssertionError(f"h(a_{i + 1} short momentum) != 1")
+        for i, a in enumerate(self.basis_long):
+            if self.conformal_dim(a) != 1:
+                raise AssertionError(f"h(a_{i + 1} long momentum) != 1")
+        for a in self.basis_long:
+            if self.space.norm(a).denominator != 1 or self.space.norm(a) % 2 != 0:
+                raise AssertionError("long screening lattice is not even")
+            for b in self.basis_long:
+                if self.space.pair(a, b).denominator != 1:
+                    raise AssertionError("long screening lattice is not integral")
+        # dual basis pairs integrally (delta_ij style) with the long basis
+        for i, w in enumerate(self.basis_dual):
+            for j, b in enumerate(self.basis_long):
+                val = self.space.pair(w, b)
+                expected = Fraction(int(i == j))
+                if val != expected:
+                    raise AssertionError("dual basis does not pair to identity with long basis")
+
+    # -- conformal data ------------------------------------------------
+    def conformal_dim(self, lam: Momentum) -> Fraction:
+        """h(lam) = (lam,lam)/2 - (lam,Q) for the lowest state of V_lam."""
+        return self.space.norm(lam) / 2 - self.space.pair(lam, self.Q)
+
+    # -- cosets ----------------------------------------------------------
+    def long_lattice_coset(self, rep: Momentum) -> Coset:
+        return Coset(self.space, rep, self.basis_long)
+
+    def module_cosets(self) -> QuotientGroup:
+        return quotient_group(self, self.basis_dual, self.basis_long)
+
+    def named_cosets(self) -> dict[str, Coset]:
+        """The Blue/Center/Green/Steinberg labels of the four-module theories."""
+        qg = self.module_cosets()
+        if qg.order != 4:
+            raise ValueError(
+                f"named modules exist only for four-module data; this theory has {qg.order}"
+            )
+        short = self.space.momentum(
+            [int(j == self.rs.rank - 1) for j in range(self.rs.rank)]
+        )
+        return {
+            "blue": self.long_lattice_coset(self.space.zero()),
+            "center": self.long_lattice_coset(self.Q),
+            "green": self.long_lattice_coset(short),
+            "steinberg": self.long_lattice_coset(self.Q + short),
+        }
+
+    def short_screening_momenta(self) -> tuple[Momentum, ...]:
+        """Screening momenta actually used for kernels.
+
+        Non-degenerate data: -a_i/sqrt(p).  If some simple root is
+        degenerate ((a_i short momentum, itself) even), the simple system
+        of the subsystem of short roots is used instead.
+        """
+        degenerate = any(
+            self.space.norm(a).denominator == 1 and self.space.norm(a) % 2 == 0
+            for a in self.basis_short
+        )
+        if not degenerate:
+            return self.basis_short
+        shorts = short_simple_system(self.rs)
+        return tuple(self.space.momentum([-c for c in root]) for root in shorts)
+
+
+def build_screening_lattices(rs: RootSystem, ell: int) -> ScreeningLattices:
+    return ScreeningLattices(rs, ell)
+
+
+def q_vector(rs: RootSystem, p: int) -> Momentum:
+    return ScreeningLattices(rs, 2 * p).Q
+
+
+def central_charge(sl: ScreeningLattices) -> Fraction:
+    return sl.central_charge
+
+
+def conformal_dim(sl: ScreeningLattices, lam: Momentum) -> Fraction:
+    return sl.conformal_dim(lam)
+
+
+# --- quotients ---------------------------------------------------------
+
+
+def quotient_group(sl: ScreeningLattices, fine, coarse) -> QuotientGroup:
+    """Quotient of span_Z(fine) by span_Z(coarse) via Smith normal form."""
+    space = sl.space
+    fine_mat = linalg.transpose([list(b.coords) for b in fine])
+    rel = []
+    for c in coarse:
+        sol = linalg.solve(fine_mat, list(c.coords))
+        if sol is None or any(x.denominator != 1 for x in sol):
+            raise ValueError("coarse lattice is not contained in the fine lattice")
+        rel.append([int(x) for x in sol])
+    m = linalg.transpose(rel)  # columns = coarse vectors in fine coords
+    u, d_mat, _v = linalg.smith_normal_form(m)
+    diag = [d_mat[i][i] for i in range(len(d_mat))]
+    if any(f == 0 for f in diag):
+        raise ValueError("coarse lattice has lower rank than the fine lattice")
+    u_inv = linalg.inverse(linalg.frac_matrix(u))
+    # columns of fine_mat @ u_inv generate the quotient with orders diag[i]
+    gen_mat = linalg.mat_mul(fine_mat, u_inv)
+    reps = []
+    for combo in itertools.product(*[range(f) for f in diag]):
+        coords = [
+            sum(gen_mat[r][i] * combo[i] for i in range(len(combo)))
+            for r in range(space.rank)
+        ]
+        reps.append(space.momentum(coords))
+    assert len(reps) == math.prod(diag)
+    return QuotientGroup(
+        invariant_factors=[f for f in diag if f > 1], coset_reps=reps
+    )
+
+
+def num_simples(rs: RootSystem, ell: int) -> int:
+    """|Lambda_W / Lambda_R| * prod_i ell / (a_i, a_i)."""
+    for i in range(rs.rank):
+        if ell % rs.gram[i][i] != 0:
+            raise ValueError(f"level {ell} not divisible by (a_{i + 1}, a_{i + 1})")
+    count = rs.fundamental_group_order
+    for i in range(rs.rank):
+        count *= ell // rs.gram[i][i]
+    return count
+
+
+# --- point enumeration (complete within a bound) -----------------------
+
+
+def points_within(
+    space: MomentumSpace,
+    rep: Momentum,
+    basis,
+    center: Momentum,
+    max_norm2: Fraction,
+):
+    """All v in rep + span_Z(basis) with (v-center, v-center) <= max_norm2.
+
+    Complete enumeration: integer coordinates are boxed by an exact lower
+    bound on the smallest eigenvalue of the basis Gram matrix.
+    """
+    r = len(basis)
+    gb = [[space.pair(basis[i], basis[j]) for j in range(r)] for i in range(r)]
+    gb_inv = linalg.inverse(gb)
+    # lambda_min(gb) >= 1 / max row sum of |gb_inv|
+    lam_min = Fraction(1) / max(sum(abs(x) for x in row) for row in gb_inv)
+    t = rep - center
+    # real minimizer n0 of (t + B n)^T G (t + B n): gb n0 = -B^T G t
+    rhs = [-space.pair(basis[i], t) for i in range(r)]
+    n0 = linalg.mat_vec(gb_inv, rhs)
+    f_min = space.norm(t) - sum(-rhs[i] * (-n0[i]) for i in range(r))
+    # f(n) = f_min + (n - n0)^T gb (n - n0)
+    slack = max_norm2 - f_min
+    if slack < 0:
+        return []
+    radius2 = slack / lam_min
+    rad = _isqrt_ceil(radius2)
+    found = []
+    ranges = [
+        range(math.ceil(n0[i] - rad), math.floor(n0[i] + rad) + 1) for i in range(r)
+    ]
+    for combo in itertools.product(*ranges):
+        v = rep
+        for c, b in zip(combo, basis):
+            if c:
+                v = v + c * b
+        if space.norm(v - center) <= max_norm2:
+            found.append(v)
+    return found
+
+
+def _isqrt_ceil(x: Fraction) -> int:
+    if x < 0:
+        return 0
+    n = math.isqrt(x.numerator // x.denominator)
+    while Fraction(n * n) < x:
+        n += 1
+    return n
+
+
+def groundstates(sl: ScreeningLattices, coset: Coset):
+    """All coset representatives of minimal conformal dimension, and that h.
+
+    Minimizing h(v) = (v-Q,v-Q)/2 - (Q,Q)/2 is the closest-vector problem
+    for the point Q.
+    """
+    space = sl.space
+    initial = coset.canonical_rep()
+    bound = space.norm(initial - sl.Q)
+    pts = points_within(space, coset.rep, coset.basis, sl.Q, bound)
+    best = min(space.norm(v - sl.Q) for v in pts)
+    minima = sorted(
+        (v for v in pts if space.norm(v - sl.Q) == best),
+        key=lambda v: v.coords,
+    )
+    h = best / 2 - space.norm(sl.Q) / 2
+    return minima, h
+
+
+def quadratic_form_F(sl: ScreeningLattices, coset: Coset) -> Fraction:
+    """Exponent r (mod 2, in (-1, 1]) of F([lam]) = e^{i pi r}.
+
+    r = (lam - Q, lam - Q) - (Q, Q) = 2 h(lam); well-defined mod 2 on
+    cosets of the even lattice.
+    """
+    lam = coset.canonical_rep()
+    r = 2 * sl.conformal_dim(lam)
+    r = r % 2
+    if r > 1:
+        r -= 2
+    return r

@@ -1,0 +1,385 @@
+"""Exact linear algebra over the rationals and integers.
+
+Everything here works on plain lists of lists of Fraction (or int for the
+lattice routines).  Matrices are small (rank <= 8, layer bases a few hundred),
+so the emphasis is on exactness and predictability, not asymptotics.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd
+from typing import Sequence
+
+Row = list[Fraction]
+Matrix = list[Row]
+
+
+def frac_matrix(rows: Sequence[Sequence]) -> Matrix:
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def identity(n: int) -> Matrix:
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    n, k, m = len(a), len(b), len(b[0])
+    assert len(a[0]) == k
+    out = [[Fraction(0)] * m for _ in range(n)]
+    for i in range(n):
+        ai = a[i]
+        for t in range(k):
+            x = ai[t]
+            if x:
+                bt = b[t]
+                oi = out[i]
+                for j in range(m):
+                    if bt[j]:
+                        oi[j] += x * bt[j]
+    return out
+
+
+def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Row:
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def transpose(a: Matrix) -> Matrix:
+    return [list(col) for col in zip(*a)]
+
+
+def det(a: Matrix) -> Fraction:
+    """Determinant by fraction-free style elimination on a copy."""
+    n = len(a)
+    m = [row[:] for row in a]
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        result *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] * inv
+            if f:
+                for j in range(c, n):
+                    m[r][j] -= f * m[c][j]
+    return sign * result
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Exact inverse; raises ValueError on a singular matrix."""
+    n = len(a)
+    m = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def solve(a: Matrix, b: Sequence[Fraction]) -> Row | None:
+    """Solve a @ x = b for square invertible a; None if singular/inconsistent."""
+    n = len(a)
+    m = [row[:] + [Fraction(v)] for row, v in zip(a, b)]
+    col = 0
+    pivots = []
+    for c in range(len(a[0])):
+        piv = next((r for r in range(col, n) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][c]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+        pivots.append(c)
+        col += 1
+    for r in range(col, n):
+        if m[r][-1] != 0:
+            return None
+    x = [Fraction(0)] * len(a[0])
+    for r, c in enumerate(pivots):
+        x[c] = m[r][-1]
+    return x
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form (copy) and pivot column indices."""
+    m = [row[:] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def _fraction_free_echelon(a: Matrix) -> tuple[list[list[int]], list[int]]:
+    """Bareiss fraction-free forward elimination of the integerized matrix.
+
+    Rows are first scaled to integers (kernel unchanged); the one-step
+    Bareiss update divides exactly by the previous pivot, so every
+    intermediate entry is an exact integer.
+    """
+    m = []
+    for row in a:
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        m.append([int(x * den) for x in row])
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots: list[int] = []
+    r = 0
+    prev = 1
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(r + 1, rows):
+            for j in range(cols):
+                if j != c:
+                    m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def nullspace(a: Matrix, ncols: int | None = None) -> list[Row]:
+    """Basis of the right nullspace of a: fraction-free forward
+    elimination followed by exact rational back substitution."""
+    if not a:
+        assert ncols is not None
+        return [row[:] for row in identity(ncols)]
+    cols = len(a[0])
+    red, pivots = _fraction_free_echelon(a)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            total = sum(
+                (Fraction(red[r][j]) * v[j] for j in range(c + 1, cols) if red[r][j]),
+                Fraction(0),
+            )
+            v[c] = -total / red[r][c]
+        basis.append(v)
+    return basis
+
+
+def rank(a: Matrix) -> int:
+    if not a:
+        return 0
+    return len(rref(a)[1])
+
+
+def in_row_span(a: Matrix, v: Sequence[Fraction]) -> bool:
+    """Whether v lies in the row span of a."""
+    if not a:
+        return all(x == 0 for x in v)
+    base = rank(a)
+    return rank(a + [list(v)]) == base
+
+
+# --- integer lattice routines -------------------------------------------
+
+IMatrix = list[list[int]]
+
+
+def _swap_rows(m: IMatrix, i: int, j: int) -> None:
+    m[i], m[j] = m[j], m[i]
+
+
+def hnf_row(a: IMatrix) -> IMatrix:
+    """Row-style Hermite normal form of an integer matrix (copy).
+
+    Result is upper triangular with positive pivots and entries above each
+    pivot reduced into [0, pivot).  Zero rows sink to the bottom.
+    """
+    m = [row[:] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if m[i][c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        _swap_rows(m, r, piv)
+        # gcd out the column below the pivot
+        for i in range(r + 1, rows):
+            while m[i][c] != 0:
+                q = m[r][c] // m[i][c]
+                m[r] = [x - q * y for x, y in zip(m[r], m[i])]
+                _swap_rows(m, r, i)
+        if m[r][c] < 0:
+            m[r] = [-x for x in m[r]]
+        for i in range(r):
+            q = m[i][c] // m[r][c]
+            if q:
+                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == rows:
+            break
+    return m
+
+
+def _exgcd(a: int, b: int) -> tuple[int, int, int]:
+    """g, x, y with x*a + y*b = g = gcd(a, b) >= 0."""
+    old_r, r = a, b
+    old_x, x = 1, 0
+    old_y, y = 0, 1
+    while r != 0:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_x, x = x, old_x - q * x
+        old_y, y = y, old_y - q * y
+    if old_r < 0:
+        old_r, old_x, old_y = -old_r, -old_x, -old_y
+    return old_r, old_x, old_y
+
+
+def smith_normal_form(a: IMatrix) -> tuple[IMatrix, IMatrix, IMatrix]:
+    """Return (u, d, v) with u @ a @ v = d diagonal, u, v unimodular.
+
+    Diagonal entries are nonnegative and satisfy d[i] | d[i+1].
+    """
+    d = [row[:] for row in a]
+    n = len(d)
+    m = len(d[0]) if n else 0
+    u = [[int(i == j) for j in range(n)] for i in range(n)]
+    v = [[int(i == j) for j in range(m)] for i in range(m)]
+
+    def combine_rows(i, j, col):
+        """Unimodular transform making d[i][col] = gcd and d[j][col] = 0."""
+        aa, bb = d[i][col], d[j][col]
+        g, x, y = _exgcd(aa, bb)
+        p, q = -bb // g, aa // g
+        d[i], d[j] = (
+            [x * r1 + y * r2 for r1, r2 in zip(d[i], d[j])],
+            [p * r1 + q * r2 for r1, r2 in zip(d[i], d[j])],
+        )
+        u[i], u[j] = (
+            [x * r1 + y * r2 for r1, r2 in zip(u[i], u[j])],
+            [p * r1 + q * r2 for r1, r2 in zip(u[i], u[j])],
+        )
+
+    def combine_cols(i, j, row):
+        aa, bb = d[row][i], d[row][j]
+        g, x, y = _exgcd(aa, bb)
+        p, q = -bb // g, aa // g
+        for mat in (d, v):
+            for r in mat:
+                r[i], r[j] = x * r[i] + y * r[j], p * r[i] + q * r[j]
+
+    def swap_rows(i, j):
+        d[i], d[j] = d[j], d[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for mat in (d, v):
+            for r in mat:
+                r[i], r[j] = r[j], r[i]
+
+    k = 0
+    while k < min(n, m):
+        piv = next(
+            ((i, j) for i in range(k, n) for j in range(k, m) if d[i][j] != 0), None
+        )
+        if piv is None:
+            break
+        swap_rows(k, piv[0])
+        swap_cols(k, piv[1])
+        while True:
+            # Plain eliminations keep the pivot fixed and never re-dirty the
+            # cleared line; gcd combines strictly shrink |pivot|, so the
+            # loop terminates.
+            for i in range(k + 1, n):
+                if d[i][k] != 0:
+                    if d[i][k] % d[k][k] == 0:
+                        q = d[i][k] // d[k][k]
+                        d[i] = [x - q * y for x, y in zip(d[i], d[k])]
+                        u[i] = [x - q * y for x, y in zip(u[i], u[k])]
+                    else:
+                        combine_rows(k, i, k)
+            for j in range(k + 1, m):
+                if d[k][j] != 0:
+                    if d[k][j] % d[k][k] == 0:
+                        q = d[k][j] // d[k][k]
+                        for mat in (d, v):
+                            for r in mat:
+                                r[j] -= q * r[k]
+                    else:
+                        combine_cols(k, j, k)
+            if all(d[i][k] == 0 for i in range(k + 1, n)) and all(
+                d[k][j] == 0 for j in range(k + 1, m)
+            ):
+                # divisibility fix-up: fold a bad row into the pivot row
+                bad = next(
+                    (
+                        (i, j)
+                        for i in range(k + 1, n)
+                        for j in range(k + 1, m)
+                        if d[k][k] != 0 and d[i][j] % d[k][k] != 0
+                    ),
+                    None,
+                )
+                if bad is None:
+                    break
+                i_bad = bad[0]
+                d[k] = [x + y for x, y in zip(d[k], d[i_bad])]
+                u[k] = [x + y for x, y in zip(u[k], u[i_bad])]
+        if d[k][k] < 0:
+            d[k] = [-x for x in d[k]]
+            u[k] = [-x for x in u[k]]
+        k += 1
+    return u, d, v
+
+
+def int_mat_inverse(a: IMatrix) -> Matrix:
+    return inverse(frac_matrix(a))
+
+
+def lcm_list(vals) -> int:
+    out = 1
+    for x in vals:
+        out = out * x // gcd(out, x) if x else out
+    return out

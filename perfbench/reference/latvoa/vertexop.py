@@ -1,0 +1,275 @@
+"""Vertex operator Y(a)b as a fractional Laurent series of states, its mode
+operators, and integer/fractional residues.
+
+Y(a)b = sum_k <a2, b2> * b1 * z^k/k! * d^k.a1 over the coproduct legs.
+Every z-coefficient is a finite sum: for a fixed output exponent the
+derivative index k is pinned by the pairing exponent, and pairing
+exponents lie in a bounded window computed per term pair.
+"""
+
+from __future__ import annotations
+
+import cmath
+from dataclasses import dataclass, field
+from fractions import Fraction
+
+from .freefield import FieldElement, _match_coefficient, _merge_mono, _mono_degree, _mono_splits
+from .lattice import Momentum, MomentumSpace
+from .scalars import Scalar
+
+_DK_CACHE: dict = {}
+
+
+def _dk_term(space: MomentumSpace, mom, mono, k: int):
+    """Terms of d^k (mono e^{phi_mom}) / k!, cached incrementally."""
+    key = (space.gram, mom, mono, k)
+    hit = _DK_CACHE.get(key)
+    if hit is not None:
+        return hit
+    if k == 0:
+        result = {(mom, mono): Fraction(1)}
+    else:
+        prev = _dk_term(space, mom, mono, k - 1)
+        elem = FieldElement(space, prev).derive()
+        result = {kk: c / k for kk, c in elem.terms.items()}
+    _DK_CACHE[key] = result
+    return result
+
+
+_FACTS = [1]
+
+
+def _factorial(n: int) -> Fraction:
+    while len(_FACTS) <= n:
+        _FACTS.append(_FACTS[-1] * len(_FACTS))
+    return Fraction(_FACTS[n])
+
+
+def support_min(a: FieldElement, b: FieldElement) -> Fraction | None:
+    """Exact lower bound for z-exponents of Y(a)b; None for zero input."""
+    lows = []
+    for (ma, ua) in a.terms:
+        for (mb, ub) in b.terms:
+            lows.append(
+                a.space.pair(Momentum(ma), Momentum(mb))
+                - _mono_degree(ua)
+                - _mono_degree(ub)
+            )
+    return min(lows) if lows else None
+
+
+def _accumulate(out: dict, key, val) -> None:
+    new = out.get(key, 0) + val
+    if new:
+        out[key] = new
+    elif key in out:
+        del out[key]
+
+
+_MATCH_CACHE: dict = {}
+
+
+def _mode_terms(a: FieldElement, b: FieldElement, want):
+    """Core engine: want(E) returns the iterable of derivative indices k to
+    keep for a combination with pairing exponent E.  Returns the map
+    {exponent E + k: accumulated term dict}."""
+    space = a.space
+    out: dict[Fraction, dict] = {}
+    for (alpha, mono_a), ca in a.terms.items():
+        alpha_zero = not any(alpha)
+        a_splits = _mono_splits(mono_a)
+        for (beta, mono_b), cb in b.terms.items():
+            beta_zero = not any(beta)
+            pab = space.pair(Momentum(alpha), Momentum(beta))
+            scale0 = ca * cb
+            for a_left, a_right, mult_a, deg_ar in a_splits:
+                len_ar = len(a_right)
+                for b_left, b_right, mult_b, deg_br in _mono_splits(mono_b):
+                    # a pure-exponential leg pairs to zero with any leftover
+                    # primitive on the other side
+                    if alpha_zero and len(b_right) > len_ar:
+                        continue
+                    if beta_zero and len_ar > len(b_right):
+                        continue
+                    e_pair = pab - deg_ar - deg_br
+                    ks = want(e_pair)
+                    if not ks:
+                        continue
+                    mkey = (space.gram, a_right, b_right, alpha, beta)
+                    coeff = _MATCH_CACHE.get(mkey)
+                    if coeff is None:
+                        coeff = _match_coefficient(
+                            space, list(a_right), list(b_right), alpha, beta
+                        )
+                        _MATCH_CACHE[mkey] = coeff
+                    if not coeff:
+                        continue
+                    scale = scale0 * mult_a * mult_b * coeff
+                    for k in ks:
+                        exponent = e_pair + k
+                        bucket = out.setdefault(exponent, {})
+                        for (dm, dmono), dc in _dk_term(space, alpha, a_left, k).items():
+                            term_key = (
+                                tuple(x + y for x, y in zip(beta, dm)),
+                                _merge_mono(b_left, dmono),
+                            )
+                            _accumulate(bucket, term_key, scale * dc)
+    return out
+
+
+def multi_mode_op(a: FieldElement, ms, b: FieldElement) -> dict:
+    """z^m coefficients of Y(a)b for every m in ms, in one pass."""
+    a._check_space(b)
+    targets = sorted({Fraction(m) for m in ms})
+
+    def want(e_pair):
+        ks = []
+        for m in targets:
+            k = m - e_pair
+            if k.denominator == 1 and k >= 0:
+                ks.append(int(k))
+        return tuple(ks)
+
+    buckets = _mode_terms(a, b, want)
+    return {m: FieldElement(a.space, buckets.get(m, {})) for m in targets}
+
+
+def mode_op(a: FieldElement, m, b: FieldElement) -> FieldElement:
+    """The z^m coefficient of Y(a)b; exact for every rational m."""
+    a._check_space(b)
+    m = Fraction(m)
+
+    def want(e_pair):
+        k = m - e_pair
+        if k.denominator == 1 and k >= 0:
+            return (int(k),)
+        return ()
+
+    buckets = _mode_terms(a, b, want)
+    terms = buckets.get(m, {})
+    return FieldElement(a.space, terms)
+
+
+@dataclass
+class StateSeries:
+    """Coefficients of Y(a)b for every exponent inside an explicit window."""
+
+    space: MomentumSpace
+    window: tuple[Fraction, Fraction]
+    coeffs: dict[Fraction, FieldElement] = field(default_factory=dict)
+
+    def coefficient(self, exponent) -> FieldElement:
+        e = Fraction(exponent)
+        lo, hi = self.window
+        if not (lo <= e <= hi):
+            raise ValueError(f"exponent {e} outside computed window [{lo}, {hi}]")
+        return self.coeffs.get(e, FieldElement.zero(self.space))
+
+    def support(self):
+        return sorted(e for e, c in self.coeffs.items() if not c.is_zero())
+
+
+def vertex_op(a: FieldElement, b: FieldElement, window) -> StateSeries:
+    """All coefficients of Y(a)b with exponents in [lo, hi], exhaustively."""
+    a._check_space(b)
+    lo, hi = Fraction(window[0]), Fraction(window[1])
+
+    def want(e_pair):
+        if e_pair > hi:
+            return ()
+        start = lo - e_pair
+        k0 = max(0, -(-start.numerator // start.denominator))  # ceil(lo - E)
+        kmax = (hi - e_pair).numerator // (hi - e_pair).denominator  # floor
+        return tuple(range(k0, kmax + 1))
+
+    buckets = _mode_terms(a, b, want)
+    coeffs = {
+        e: FieldElement(a.space, terms)
+        for e, terms in buckets.items()
+        if lo <= e <= hi and terms
+    }
+    return StateSeries(a.space, (lo, hi), coeffs)
+
+
+def integer_pairing(a: FieldElement, b: FieldElement) -> bool:
+    """Whether all exponential pairings between a and b are integers."""
+    space = a.space
+    for (ma, _u) in a.terms:
+        for (mb, _v) in b.terms:
+            if space.pair(Momentum(ma), Momentum(mb)).denominator != 1:
+                return False
+    return True
+
+
+@dataclass
+class FractionalResidue:
+    """Truncated fractional residue: complex coefficients, explicitly
+    approximate."""
+
+    element_terms: dict
+    space: MomentumSpace
+    truncation: int
+    tail_scale: dict[int, float]
+    approximate: bool = True
+
+    def coefficient(self, term_key) -> complex:
+        return complex(self.element_terms.get(term_key, 0))
+
+
+def residue_op(a: FieldElement, b: FieldElement, fractional: bool = False, truncate: int | None = None):
+    """resY(a) b.
+
+    Integer case: requires every exponential pairing integral; equals the
+    exact z^{-1} coefficient.  Fractional case: the first `truncate` terms
+    of each k-sum, with residue weights (e^{2 i pi m} - 1)/(2 i pi (m+1))
+    kept as exact phases until the final complex conversion.
+    """
+    a._check_space(b)
+    if not fractional:
+        for (ma, _u) in a.terms:
+            for (mb, _v) in b.terms:
+                val = a.space.pair(Momentum(ma), Momentum(mb))
+                if val.denominator != 1:
+                    raise ValueError(
+                        f"pairing {val} of momenta {ma} and {mb} is fractional; "
+                        "use fractional mode with a truncation bound"
+                    )
+        return mode_op(a, -1, b)
+
+    if truncate is None or truncate < 1:
+        raise ValueError("fractional residues require a truncation bound >= 1")
+    K = truncate
+
+    def want(e_pair):
+        return tuple(range(K))
+
+    buckets = _mode_terms(a, b, want)
+    out: dict = {}
+    tail: dict[int, float] = {}
+    for exponent, terms in buckets.items():
+        if exponent.denominator == 1:
+            weight: complex | Fraction
+            weight = Fraction(1) if exponent == -1 else Fraction(0)
+        else:
+            # res z^m for fractional m; the phase e^{2 i pi (m+1)} stays
+            # exact until combined with 1/(2 i pi)
+            phase = Scalar.phase(1, 2 * (exponent + 1))
+            weight = (phase.to_complex() - 1) / (2j * cmath.pi * float(exponent + 1))
+        if not weight:
+            continue
+        for key, c in terms.items():
+            _accumulate(out, key, complex(c) * complex(weight))
+    # first omitted term scale per output degree (k = K contributions)
+    for (alpha, mono_a), _ca in a.terms.items():
+        for (beta, mono_b), _cb in b.terms.items():
+            e0 = a.space.pair(Momentum(alpha), Momentum(beta))
+            m = e0 + K
+            if m.denominator == 1:
+                continue
+            w = abs(
+                (Scalar.phase(1, 2 * (m + 1)).to_complex() - 1)
+                / (2j * cmath.pi * float(m + 1))
+            ) / float(_factorial(K))
+            deg = _mono_degree(mono_a) + _mono_degree(mono_b) + K
+            tail[deg] = max(tail.get(deg, 0.0), w)
+    return FractionalResidue(out, a.space, K, tail)

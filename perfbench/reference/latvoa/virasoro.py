@@ -1,0 +1,268 @@
+"""Stress tensor, Virasoro modes L_n = Y(T)_{-2-n}, and exact commutator
+verification with the central term."""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+from . import linalg
+from .freefield import FieldElement
+from .lattice import Momentum, ScreeningLattices
+from .vertexop import mode_op, multi_mode_op
+
+
+@dataclass
+class StressTensor:
+    element: FieldElement
+    Q: Momentum
+    c: Fraction
+
+
+def stress_tensor(sl: ScreeningLattices, basis=None) -> StressTensor:
+    """T = 1/2 sum_i dphi_{b_i} dphi_{b_i*} + sum_i q_i d2phi_{b_i} for any
+    basis with dual basis (b_i, b_j*) = delta_ij; the result is basis
+    independent."""
+    space = sl.space
+    if basis is None:
+        basis = [space.basis_vector(i) for i in range(space.rank)]
+    gb = [[space.pair(x, y) for y in basis] for x in basis]
+    gb_inv = linalg.inverse(gb)
+    duals = []
+    for i in range(len(basis)):
+        d = space.zero()
+        for j, b in enumerate(basis):
+            d = d + gb_inv[j][i] * b
+        duals.append(d)
+    # coordinates of Q in the chosen basis
+    qcoords = linalg.mat_vec(gb_inv, [space.pair(b, sl.Q) for b in basis])
+    elem = FieldElement.zero(space)
+    half = Fraction(1, 2)
+    for b, dstar in zip(basis, duals):
+        elem = elem + half * (FieldElement.dphi(space, b) * FieldElement.dphi(space, dstar))
+    for qi, b in zip(qcoords, basis):
+        if qi:
+            elem = elem + qi * FieldElement.dphi(space, b, order=2)
+    return StressTensor(element=elem, Q=sl.Q, c=sl.central_charge)
+
+
+def virasoro_mode(st: StressTensor, n: int, b: FieldElement) -> FieldElement:
+    """L_n b, the z^{-2-n} coefficient of Y(T)b."""
+    return mode_op(st.element, -2 - n, b)
+
+
+def virasoro_modes(
+    st: StressTensor, ns, b: FieldElement, fast: bool = True
+) -> dict[int, FieldElement]:
+    """L_n b for every n in ns.
+
+    The fast path evaluates the closed-form free-field action of the
+    stress-tensor modes on basis terms; it agrees with the generic
+    vertex-operator route (mode_op) and that agreement is pinned by tests.
+    """
+    if not fast:
+        images = multi_mode_op(st.element, [-2 - n for n in ns], b)
+        return {n: images[Fraction(-2 - n)] for n in ns}
+    space = b.space
+    out = {n: {} for n in ns}
+    for key, c in b.terms.items():
+        per_term = _fast_term_modes(space, st.Q, key, tuple(ns))
+        for n in ns:
+            bucket = out[n]
+            for k2, c2 in per_term.get(n, {}).items():
+                new = bucket.get(k2, 0) + c * c2
+                if new:
+                    bucket[k2] = new
+                elif k2 in bucket:
+                    del bucket[k2]
+    return {n: FieldElement(b.space, terms) for n, terms in out.items()}
+
+
+_FAST_CACHE: dict = {}
+_FACT = [1, 1, 2, 6]
+
+
+def _fact(n: int) -> int:
+    while len(_FACT) <= n:
+        _FACT.append(_FACT[-1] * len(_FACT))
+    return _FACT[n]
+
+
+def _fast_term_modes(space, Q: Momentum, key, ns: tuple) -> dict[int, dict]:
+    """Closed-form L_n action on a single basis term, for all n in ns.
+
+    The contributions mirror the coproduct legs of Y(T): scalar action at
+    n = 0, annihilation of one or two derivative factors, order shifts of
+    a factor, and creation of factors from the momentum, from Q, and in
+    G-inverse-paired couples.
+    """
+    cache_key = (space.gram, Q.coords, key, ns)
+    hit = _FAST_CACHE.get(cache_key)
+    if hit is not None:
+        return hit
+    beta, mono = key
+    rank = space.rank
+    gram = space.gram
+    gram_inv = _gram_inv(space)
+    gbeta = [sum(gram[i][j] * beta[j] for j in range(rank)) for i in range(rank)]
+    q_pair = [sum(gram[i][j] * Q.coords[j] for j in range(rank)) for i in range(rank)]
+    beta_sq = sum(beta[i] * gbeta[i] for i in range(rank))
+    beta_q = sum(beta[i] * q_pair[i] for i in range(rank))
+    out: dict[int, dict] = {n: {} for n in ns}
+
+    def add(n, mono_new, coeff):
+        if n not in out or not coeff:
+            return
+        bucket = out[n]
+        k2 = (beta, mono_new)
+        new = bucket.get(k2, 0) + coeff
+        if new:
+            bucket[k2] = new
+        elif k2 in bucket:
+            del bucket[k2]
+
+    def removed(positions):
+        rest = list(mono)
+        for p in sorted(positions, reverse=True):
+            del rest[p]
+        return rest
+
+    # n = 0 scalar part (momentum); the degree part arises from the order
+    # shift below at n = 0
+    add(0, mono, beta_sq / 2 - beta_q)
+
+    for t, (s_t, l_t) in enumerate(mono):
+        rest_t = removed([t])
+        # annihilate one factor against the exponential / background charge
+        add(
+            s_t,
+            tuple(rest_t),
+            _fact(s_t) * gbeta[l_t] - _fact(s_t + 1) * q_pair[l_t],
+        )
+        # annihilate a pair of factors
+        for r in range(t + 1, len(mono)):
+            s_r, l_r = mono[r]
+            add(
+                s_t + s_r,
+                tuple(removed([t, r])),
+                gram[l_t][l_r] * _fact(s_t) * _fact(s_r),
+            )
+        # shift the order of one factor: (s, l) -> (s - n, l)
+        for n in ns:
+            new_order = s_t - n
+            if new_order >= 1:
+                add(
+                    n,
+                    tuple(sorted(rest_t + [(new_order, l_t)])),
+                    Fraction(_fact(s_t), _fact(new_order - 1)),
+                )
+
+    for n in ns:
+        if n <= -1:
+            # create a factor from the exponential momentum
+            coeff0 = Fraction(1, _fact(-1 - n))
+            for i in range(rank):
+                if beta[i]:
+                    add(n, _sorted_with(mono, (-n, i)), beta[i] * coeff0)
+        if n <= -2:
+            k = -2 - n
+            coeff0 = Fraction(1, _fact(k))
+            # create a factor from the background charge
+            for i in range(rank):
+                qi = _q_coord(space, Q, i)
+                if qi:
+                    add(n, _sorted_with(mono, (2 + k, i)), qi * coeff0)
+            # create a G-inverse-paired couple of factors
+            for r in range(k + 1):
+                w = Fraction(1, 2 * _fact(r) * _fact(k - r))
+                for i in range(rank):
+                    for j in range(rank):
+                        gij = gram_inv[i][j]
+                        if gij:
+                            add(
+                                n,
+                                tuple(sorted(mono + ((1 + r, i), (1 + k - r, j)))),
+                                w * gij,
+                            )
+    _FAST_CACHE[cache_key] = out
+    return out
+
+
+def _sorted_with(mono, factor):
+    return tuple(sorted(mono + (factor,)))
+
+
+_GINV_CACHE: dict = {}
+
+
+def _gram_inv(space):
+    hit = _GINV_CACHE.get(space.gram)
+    if hit is None:
+        hit = linalg.inverse([list(r) for r in space.gram])
+        _GINV_CACHE[space.gram] = hit
+    return hit
+
+
+def _q_coord(space, Q: Momentum, i: int):
+    return Q.coords[i]
+
+
+@dataclass
+class CommutatorReport:
+    ok: bool
+    pairs_checked: int
+    states_checked: int
+    counterexample: tuple | None = None
+
+
+def commutator_check(
+    st: StressTensor,
+    states,
+    max_mode: int = 3,
+    mode_cache: dict | None = None,
+    fast: bool = True,
+) -> CommutatorReport:
+    """Verify [L_m, L_n] = (m - n) L_{m+n} + c/12 (m^3 - m) delta_{m+n,0}
+    exactly on every given state, for all |m|, |n| <= max_mode."""
+    cache = mode_cache if mode_cache is not None else {}
+    all_ns = list(range(-2 * max_mode, 2 * max_mode + 1))
+
+    def apply_mode(n: int, elem: FieldElement) -> FieldElement:
+        acc: dict = {}
+        for key, c in elem.terms.items():
+            hit = cache.get(key)
+            if hit is None:
+                single = FieldElement(elem.space, {key: Fraction(1)})
+                hit = virasoro_modes(st, all_ns, single, fast=fast)
+                cache[key] = hit
+            for k2, c2 in hit[n].terms.items():
+                new = acc.get(k2, 0) + c * c2
+                if new:
+                    acc[k2] = new
+                elif k2 in acc:
+                    del acc[k2]
+        return FieldElement(elem.space, acc)
+
+    pairs = [
+        (m, n)
+        for m in range(-max_mode, max_mode + 1)
+        for n in range(-max_mode, max_mode + 1)
+        if m < n
+    ]
+    checked_states = 0
+    for v in states:
+        checked_states += 1
+        images = {n: apply_mode(n, v) for n in range(-max_mode, max_mode + 1)}
+        for m, n in pairs:
+            lhs = apply_mode(m, images[n]) - apply_mode(n, images[m])
+            rhs = (m - n) * apply_mode(m + n, v)
+            if m + n == 0:
+                rhs = rhs + (st.c * Fraction(m**3 - m, 12)) * v
+            if lhs != rhs:
+                return CommutatorReport(
+                    ok=False,
+                    pairs_checked=len(pairs),
+                    states_checked=checked_states,
+                    counterexample=(m, n, v),
+                )
+    return CommutatorReport(ok=True, pairs_checked=len(pairs), states_checked=checked_states)
