@@ -39,6 +39,8 @@ from .virasoro import commutator_check, stress_tensor, virasoro_mode
 
 SCHEMA_PREFIX = "latvoa"
 MODULE_NAMES = ("blue", "center", "green", "steinberg")
+# integer options that count orders, levels, modes or pairs
+COUNT_OPTIONS = ("order", "max_level", "max_mode", "truncate", "pairs")
 
 
 def _root_system(args):
@@ -48,6 +50,13 @@ def _root_system(args):
             raise SystemExit(f"--algebra {args.algebra} needs --n RANK")
         rank = args.n
     return build_root_system(series, rank)
+
+
+def _reject_negative_counts(args) -> None:
+    for name in COUNT_OPTIONS:
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
 
 
 def _mom_str(m) -> str:
@@ -589,6 +598,7 @@ def main(argv=None) -> int:
     if args.command == "degeneracy" and not args.table and not args.algebra:
         parser.error("degeneracy requires --algebra (or --table)")
     try:
+        _reject_negative_counts(args)
         return args.func(args)
     except (ValueError, KeyError) as exc:
         print(json.dumps({"ok": False, "errors": [str(exc)]}, indent=2))

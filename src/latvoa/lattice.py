@@ -329,46 +329,102 @@ def points_within(
 ):
     """All v in rep + span_Z(basis) with (v-center, v-center) <= max_norm2.
 
-    Complete enumeration: integer coordinates are boxed by an exact lower
-    bound on the smallest eigenvalue of the basis Gram matrix.
+    Complete Fincke-Pohst enumeration (Math. Comp. 44, 1985).  With
+    t = rep - center and v = rep + sum_k n_k b_k, the exact split
+    Gram = L^T D L (L unit lower triangular) gives
+    |v - center|^2 = f_min + sum_k D_k (n_k - m_k)^2, where the centre m_k
+    depends only on n_0 .. n_{k-1}.  Coordinates are fixed depth-first from
+    the first to the last, and each interval is cut against the remaining
+    radius with integer square roots, so pruning loses no admissible point.
+    Every candidate is then tested directly in integers before a Momentum
+    is built: over one common denominator, |t|^2, 2(b_k, t), the Gram
+    matrix and max_norm2 are all integers.  No floating point is involved.
+
+    Points come in lexicographic order of their coordinates n.
     """
     r = len(basis)
-    gb = [[space.pair(basis[i], basis[j]) for j in range(r)] for i in range(r)]
-    gb_inv = linalg.inverse(gb)
-    # lambda_min(gb) >= 1 / max row sum of |gb_inv|
-    lam_min = Fraction(1) / max(sum(abs(x) for x in row) for row in gb_inv)
     t = rep - center
-    # real minimizer n0 of (t + B n)^T G (t + B n): gb n0 = -B^T G t
-    rhs = [-space.pair(basis[i], t) for i in range(r)]
-    n0 = linalg.mat_vec(gb_inv, rhs)
-    f_min = space.norm(t) - sum(-rhs[i] * (-n0[i]) for i in range(r))
-    # f(n) = f_min + (n - n0)^T gb (n - n0)
-    slack = max_norm2 - f_min
-    if slack < 0:
+    gram = [[space.pair(basis[i], basis[j]) for j in range(r)] for i in range(r)]
+    lin = [space.pair(b, t) for b in basis]
+    t2 = space.norm(t)
+    bound = Fraction(max_norm2)
+
+    # Gram = L^T D L, then |t + B n|^2 = sum_k D_k (n_k - m_k)^2 + f_min
+    low = [[Fraction(0)] * r for _ in range(r)]
+    diag = [Fraction(0)] * r
+    for k in reversed(range(r)):
+        tail = range(k + 1, r)
+        diag[k] = gram[k][k] - sum(diag[m] * low[m][k] ** 2 for m in tail)
+        for i in range(k):
+            low[k][i] = (
+                gram[k][i] - sum(diag[m] * low[m][k] * low[m][i] for m in tail)
+            ) / diag[k]
+    # h solves L^T h = lin; m_k = -h_k / D_k - sum_{j<k} L_kj n_j
+    h = [Fraction(0)] * r
+    for k in reversed(range(r)):
+        h[k] = lin[k] - sum(low[m][k] * h[m] for m in range(k + 1, r))
+    radius = bound - t2 + sum(h[k] ** 2 / diag[k] for k in range(r))
+    if radius < 0:
         return []
-    radius2 = slack / lam_min
-    rad = _isqrt_ceil(radius2)
+
+    # integer pruning: scale * m_k = centre[k] + sum_{j<k} coef[k][j] n_j, and
+    # denom * (remaining radius) drops by weight[k] * (scale * (n_k - m_k))^2
+    mu = [-h[k] / diag[k] for k in range(r)]
+    scale = math.lcm(*(x.denominator for x in mu), *(x.denominator for row in low for x in row))
+    centre = [_scaled(x, scale) for x in mu]
+    coef = [[_scaled(-low[k][j], scale) for j in range(k)] for k in range(r)]
+    steps = [d / scale**2 for d in diag]
+    denom = math.lcm(radius.denominator, *(x.denominator for x in steps))
+    weight = [_scaled(x, denom) for x in steps]
+
+    # integer acceptance test: n^T quad n + beta . n <= top
+    common = math.lcm(
+        t2.denominator,
+        bound.denominator,
+        *(x.denominator for row in gram for x in row),
+        *((2 * x).denominator for x in lin),
+    )
+    quad = [[_scaled(x, common) for x in row] for row in gram]
+    beta = [_scaled(2 * x, common) for x in lin]
+    top = _scaled(bound - t2, common)
+
+    # point coordinates over one denominator, one column per ambient axis
+    den = math.lcm(*(x.denominator for v in (rep, *basis) for x in v.coords))
+    rep_num = [_scaled(x, den) for x in rep.coords]
+    columns = [[_scaled(b.coords[a], den) for b in basis] for a in range(len(rep_num))]
+
     found = []
-    ranges = [
-        range(math.ceil(n0[i] - rad), math.floor(n0[i] + rad) + 1) for i in range(r)
-    ]
-    for combo in itertools.product(*ranges):
-        v = rep
-        for c, b in zip(combo, basis):
-            if c:
-                v = v + c * b
-        if space.norm(v - center) <= max_norm2:
-            found.append(v)
+    n = [0] * r
+
+    def descend(k: int, rem: int) -> None:
+        if k < r:
+            mid = centre[k] + sum(c * x for c, x in zip(coef[k], n))
+            width = math.isqrt(rem // weight[k])
+            for x in range(-((width - mid) // scale), (mid + width) // scale + 1):
+                n[k] = x
+                off = scale * x - mid
+                descend(k + 1, rem - weight[k] * off * off)
+            return
+        value = sum(
+            x * (sum(a * y for a, y in zip(row, n)) + b) for x, row, b in zip(n, quad, beta)
+        )
+        if value <= top:
+            found.append(
+                Momentum(
+                    tuple(
+                        Fraction(c + sum(x * y for x, y in zip(n, col)), den)
+                        for c, col in zip(rep_num, columns)
+                    )
+                )
+            )
+
+    descend(0, _scaled(radius, denom))
     return found
 
 
-def _isqrt_ceil(x: Fraction) -> int:
-    if x < 0:
-        return 0
-    n = math.isqrt(x.numerator // x.denominator)
-    while Fraction(n * n) < x:
-        n += 1
-    return n
+def _scaled(x: Fraction, denominator: int) -> int:
+    """x * denominator as an int; denominator is a multiple of x's own."""
+    return x.numerator * (denominator // x.denominator)
 
 
 def groundstates(sl: ScreeningLattices, coset: Coset):

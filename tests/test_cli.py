@@ -200,6 +200,27 @@ def test_golden_dir_cycle(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("characters", "--algebra", "A1", "--ell", "4", "--order", "-3"),
+        ("kernel", "--algebra", "B2", "--ell", "4", "--max-level", "-1"),
+        ("virasoro-check", "--algebra", "A1", "--ell", "4", "--max-mode", "-1"),
+        (
+            "screen-apply", "--algebra", "A1", "--ell", "4", "--momentum", "-a/sqrtp",
+            "--state", "exp[1/2*a1]", "--fractional", "--truncate", "-1",
+        ),
+        ("sf-characters", "--pairs", "-1"),
+    ],
+    ids=["order", "max-level", "max-mode", "truncate", "pairs"],
+)
+def test_negative_count_rejected(capsys, argv):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["ok"] is False
+    assert "must be >= 0" in doc["errors"][0]
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["kernel", "--algebra", "B2", "--ell", "4", "--bogus"])

@@ -1,16 +1,23 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latvoa import linalg
 from latvoa.lattice import (
     Coset,
+    MomentumSpace,
     ScreeningLattices,
     build_screening_lattices,
     central_charge,
     conformal_dim,
     groundstates,
     num_simples,
+    points_within,
     q_vector,
     quadratic_form_F,
     quotient_group,
@@ -282,3 +289,138 @@ def test_conformal_dim_integer_gap_on_lattice_shifts(sl_b2):
         gap = conformal_dim(sl_b2, lam) - conformal_dim(sl_b2, mu)
         assert gap.denominator == 1
         count += 1
+
+
+# --- point enumeration --------------------------------------------------------
+
+
+def box_search(
+    space: MomentumSpace,
+    rep,
+    basis,
+    center,
+    max_norm2: Fraction,
+):
+    """Reference enumerator for `points_within`: a box search, slow but
+    independent of its LDL^T pruning.
+
+    Complete enumeration: integer coordinates are boxed by an exact lower
+    bound on the smallest eigenvalue of the basis Gram matrix.
+    """
+    r = len(basis)
+    gb = [[space.pair(basis[i], basis[j]) for j in range(r)] for i in range(r)]
+    gb_inv = linalg.inverse(gb)
+    # lambda_min(gb) >= 1 / max row sum of |gb_inv|
+    lam_min = Fraction(1) / max(sum(abs(x) for x in row) for row in gb_inv)
+    t = rep - center
+    # real minimizer n0 of (t + B n)^T G (t + B n): gb n0 = -B^T G t
+    rhs = [-space.pair(basis[i], t) for i in range(r)]
+    n0 = linalg.mat_vec(gb_inv, rhs)
+    f_min = space.norm(t) - sum(-rhs[i] * (-n0[i]) for i in range(r))
+    # f(n) = f_min + (n - n0)^T gb (n - n0)
+    slack = max_norm2 - f_min
+    if slack < 0:
+        return []
+    radius2 = slack / lam_min
+    rad = _isqrt_ceil(radius2)
+    found = []
+    ranges = [
+        range(math.ceil(n0[i] - rad), math.floor(n0[i] + rad) + 1) for i in range(r)
+    ]
+    for combo in itertools.product(*ranges):
+        v = rep
+        for c, b in zip(combo, basis):
+            if c:
+                v = v + c * b
+        if space.norm(v - center) <= max_norm2:
+            found.append(v)
+    return found
+
+
+def _isqrt_ceil(x: Fraction) -> int:
+    if x < 0:
+        return 0
+    n = math.isqrt(x.numerator // x.denominator)
+    while Fraction(n * n) < x:
+        n += 1
+    return n
+
+
+ENUMERATION_LATTICES = [
+    ScreeningLattices(build_root_system(series, rank), ell)
+    for series, rank, ells in [
+        ("A", 1, (4, 6, 12)),
+        ("B", 2, (4, 12)),
+        ("B", 3, (4, 12)),
+        ("C", 2, (4, 12)),
+        ("G", 2, (6, 12)),
+    ]
+    for ell in ells
+]
+
+
+@st.composite
+def enumeration_requests(draw):
+    """A random coset of the long lattice, a rational centre and a bound
+    small enough for the box search."""
+    sl = draw(st.sampled_from(ENUMERATION_LATTICES))
+    space = sl.space
+    rep = space.zero()
+    for w in sl.basis_dual:
+        rep = rep + draw(st.integers(-2, 2)) * w
+    if draw(st.booleans()):
+        rep = rep + sl.Q
+    center = space.momentum(
+        [
+            Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from((1, 2, 3, 4, 6))))
+            for _ in range(space.rank)
+        ]
+    )
+    basis = list(sl.basis_long)
+    if space.rank > 1:
+        # an elementary shear keeps the lattice and skews its Gram matrix
+        i, j = draw(st.permutations(range(space.rank)))[:2]
+        basis[i] = basis[i] + draw(st.integers(-2, 2)) * basis[j]
+    den = draw(st.sampled_from((1, 2, 3, 4, 7)))
+    bound = Fraction(draw(st.integers(-2, 6 * den)), den)
+    return space, rep, tuple(basis), center, bound
+
+
+def _sorted_coords(points):
+    return sorted(v.coords for v in points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(enumeration_requests())
+def test_points_within_matches_box_search(request):
+    assert _sorted_coords(points_within(*request)) == _sorted_coords(box_search(*request))
+
+
+@pytest.mark.parametrize("name", ["blue", "steinberg"])
+def test_points_within_bound_edges(sl_b3, name):
+    space, q = sl_b3.space, sl_b3.Q
+    coset = sl_b3.named_cosets()[name]
+
+    def within(center, bound):
+        got = points_within(space, coset.rep, coset.basis, center, bound)
+        assert _sorted_coords(got) == _sorted_coords(
+            box_search(space, coset.rep, coset.basis, center, bound)
+        )
+        return got
+
+    pts = within(q, 4)
+    norms = {space.norm(v - q) for v in pts}
+    assert len(norms) >= 2
+    for norm in norms:
+        attained = [v for v in pts if space.norm(v - q) == norm]
+        at = within(q, norm)
+        below = within(q, norm - Fraction(1, 10**12))
+        assert all(v in at for v in attained)
+        assert not any(v in below for v in attained)
+        assert len(at) - len(below) == len(attained)
+    # below the minimum, and a negative bound
+    assert within(q, min(norms) - Fraction(1, 10**12)) == []
+    assert within(q, -1) == []
+    # bound 0 around a lattice point is that point alone
+    for v in pts:
+        assert within(v, 0) == [v]
