@@ -47,7 +47,7 @@ def _root_system(args):
     series, rank = parse_label(args.algebra) if args.algebra[-1].isdigit() else (args.algebra[0], None)
     if rank is None:
         if args.n is None:
-            raise SystemExit(f"--algebra {args.algebra} needs --n RANK")
+            raise ValueError(f"--algebra {args.algebra} needs --n RANK")
         rank = args.n
     return build_root_system(series, rank)
 

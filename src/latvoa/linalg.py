@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals and integers.
 
 Everything here works on plain lists of lists of Fraction (or int for the
-lattice routines).  Matrices are small (rank <= 8, layer bases a few hundred),
-so the emphasis is on exactness and predictability, not asymptotics.
+lattice routines), and every result is exact.  Lattice matrices are small
+(rank <= 8).  Stacked screening matrices have a few hundred columns, but a
+screening maps momentum mu to mu + a, so they fall apart into many small
+independent column blocks; `nullspace` finds those blocks and eliminates
+each one on its own, which returns exactly the whole-matrix result.
 """
 
 from __future__ import annotations
@@ -178,17 +181,17 @@ def _fraction_free_echelon(a: Matrix) -> tuple[list[list[int]], list[int]]:
     return m, pivots
 
 
-def nullspace(a: Matrix, ncols: int | None = None) -> list[Row]:
-    """Basis of the right nullspace of a: fraction-free forward
-    elimination followed by exact rational back substitution."""
-    if not a:
-        assert ncols is not None
-        return [row[:] for row in identity(ncols)]
-    cols = len(a[0])
+def _echelon_kernel(a: Matrix, cols: int) -> list[tuple[int, Row]]:
+    """(free column, kernel vector) pairs of a with the given column count:
+    fraction-free forward elimination followed by exact rational back
+    substitution.  The vector of free column f has v[f] = 1 and v[g] = 0
+    at every other free column g."""
     red, pivots = _fraction_free_echelon(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
+    pivot_set = set(pivots)
+    out = []
+    for f in range(cols):
+        if f in pivot_set:
+            continue
         v = [Fraction(0)] * cols
         v[f] = Fraction(1)
         for r in range(len(pivots) - 1, -1, -1):
@@ -198,22 +201,68 @@ def nullspace(a: Matrix, ncols: int | None = None) -> list[Row]:
                 Fraction(0),
             )
             v[c] = -total / red[r][c]
-        basis.append(v)
-    return basis
+        out.append((f, v))
+    return out
+
+
+def nullspace(a: Matrix, ncols: int | None = None) -> list[Row]:
+    """Basis of the right nullspace of a, one vector per free column.
+
+    The columns are first split into blocks: two columns share a block when
+    some row is nonzero in both (union-find over each row's support).  Each
+    block is eliminated on its own rows, with its columns in ascending
+    order, and its vectors are padded back to full width; zero rows are
+    dropped and a column no row touches gives a unit vector.
+
+    The output equals that of eliminating the whole matrix at once, order
+    included.  Blocks share no rows, so a column is a pivot of a exactly
+    when it is a pivot of its block; the vector of free column f is the
+    unique kernel vector with v[f] = 1 and v[g] = 0 at every other free
+    column g, and it is supported on f's block.  Vectors are returned in
+    ascending order of their free column.
+    """
+    cols = len(a[0]) if a else ncols
+    assert cols is not None
+    parent = list(range(cols))
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    supports = []
+    for row in a:
+        support = [j for j, x in enumerate(row) if x]
+        if support:
+            supports.append((row, support[0]))
+            root = find(support[0])
+            for j in support[1:]:
+                other = find(j)
+                if other != root:
+                    parent[other] = root
+    block_cols: dict[int, list[int]] = {}
+    for j in range(cols):
+        block_cols.setdefault(find(j), []).append(j)
+    block_rows: dict[int, Matrix] = {root: [] for root in block_cols}
+    for row, first in supports:
+        block_rows[find(first)].append(row)
+    basis = []
+    for root, members in block_cols.items():
+        sub = [[row[j] for j in members] for row in block_rows[root]]
+        for f, vec in _echelon_kernel(sub, len(members)):
+            v = [Fraction(0)] * cols
+            for j, x in zip(members, vec):
+                v[j] = x
+            basis.append((members[f], v))
+    basis.sort(key=lambda item: item[0])
+    return [v for _f, v in basis]
 
 
 def rank(a: Matrix) -> int:
     if not a:
         return 0
     return len(rref(a)[1])
-
-
-def in_row_span(a: Matrix, v: Sequence[Fraction]) -> bool:
-    """Whether v lies in the row span of a."""
-    if not a:
-        return all(x == 0 for x in v)
-    base = rank(a)
-    return rank(a + [list(v)]) == base
 
 
 # --- integer lattice routines -------------------------------------------
@@ -372,14 +421,3 @@ def smith_normal_form(a: IMatrix) -> tuple[IMatrix, IMatrix, IMatrix]:
             u[k] = [-x for x in u[k]]
         k += 1
     return u, d, v
-
-
-def int_mat_inverse(a: IMatrix) -> Matrix:
-    return inverse(frac_matrix(a))
-
-
-def lcm_list(vals) -> int:
-    out = 1
-    for x in vals:
-        out = out * x // gcd(out, x) if x else out
-    return out

@@ -188,12 +188,21 @@ def test_sf_character_sums():
     assert chars["chi3"] + chars["chi4"] == chars["r+"]
 
 
+def kernel_dims(rep, color):
+    """Intersection-kernel dims that kernel_char_match compared, level by level."""
+    return [
+        int(c.detail.split()[1]) for c in rep.checks if c.name.startswith(f"{color} kernel")
+    ]
+
+
 def test_kernel_char_match_b2():
-    rep = kernel_char_match(SL_B2, order=8, kernel_levels=1)
+    rep = kernel_char_match(SL_B2, order=8, kernel_levels=4)
     assert rep.ok
     names = [c.name for c in rep.checks]
     assert "dim Center = chi3" in names
     assert "dim Steinberg = chi4" in names
+    assert kernel_dims(rep, "blue") == [1, 0, 6, 16, 23]
+    assert kernel_dims(rep, "green") == [0, 4, 4, 8, 28]
 
 
 def test_kernel_char_match_a1():
@@ -203,8 +212,18 @@ def test_kernel_char_match_a1():
 
 def test_kernel_char_match_b3():
     sl3 = ScreeningLattices(build_root_system("B", 3), 4)
-    rep = kernel_char_match(sl3, order=6, kernel_levels=1)
+    rep = kernel_char_match(sl3, order=6, kernel_levels=3)
     assert rep.ok
+    assert kernel_dims(rep, "blue") == [1, 0, 15, 36]
+    assert kernel_dims(rep, "green") == [0, 6, 6, 26]
+
+
+def test_kernel_char_match_b4():
+    sl4 = ScreeningLattices(build_root_system("B", 4), 4)
+    rep = kernel_char_match(sl4, order=4, kernel_levels=2)
+    assert rep.ok
+    assert kernel_dims(rep, "blue") == [1, 0, 28]
+    assert kernel_dims(rep, "green") == [0, 8, 8]
 
 
 def test_graded_dims_equal_layer_dims():

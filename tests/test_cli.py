@@ -221,6 +221,13 @@ def test_negative_count_rejected(capsys, argv):
     assert "must be >= 0" in doc["errors"][0]
 
 
+def test_missing_rank_rejected(capsys):
+    code, doc = run_json(capsys, "kernel", "--algebra", "Bn", "--ell", "4")
+    assert code == 2
+    assert doc["ok"] is False
+    assert "needs --n RANK" in doc["errors"][0]
+
+
 def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit):
         main(["kernel", "--algebra", "B2", "--ell", "4", "--bogus"])

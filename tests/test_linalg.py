@@ -1,7 +1,15 @@
+import functools
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from latvoa import linalg
+from latvoa.lattice import ScreeningLattices, groundstates
+from latvoa.rootdata import build_root_system
+from latvoa.screening import _screening_matrix, layer_basis, short_screening_set
 
 
 def check_snf(a):
@@ -47,6 +55,139 @@ def test_nullspace_and_rank():
             assert sum(x * y for x, y in zip(row, v)) == 0
     assert linalg.rank(a) == 1
     assert linalg.nullspace([], ncols=3) == linalg.identity(3)
+
+
+def dense_nullspace(a, ncols=None):
+    """Whole-matrix elimination: the reference that linalg.nullspace must
+    reproduce exactly, vectors and order."""
+    if not a:
+        assert ncols is not None
+        return [row[:] for row in linalg.identity(ncols)]
+    cols = len(a[0])
+    red, pivots = linalg._fraction_free_echelon(a)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = []
+    for f in free:
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            total = sum(
+                (Fraction(red[r][j]) * v[j] for j in range(c + 1, cols) if red[r][j]),
+                Fraction(0),
+            )
+            v[c] = -total / red[r][c]
+        basis.append(v)
+    return basis
+
+
+P = 2**61 - 1
+
+
+def rank_mod_p(a):
+    """Rank of a rational matrix reduced mod the prime 2^61 - 1, by plain
+    Gaussian elimination over GF(p)."""
+    rows = [[x.numerator * pow(x.denominator, -1, P) % P for x in row] for row in a]
+    cols = len(rows[0]) if rows else 0
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, P)
+        prow = [x * inv % P for x in rows[r]]
+        for i in range(r + 1, len(rows)):
+            f = rows[i][c]
+            if f:
+                rows[i] = [(x - f * y) % P for x, y in zip(rows[i], prow)]
+        r += 1
+    return r
+
+
+@functools.cache
+def stacked_screening_matrix(rank, color, level):
+    """The stacked short-screening matrix that kernel_layer eliminates on
+    layer h0 + level of a B_rank module at ell = 4, with its column count."""
+    sl = ScreeningLattices(build_root_system("B", rank), 4)
+    coset = sl.named_cosets()[color]
+    _gs, h0 = groundstates(sl, coset)
+    layer = layer_basis(sl, coset, h0 + level)
+    stacked = []
+    for a in short_screening_set(sl):
+        target = layer_basis(sl, coset.shifted(a), h0 + level)
+        stacked.extend(_screening_matrix(sl, a, layer, target))
+    return stacked, layer.dim
+
+
+ENTRIES = st.sampled_from(
+    [Fraction(0)] * 4 + [Fraction(n, d) for n in (-3, -1, 1, 2) for d in (1, 2, 3)]
+)
+
+
+@st.composite
+def block_matrices(draw):
+    """A sparse rational matrix made of independent column blocks, with
+    shuffled columns and rows, zero rows and columns no row touches; plus
+    the edge shapes: empty, single row, all zero and fully connected."""
+    kind = draw(st.sampled_from(["blocks", "empty", "single_row", "all_zero", "connected"]))
+    if kind == "empty":
+        return [], draw(st.integers(0, 5))
+    if kind in ("single_row", "all_zero"):
+        cols = draw(st.integers(1, 8))
+        nrows = 1 if kind == "single_row" else draw(st.integers(1, 4))
+        fill = ENTRIES if kind == "single_row" else st.just(Fraction(0))
+        return [[draw(fill) for _ in range(cols)] for _ in range(nrows)], cols
+    if kind == "connected":
+        cols = draw(st.integers(1, 6))
+        nrows = draw(st.integers(1, 6))
+        rows = [[draw(ENTRIES) for _ in range(cols)] for _ in range(nrows)]
+        rows.append([Fraction(1)] * cols)
+        return draw(st.permutations(rows)), cols
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    untouched = draw(st.integers(0, 3))
+    cols = sum(widths) + untouched
+    order = draw(st.permutations(range(cols)))
+    rows = []
+    start = 0
+    for w in widths:
+        block = order[start:start + w]
+        start += w
+        block_rows = []
+        for _ in range(draw(st.integers(0, 4))):
+            row = [Fraction(0)] * cols
+            for j in block:
+                row[j] = draw(ENTRIES)
+            block_rows.append(row)
+        if block_rows and draw(st.booleans()):
+            # a dependent row: a multiple of the block's last row
+            block_rows.append([2 * x for x in block_rows[-1]])
+        rows.extend(block_rows)
+    rows.extend([Fraction(0)] * cols for _ in range(draw(st.integers(0, 2))))
+    return draw(st.permutations(rows)), cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_matrices())
+def test_nullspace_equals_dense_elimination(case):
+    a, ncols = case
+    assert linalg.nullspace(a, ncols) == dense_nullspace(a, ncols)
+
+
+def test_nullspace_equals_dense_on_screening_matrix():
+    a, ncols = stacked_screening_matrix(3, "blue", 3)
+    basis = linalg.nullspace(a, ncols)
+    assert len(basis) == 36
+    assert basis == dense_nullspace(a, ncols)
+
+
+@pytest.mark.parametrize(
+    "rank, color, level",
+    [(2, "blue", 4), (2, "green", 4), (3, "blue", 3), (3, "green", 3)],
+)
+def test_nullity_matches_rank_mod_p(rank, color, level):
+    a, ncols = stacked_screening_matrix(rank, color, level)
+    assert ncols - len(linalg.nullspace(a, ncols)) == rank_mod_p(a)
 
 
 def test_inverse_solve():
