@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .lattice import Coset, Momentum, ScreeningLattices, points_within
+from .lattice import Coset, Momentum, ScreeningLattices, groundstates, points_within
+from .screening import kernel_layer, short_screening_set
 
 
 @dataclass(frozen=True)
@@ -304,9 +305,6 @@ def kernel_char_match(sl: ScreeningLattices, order: int = 12, kernel_levels: int
     * intersection-kernel dimensions on Blue/Green layers equal the chi1 /
       chi2 coefficients, layer by layer.
     """
-    from .lattice import groundstates as _groundstates
-    from .screening import kernel_layer, short_screening_set
-
     n = sl.rs.rank
     report = KernelCharacterReport()
     chars = sf_characters(n, order + 1)
@@ -333,7 +331,7 @@ def kernel_char_match(sl: ScreeningLattices, order: int = 12, kernel_levels: int
     screens = short_screening_set(sl)
     for color, chi_name in (("blue", "chi1"), ("green", "chi2")):
         coset = cosets[color]
-        _gs, h0 = _groundstates(sl, coset)
+        _gs, h0 = groundstates(sl, coset)
         chi = chars[chi_name]
         for lvl in range(kernel_levels + 1):
             lk = kernel_layer(sl, coset, screens, h0 + lvl)

@@ -242,33 +242,25 @@ def cmd_kernel(args) -> int:
 def cmd_screen_apply(args) -> int:
     rs = _root_system(args)
     sl = ScreeningLattices(rs, args.ell)
-    errors = []
+    screen_exp = FieldElement.exponential(sl.space, parse_momentum(args.momentum, sl))
+    state = parse_state(args.state, sl)
     result_repr = None
     approx = None
-    try:
-        mom = parse_momentum(args.momentum, sl)
-        state = parse_state(args.state, sl)
-    except ValueError as exc:
-        errors.append(str(exc))
-        mom = state = None
-    if not errors:
-        screen_exp = FieldElement.exponential(sl.space, mom)
-        if args.fractional:
-            res = residue_op(screen_exp, state, fractional=True, truncate=args.truncate)
-            approx = {
-                "truncation": res.truncation,
-                "tail_scale": {str(k): v for k, v in sorted(res.tail_scale.items())},
-                "terms": [
-                    {"momentum": format_momentum(k[0]), "monomial": list(k[1]), "coeff": repr(c)}
-                    for k, c in sorted(res.element_terms.items())
-                ],
-            }
-        else:
-            try:
-                out = residue_op(screen_exp, state)
-                result_repr = format_state(out)
-            except ValueError as exc:
-                errors.append(f"{exc}; rerun with --fractional --truncate K")
+    if args.fractional:
+        res = residue_op(screen_exp, state, fractional=True, truncate=args.truncate)
+        approx = {
+            "truncation": res.truncation,
+            "tail_scale": {str(k): v for k, v in sorted(res.tail_scale.items())},
+            "terms": [
+                {"momentum": format_momentum(k[0]), "monomial": list(k[1]), "coeff": repr(c)}
+                for k, c in sorted(res.element_terms.items())
+            ],
+        }
+    else:
+        try:
+            result_repr = format_state(residue_op(screen_exp, state))
+        except ValueError as exc:
+            raise ValueError(f"{exc}; rerun with --fractional --truncate K") from exc
     report = {
         "schema": f"{SCHEMA_PREFIX}/screen-apply/v1",
         "golden_key": f"screen-apply_{rs.label}_l{args.ell}",
@@ -283,8 +275,6 @@ def cmd_screen_apply(args) -> int:
     if approx is not None:
         report["banner"] = "APPROXIMATE: fractional residue truncated; coefficients are complex floats"
         report["approximate_result"] = approx
-    if errors:
-        report["errors"] = errors
     return _emit(report, args)
 
 

@@ -361,27 +361,3 @@ def _match_coefficient(space, fa: list, fb: list, alpha, beta) -> Fraction:
                 space, rest, fb[:pos] + fb[pos + 1 :], alpha, beta
             )
     return total
-
-
-def tensor_multiply(
-    left: dict[tuple[TermKey, TermKey], object],
-    right: dict[tuple[TermKey, TermKey], object],
-    space: MomentumSpace,
-) -> dict[tuple[TermKey, TermKey], object]:
-    """Componentwise product of two coproduct tensors (for algebra-map tests)."""
-    out: dict[tuple[TermKey, TermKey], object] = {}
-    for ((la, ra)), ca in left.items():
-        ea = (FieldElement(space, {la: 1}), FieldElement(space, {ra: 1}))
-        for ((lb, rb)), cb in right.items():
-            eb = (FieldElement(space, {lb: 1}), FieldElement(space, {rb: 1}))
-            prod_l = ea[0] * eb[0]
-            prod_r = ea[1] * eb[1]
-            for kl, cl in prod_l.terms.items():
-                for kr, cr in prod_r.terms.items():
-                    key = (kl, kr)
-                    new = out.get(key, 0) + ca * cb * cl * cr
-                    if new:
-                        out[key] = new
-                    elif key in out:
-                        del out[key]
-    return out

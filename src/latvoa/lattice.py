@@ -82,6 +82,12 @@ class MomentumSpace:
         return hash((self.gram, self.p))
 
 
+def _basis_coords(basis, v: Momentum) -> list[Fraction] | None:
+    """Rational coordinates of v in the given basis momenta, or None when v
+    is not in their span."""
+    return linalg.solve(linalg.transpose([list(b.coords) for b in basis]), list(v.coords))
+
+
 @dataclass(frozen=True)
 class Coset:
     """A coset rep + span_Z(basis) inside a MomentumSpace."""
@@ -90,12 +96,8 @@ class Coset:
     rep: Momentum
     basis: tuple[Momentum, ...]
 
-    def _coords_in_basis(self, v: Momentum):
-        mat = linalg.transpose([list(b.coords) for b in self.basis])
-        return linalg.solve(mat, list(v.coords))
-
     def contains(self, v: Momentum) -> bool:
-        sol = self._coords_in_basis(v - self.rep)
+        sol = _basis_coords(self.basis, v - self.rep)
         return sol is not None and all(x.denominator == 1 for x in sol)
 
     def canonical_rep(self) -> Momentum:
@@ -111,8 +113,7 @@ class Coset:
             basis = tuple(
                 self.space.momentum(row) for row in hnf if any(row)
             )
-        mat = linalg.transpose([list(b.coords) for b in basis])
-        sol = linalg.solve(mat, list(self.rep.coords))
+        sol = _basis_coords(basis, self.rep)
         assert sol is not None
         shift = self.space.zero()
         for x, b in zip(sol, basis):
@@ -260,28 +261,15 @@ def build_screening_lattices(rs: RootSystem, ell: int) -> ScreeningLattices:
     return ScreeningLattices(rs, ell)
 
 
-def q_vector(rs: RootSystem, p: int) -> Momentum:
-    return ScreeningLattices(rs, 2 * p).Q
-
-
-def central_charge(sl: ScreeningLattices) -> Fraction:
-    return sl.central_charge
-
-
-def conformal_dim(sl: ScreeningLattices, lam: Momentum) -> Fraction:
-    return sl.conformal_dim(lam)
-
-
 # --- quotients ---------------------------------------------------------
 
 
 def quotient_group(sl: ScreeningLattices, fine, coarse) -> QuotientGroup:
     """Quotient of span_Z(fine) by span_Z(coarse) via Smith normal form."""
     space = sl.space
-    fine_mat = linalg.transpose([list(b.coords) for b in fine])
     rel = []
     for c in coarse:
-        sol = linalg.solve(fine_mat, list(c.coords))
+        sol = _basis_coords(fine, c)
         if sol is None or any(x.denominator != 1 for x in sol):
             raise ValueError("coarse lattice is not contained in the fine lattice")
         rel.append([int(x) for x in sol])
@@ -292,6 +280,7 @@ def quotient_group(sl: ScreeningLattices, fine, coarse) -> QuotientGroup:
         raise ValueError("coarse lattice has lower rank than the fine lattice")
     u_inv = linalg.inverse(linalg.frac_matrix(u))
     # columns of fine_mat @ u_inv generate the quotient with orders diag[i]
+    fine_mat = linalg.transpose([list(b.coords) for b in fine])
     gen_mat = linalg.mat_mul(fine_mat, u_inv)
     reps = []
     for combo in itertools.product(*[range(f) for f in diag]):

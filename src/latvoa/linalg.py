@@ -6,6 +6,12 @@ lattice routines), and every result is exact.  Lattice matrices are small
 screening maps momentum mu to mu + a, so they fall apart into many small
 independent column blocks; `nullspace` finds those blocks and eliminates
 each one on its own, which returns exactly the whole-matrix result.
+
+There is one rational elimination, the Bareiss fraction-free echelon
+(Bareiss, Math. Comp. 22, 1968) in `_fraction_free_echelon`, followed by
+exact back substitution.  `nullspace`, `det`, `solve` and `inverse` all run
+on it; the integer routines at the end (Hermite and Smith normal forms)
+are unimodular and separate.
 """
 
 from __future__ import annotations
@@ -20,10 +26,6 @@ Matrix = list[Row]
 
 def frac_matrix(rows: Sequence[Sequence]) -> Matrix:
     return [[Fraction(x) for x in row] for row in rows]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -51,123 +53,37 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def det(a: Matrix) -> Fraction:
-    """Determinant by fraction-free style elimination on a copy."""
-    n = len(a)
-    m = [row[:] for row in a]
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for r in range(c + 1, n):
-            f = m[r][c] * inv
-            if f:
-                for j in range(c, n):
-                    m[r][j] -= f * m[c][j]
-    return sign * result
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse; raises ValueError on a singular matrix."""
-    n = len(a)
-    m = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
-    for c in range(n):
-        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for r in range(n):
-            if r != c and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
-    return [row[n:] for row in m]
-
-
-def solve(a: Matrix, b: Sequence[Fraction]) -> Row | None:
-    """Solve a @ x = b for square invertible a; None if singular/inconsistent."""
-    n = len(a)
-    m = [row[:] + [Fraction(v)] for row, v in zip(a, b)]
-    col = 0
-    pivots = []
-    for c in range(len(a[0])):
-        piv = next((r for r in range(col, n) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][c]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        pivots.append(c)
-        col += 1
-    for r in range(col, n):
-        if m[r][-1] != 0:
-            return None
-    x = [Fraction(0)] * len(a[0])
-    for r, c in enumerate(pivots):
-        x[c] = m[r][-1]
-    return x
-
-
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form (copy) and pivot column indices."""
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
-
-
-def _fraction_free_echelon(a: Matrix) -> tuple[list[list[int]], list[int]]:
+def _fraction_free_echelon(a: Matrix) -> tuple[list[list[int]], list[int], int, int]:
     """Bareiss fraction-free forward elimination of the integerized matrix.
 
     Rows are first scaled to integers (kernel unchanged); the one-step
     Bareiss update divides exactly by the previous pivot, so every
-    intermediate entry is an exact integer.
+    intermediate entry is an exact integer.  Returns the echelon form, its
+    pivot columns, the sign of the row permutation and the product of the
+    row scales; for a square a of full rank the last pivot is sign * scale
+    * det(a).
     """
     m = []
+    scale = 1
     for row in a:
         den = 1
         for x in row:
             den = den * x.denominator // gcd(den, x.denominator)
         m.append([int(x * den) for x in row])
+        scale *= den
     rows = len(m)
     cols = len(m[0]) if rows else 0
     pivots: list[int] = []
+    sign = 1
     r = 0
     prev = 1
     for c in range(cols):
         piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
         for i in range(r + 1, rows):
             for j in range(cols):
                 if j != c:
@@ -178,31 +94,31 @@ def _fraction_free_echelon(a: Matrix) -> tuple[list[list[int]], list[int]]:
         r += 1
         if r == rows:
             break
-    return m, pivots
+    return m, pivots, sign, scale
+
+
+def _kernel_vector(red: list[list[int]], pivots: list[int], cols: int, f: int) -> Row:
+    """The kernel vector of free column f, by exact rational back
+    substitution on the echelon form: v[f] = 1 and v[g] = 0 at every other
+    free column g."""
+    v = [Fraction(0)] * cols
+    v[f] = Fraction(1)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        total = sum(
+            (Fraction(red[r][j]) * v[j] for j in range(c + 1, cols) if red[r][j]),
+            Fraction(0),
+        )
+        v[c] = -total / red[r][c]
+    return v
 
 
 def _echelon_kernel(a: Matrix, cols: int) -> list[tuple[int, Row]]:
-    """(free column, kernel vector) pairs of a with the given column count:
-    fraction-free forward elimination followed by exact rational back
-    substitution.  The vector of free column f has v[f] = 1 and v[g] = 0
-    at every other free column g."""
-    red, pivots = _fraction_free_echelon(a)
+    """(free column, kernel vector) pairs of a with the given column count,
+    in ascending order of the free column."""
+    red, pivots, _sign, _scale = _fraction_free_echelon(a)
     pivot_set = set(pivots)
-    out = []
-    for f in range(cols):
-        if f in pivot_set:
-            continue
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            total = sum(
-                (Fraction(red[r][j]) * v[j] for j in range(c + 1, cols) if red[r][j]),
-                Fraction(0),
-            )
-            v[c] = -total / red[r][c]
-        out.append((f, v))
-    return out
+    return [(f, _kernel_vector(red, pivots, cols, f)) for f in range(cols) if f not in pivot_set]
 
 
 def nullspace(a: Matrix, ncols: int | None = None) -> list[Row]:
@@ -259,10 +175,48 @@ def nullspace(a: Matrix, ncols: int | None = None) -> list[Row]:
     return [v for _f, v in basis]
 
 
-def rank(a: Matrix) -> int:
-    if not a:
-        return 0
-    return len(rref(a)[1])
+def det(a: Matrix) -> Fraction:
+    """Determinant of a square matrix: the sign of the row permutation
+    times the last Bareiss pivot, over the product of the row scales.  It is
+    0 below full rank and 1 for the 0 x 0 matrix."""
+    n = len(a)
+    red, pivots, sign, scale = _fraction_free_echelon(a)
+    if len(pivots) < n:
+        return Fraction(0)
+    return Fraction(sign * red[n - 1][n - 1], scale) if n else Fraction(1)
+
+
+def solve(a: Matrix, b: Sequence[Fraction]) -> Row | None:
+    """A solution x of a @ x = b, or None if there is none.
+
+    a may be singular or non-square.  x is the kernel vector of [a | -b]
+    whose free column is the last one, cut to a's columns, so x is 0 at
+    every free column of a.  There is no solution when the last column is
+    a pivot, i.e. when b is not in the column span of a.
+    """
+    cols = len(a[0]) + 1
+    red, pivots, _sign, _scale = _fraction_free_echelon(
+        [[*row, -Fraction(v)] for row, v in zip(a, b)]
+    )
+    if pivots and pivots[-1] == cols - 1:
+        return None
+    return _kernel_vector(red, pivots, cols, cols - 1)[:-1]
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Exact inverse of a square matrix; raises ValueError on a singular one.
+
+    Column j is read from the kernel vector of [a | -I] whose free column is
+    n + j.  a is invertible exactly when the free columns are n .. 2n - 1.
+    """
+    n = len(a)
+    red, pivots, _sign, _scale = _fraction_free_echelon(
+        [[*row, *(Fraction(-int(i == j)) for j in range(n))] for i, row in enumerate(a)]
+    )
+    if pivots != list(range(n)):
+        raise ValueError("singular matrix")
+    columns = [_kernel_vector(red, pivots, 2 * n, n + j) for j in range(n)]
+    return [[col[i] for col in columns] for i in range(n)]
 
 
 # --- integer lattice routines -------------------------------------------

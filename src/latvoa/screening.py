@@ -10,7 +10,7 @@ from math import gcd
 
 from . import linalg
 from .freefield import FieldElement, _mono_degree
-from .lattice import Coset, Momentum, ScreeningLattices, points_within
+from .lattice import Coset, Momentum, ScreeningLattices, groundstates, points_within
 from .scalars import Scalar
 from .vertexop import residue_op
 from .virasoro import StressTensor, stress_tensor
@@ -243,12 +243,10 @@ class RelationReport:
 def nichols_check(sl: ScreeningLattices, screenings, cosets, max_level: int) -> list[RelationReport]:
     """Z_i^2 = 0 and [Z_i, Z_j] = 0 on every layer of the given cosets up
     to max_level above the groundstate, checked state by state."""
-    from .lattice import groundstates as _groundstates
-
     reports = []
     states = []
     for coset in cosets:
-        _gs, h0 = _groundstates(sl, coset)
+        _gs, h0 = groundstates(sl, coset)
         for lvl in range(max_level + 1):
             states.extend((layer_basis(sl, coset, h0 + lvl).basis))
     for i, a in enumerate(screenings):

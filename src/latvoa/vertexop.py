@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import factorial
 
 from .freefield import FieldElement, _match_coefficient, _merge_mono, _mono_degree, _mono_splits
 from .lattice import Momentum, MomentumSpace
@@ -34,15 +35,6 @@ def _dk_term(space: MomentumSpace, mom, mono, k: int):
         result = {kk: c / k for kk, c in elem.terms.items()}
     _DK_CACHE[key] = result
     return result
-
-
-_FACTS = [1]
-
-
-def _factorial(n: int) -> Fraction:
-    while len(_FACTS) <= n:
-        _FACTS.append(_FACTS[-1] * len(_FACTS))
-    return Fraction(_FACTS[n])
 
 
 def support_min(a: FieldElement, b: FieldElement) -> Fraction | None:
@@ -269,7 +261,7 @@ def residue_op(a: FieldElement, b: FieldElement, fractional: bool = False, trunc
             w = abs(
                 (Scalar.phase(1, 2 * (m + 1)).to_complex() - 1)
                 / (2j * cmath.pi * float(m + 1))
-            ) / float(_factorial(K))
+            ) / float(factorial(K))
             deg = _mono_degree(mono_a) + _mono_degree(mono_b) + K
             tail[deg] = max(tail.get(deg, 0.0), w)
     return FractionalResidue(out, a.space, K, tail)

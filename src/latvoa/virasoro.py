@@ -5,11 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
 from . import linalg
 from .freefield import FieldElement
 from .lattice import Momentum, ScreeningLattices
-from .vertexop import mode_op, multi_mode_op
+from .vertexop import mode_op
 
 
 @dataclass
@@ -51,18 +52,13 @@ def virasoro_mode(st: StressTensor, n: int, b: FieldElement) -> FieldElement:
     return mode_op(st.element, -2 - n, b)
 
 
-def virasoro_modes(
-    st: StressTensor, ns, b: FieldElement, fast: bool = True
-) -> dict[int, FieldElement]:
+def virasoro_modes(st: StressTensor, ns, b: FieldElement) -> dict[int, FieldElement]:
     """L_n b for every n in ns.
 
-    The fast path evaluates the closed-form free-field action of the
-    stress-tensor modes on basis terms; it agrees with the generic
-    vertex-operator route (mode_op) and that agreement is pinned by tests.
+    Evaluates the closed-form free-field action of the stress-tensor modes
+    on basis terms; it agrees with the generic vertex-operator route
+    (multi_mode_op) and that agreement is pinned by tests.
     """
-    if not fast:
-        images = multi_mode_op(st.element, [-2 - n for n in ns], b)
-        return {n: images[Fraction(-2 - n)] for n in ns}
     space = b.space
     out = {n: {} for n in ns}
     for key, c in b.terms.items():
@@ -79,13 +75,6 @@ def virasoro_modes(
 
 
 _FAST_CACHE: dict = {}
-_FACT = [1, 1, 2, 6]
-
-
-def _fact(n: int) -> int:
-    while len(_FACT) <= n:
-        _FACT.append(_FACT[-1] * len(_FACT))
-    return _FACT[n]
 
 
 def _fast_term_modes(space, Q: Momentum, key, ns: tuple) -> dict[int, dict]:
@@ -137,7 +126,7 @@ def _fast_term_modes(space, Q: Momentum, key, ns: tuple) -> dict[int, dict]:
         add(
             s_t,
             tuple(rest_t),
-            _fact(s_t) * gbeta[l_t] - _fact(s_t + 1) * q_pair[l_t],
+            factorial(s_t) * gbeta[l_t] - factorial(s_t + 1) * q_pair[l_t],
         )
         # annihilate a pair of factors
         for r in range(t + 1, len(mono)):
@@ -145,7 +134,7 @@ def _fast_term_modes(space, Q: Momentum, key, ns: tuple) -> dict[int, dict]:
             add(
                 s_t + s_r,
                 tuple(removed([t, r])),
-                gram[l_t][l_r] * _fact(s_t) * _fact(s_r),
+                gram[l_t][l_r] * factorial(s_t) * factorial(s_r),
             )
         # shift the order of one factor: (s, l) -> (s - n, l)
         for n in ns:
@@ -154,27 +143,26 @@ def _fast_term_modes(space, Q: Momentum, key, ns: tuple) -> dict[int, dict]:
                 add(
                     n,
                     tuple(sorted(rest_t + [(new_order, l_t)])),
-                    Fraction(_fact(s_t), _fact(new_order - 1)),
+                    Fraction(factorial(s_t), factorial(new_order - 1)),
                 )
 
     for n in ns:
         if n <= -1:
             # create a factor from the exponential momentum
-            coeff0 = Fraction(1, _fact(-1 - n))
+            coeff0 = Fraction(1, factorial(-1 - n))
             for i in range(rank):
                 if beta[i]:
                     add(n, _sorted_with(mono, (-n, i)), beta[i] * coeff0)
         if n <= -2:
             k = -2 - n
-            coeff0 = Fraction(1, _fact(k))
+            coeff0 = Fraction(1, factorial(k))
             # create a factor from the background charge
-            for i in range(rank):
-                qi = _q_coord(space, Q, i)
+            for i, qi in enumerate(Q.coords):
                 if qi:
                     add(n, _sorted_with(mono, (2 + k, i)), qi * coeff0)
             # create a G-inverse-paired couple of factors
             for r in range(k + 1):
-                w = Fraction(1, 2 * _fact(r) * _fact(k - r))
+                w = Fraction(1, 2 * factorial(r) * factorial(k - r))
                 for i in range(rank):
                     for j in range(rank):
                         gij = gram_inv[i][j]
@@ -203,10 +191,6 @@ def _gram_inv(space):
     return hit
 
 
-def _q_coord(space, Q: Momentum, i: int):
-    return Q.coords[i]
-
-
 @dataclass
 class CommutatorReport:
     ok: bool
@@ -215,16 +199,10 @@ class CommutatorReport:
     counterexample: tuple | None = None
 
 
-def commutator_check(
-    st: StressTensor,
-    states,
-    max_mode: int = 3,
-    mode_cache: dict | None = None,
-    fast: bool = True,
-) -> CommutatorReport:
+def commutator_check(st: StressTensor, states, max_mode: int = 3) -> CommutatorReport:
     """Verify [L_m, L_n] = (m - n) L_{m+n} + c/12 (m^3 - m) delta_{m+n,0}
     exactly on every given state, for all |m|, |n| <= max_mode."""
-    cache = mode_cache if mode_cache is not None else {}
+    cache: dict = {}
     all_ns = list(range(-2 * max_mode, 2 * max_mode + 1))
 
     def apply_mode(n: int, elem: FieldElement) -> FieldElement:
@@ -233,7 +211,7 @@ def commutator_check(
             hit = cache.get(key)
             if hit is None:
                 single = FieldElement(elem.space, {key: Fraction(1)})
-                hit = virasoro_modes(st, all_ns, single, fast=fast)
+                hit = virasoro_modes(st, all_ns, single)
                 cache[key] = hit
             for k2, c2 in hit[n].terms.items():
                 new = acc.get(k2, 0) + c * c2

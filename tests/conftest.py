@@ -22,6 +22,10 @@ def sl_b3():
     return ScreeningLattices(build_root_system("B", 3), 4)
 
 
+def identity(n):
+    return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
 def exp_state(sl, coords):
     return FieldElement.exponential(sl.space, sl.space.momentum(coords))
 
@@ -50,4 +54,24 @@ def random_state(sl, rng, max_terms=3, max_factors=2, denominators=(1, 2)):
         coeff = Fraction(rng.randint(-4, 4), rng.choice(denominators))
         if coeff:
             out = out + coeff * term
+    return out
+
+
+def tensor_multiply(left, right, space):
+    """Componentwise product of two coproduct tensors (for algebra-map tests)."""
+    out = {}
+    for (la, ra), ca in left.items():
+        ea = (FieldElement(space, {la: 1}), FieldElement(space, {ra: 1}))
+        for (lb, rb), cb in right.items():
+            eb = (FieldElement(space, {lb: 1}), FieldElement(space, {rb: 1}))
+            prod_l = ea[0] * eb[0]
+            prod_r = ea[1] * eb[1]
+            for kl, cl in prod_l.terms.items():
+                for kr, cr in prod_r.terms.items():
+                    key = (kl, kr)
+                    new = out.get(key, 0) + ca * cb * cl * cr
+                    if new:
+                        out[key] = new
+                    elif key in out:
+                        del out[key]
     return out

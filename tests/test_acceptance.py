@@ -16,7 +16,7 @@ import pytest
 from latvoa.characters import graded_dim_module, sf_characters, theta_coset
 from latvoa.degeneracy import classify, extension_report
 from latvoa.expr import format_state, parse_state
-from latvoa.freefield import FieldElement, tensor_multiply
+from latvoa.freefield import FieldElement
 from latvoa.lattice import Coset, ScreeningLattices, groundstates, num_simples
 from latvoa.rootdata import build_root_system
 from latvoa.screening import (
@@ -31,7 +31,7 @@ from latvoa.screening import (
 from latvoa.vertexop import vertex_op
 from latvoa.virasoro import commutator_check, stress_tensor, virasoro_mode
 
-from conftest import random_state
+from conftest import random_state, tensor_multiply
 from test_screening import b2_cases
 
 F = Fraction

@@ -82,7 +82,7 @@ def test_screen_apply_fractional_banner(capsys):
         capsys, "screen-apply", "--algebra", "A1", "--ell", "4",
         "--momentum", "-a/sqrtp", "--state", "exp[1/2*a1]",
     )
-    assert code == 1
+    assert code == 2
     assert "fractional" in doc["errors"][0]
     code, doc = run_json(
         capsys, "screen-apply", "--algebra", "A1", "--ell", "4",
@@ -99,7 +99,13 @@ def test_screen_apply_parse_error(capsys):
         capsys, "screen-apply", "--algebra", "A1", "--ell", "4",
         "--momentum", "-a/sqrtp", "--state", "d phi[zz]",
     )
-    assert code == 1 and doc["errors"]
+    assert code == 2 and doc["errors"]
+    for momentum, state in (("a9", "exp[a1]"), ("-a1", "d(")):
+        code, doc = run_json(
+            capsys, "screen-apply", "--algebra", "B2", "--ell", "4",
+            "--momentum", momentum, "--state", state,
+        )
+        assert code == 2 and doc["errors"] and doc["ok"] is False
 
 
 def test_characters_jtp(capsys):

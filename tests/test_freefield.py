@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latvoa.freefield import FieldElement, FracLaurent, tensor_multiply
+from latvoa.freefield import FieldElement, FracLaurent
 from latvoa.lattice import ScreeningLattices
 from latvoa.rootdata import build_root_system
 
-from conftest import dphi_state, exp_state, random_state
+from conftest import dphi_state, exp_state, random_state, tensor_multiply
 
 F = Fraction
 

@@ -13,12 +13,9 @@ from latvoa.lattice import (
     MomentumSpace,
     ScreeningLattices,
     build_screening_lattices,
-    central_charge,
-    conformal_dim,
     groundstates,
     num_simples,
     points_within,
-    q_vector,
     quadratic_form_F,
     quotient_group,
 )
@@ -38,7 +35,7 @@ def test_a1_lattice_data(sl_a1):
     assert sl_a1.Q.coords == (F(1, 2),)
     assert sl_a1.space.norm(sl_a1.basis_short[0]) == 1
     assert sl_a1.space.norm(sl_a1.basis_long[0]) == 4
-    assert central_charge(sl_a1) == -2
+    assert sl_a1.central_charge == -2
 
 
 def test_b2_lattice_data(sl_b2):
@@ -46,7 +43,7 @@ def test_b2_lattice_data(sl_b2):
     assert coords(sl_b2.basis_long) == [(1, 0), (0, 2)]
     assert coords(sl_b2.basis_dual) == [(1, 1), (F(1, 2), 1)]
     assert sl_b2.Q.coords == (F(1, 2), 1)
-    assert central_charge(sl_b2) == -4
+    assert sl_b2.central_charge == -4
     # the second dual generator is Q itself
     assert sl_b2.basis_dual[1] == sl_b2.Q
 
@@ -54,7 +51,7 @@ def test_b2_lattice_data(sl_b2):
 def test_bn_lattice_data():
     for n in (2, 3, 4):
         sl = ScreeningLattices(build_root_system("B", n), 4)
-        assert central_charge(sl) == -2 * n
+        assert sl.central_charge == -2 * n
         assert sl.Q.coords == tuple(F(j, 2) for j in range(1, n + 1))
         long_want = [
             tuple((1 if i == j else 0) if j < n - 1 else (2 if i == j else 0) for i in range(n))
@@ -62,13 +59,13 @@ def test_bn_lattice_data():
         ]
         assert coords(sl.basis_long) == long_want
         for a in sl.basis_short + sl.basis_long:
-            assert conformal_dim(sl, a) == 1
+            assert sl.conformal_dim(a) == 1
 
 
 def test_q_vector_examples():
-    assert q_vector(build_root_system("A", 1), 2).coords == (F(1, 2),)
-    assert q_vector(build_root_system("B", 2), 2).coords == (F(1, 2), 1)
-    assert q_vector(build_root_system("B", 3), 2).coords == (F(1, 2), 1, F(3, 2))
+    assert ScreeningLattices(build_root_system("A", 1), 4).Q.coords == (F(1, 2),)
+    assert ScreeningLattices(build_root_system("B", 2), 4).Q.coords == (F(1, 2), 1)
+    assert ScreeningLattices(build_root_system("B", 3), 4).Q.coords == (F(1, 2), 1, F(3, 2))
 
 
 def test_divisibility_rejected():
@@ -102,12 +99,12 @@ def test_conformal_dim_identity(sl_b2):
         lam = sl_b2.space.momentum(
             [F(rng.randint(-6, 6), rng.choice([1, 2, 3])) for _ in range(2)]
         )
-        lhs = conformal_dim(sl_b2, lam)
+        lhs = sl_b2.conformal_dim(lam)
         diff = lam - sl_b2.Q
         rhs = sl_b2.space.norm(diff) / 2 - sl_b2.space.norm(sl_b2.Q) / 2
         assert lhs == rhs
-    assert conformal_dim(sl_b2, sl_b2.Q) == F(-1, 4)
-    assert conformal_dim(sl_b2, sl_b2.space.zero()) == 0
+    assert sl_b2.conformal_dim(sl_b2.Q) == F(-1, 4)
+    assert sl_b2.conformal_dim(sl_b2.space.zero()) == 0
 
 
 def test_num_simples():
@@ -286,7 +283,7 @@ def test_conformal_dim_integer_gap_on_lattice_shifts(sl_b2):
         lam = mu + shift
         if sl_b2.space.pair(shift, mu).denominator != 1:
             continue
-        gap = conformal_dim(sl_b2, lam) - conformal_dim(sl_b2, mu)
+        gap = sl_b2.conformal_dim(lam) - sl_b2.conformal_dim(mu)
         assert gap.denominator == 1
         count += 1
 

@@ -11,6 +11,8 @@ from latvoa.lattice import ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
 from latvoa.screening import _screening_matrix, layer_basis, short_screening_set
 
+from conftest import identity
+
 
 def check_snf(a):
     u, d, v = linalg.smith_normal_form(a)
@@ -53,8 +55,8 @@ def test_nullspace_and_rank():
     for v in basis:
         for row in a:
             assert sum(x * y for x, y in zip(row, v)) == 0
-    assert linalg.rank(a) == 1
-    assert linalg.nullspace([], ncols=3) == linalg.identity(3)
+    assert gj_rank(a) == 1
+    assert linalg.nullspace([], ncols=3) == identity(3)
 
 
 def dense_nullspace(a, ncols=None):
@@ -62,9 +64,9 @@ def dense_nullspace(a, ncols=None):
     reproduce exactly, vectors and order."""
     if not a:
         assert ncols is not None
-        return [row[:] for row in linalg.identity(ncols)]
+        return [row[:] for row in identity(ncols)]
     cols = len(a[0])
-    red, pivots = linalg._fraction_free_echelon(a)
+    red, pivots, _sign, _scale = linalg._fraction_free_echelon(a)
     free = [c for c in range(cols) if c not in pivots]
     basis = []
     for f in free:
@@ -79,6 +81,153 @@ def dense_nullspace(a, ncols=None):
             v[c] = -total / red[r][c]
         basis.append(v)
     return basis
+
+
+
+# --- Gauss-Jordan reference routines --------------------------------------
+# The elimination loops that det, inverse and solve ran before they moved
+# onto the Bareiss echelon; the tests hold the new routines to them exactly.
+
+
+def gj_det(a):
+    """Determinant by Gaussian elimination on a copy."""
+    n = len(a)
+    m = [row[:] for row in a]
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            sign = -sign
+        result *= m[c][c]
+        inv = 1 / m[c][c]
+        for r in range(c + 1, n):
+            f = m[r][c] * inv
+            if f:
+                for j in range(c, n):
+                    m[r][j] -= f * m[c][j]
+    return sign * result
+
+
+def gj_inverse(a):
+    """Exact inverse by Gauss-Jordan; raises ValueError on a singular matrix."""
+    n = len(a)
+    m = [row[:] + ident_row for row, ident_row in zip(a, identity(n))]
+    for c in range(n):
+        piv = next((r for r in range(c, n) if m[r][c] != 0), None)
+        if piv is None:
+            raise ValueError("singular matrix")
+        m[c], m[piv] = m[piv], m[c]
+        inv = 1 / m[c][c]
+        m[c] = [x * inv for x in m[c]]
+        for r in range(n):
+            if r != c and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return [row[n:] for row in m]
+
+
+def gj_solve(a, b):
+    """A solution of a @ x = b with every free variable 0, or None if the
+    system is inconsistent."""
+    n = len(a)
+    m = [row[:] + [Fraction(v)] for row, v in zip(a, b)]
+    col = 0
+    pivots = []
+    for c in range(len(a[0])):
+        piv = next((r for r in range(col, n) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][c]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+        pivots.append(c)
+        col += 1
+    for r in range(col, n):
+        if m[r][-1] != 0:
+            return None
+    x = [Fraction(0)] * len(a[0])
+    for r, c in enumerate(pivots):
+        x[c] = m[r][-1]
+    return x
+
+
+def gj_rref(a):
+    """Reduced row echelon form (copy) and pivot column indices."""
+    m = [row[:] for row in a]
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots
+
+
+def gj_rank(a):
+    if not a:
+        return 0
+    return len(gj_rref(a)[1])
+
+
+def test_det_inverse_solve_equal_gauss_jordan():
+    """det, inverse and solve equal the Gauss-Jordan references exactly on
+    random rational systems: square (invertible and singular), consistent
+    but singular, inconsistent and non-square."""
+    rng = random.Random(3)
+    entries = [Fraction(0)] * 3 + [Fraction(n, d) for n in (-3, -1, 1, 2, 5) for d in (1, 2, 3)]
+    assert linalg.det([]) == gj_det([]) == 1
+    assert linalg.inverse([]) == gj_inverse([]) == []
+    kinds = {"square": 0, "singular": 0, "consistent_singular": 0, "inconsistent": 0, "non_square": 0}
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        m = n if rng.random() < 0.6 else rng.randint(1, 5)
+        a = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
+        if n >= 2 and rng.random() < 0.3:
+            # a dependent row
+            a[-1] = [2 * x - y for x, y in zip(a[0], a[1])]
+        if rng.random() < 0.5:
+            b = linalg.mat_vec(a, [rng.choice(entries) for _ in range(m)])
+        else:
+            b = [rng.choice(entries) for _ in range(n)]
+        x = linalg.solve(a, b)
+        assert x == gj_solve(a, b), (a, b)
+        if n != m:
+            kinds["non_square"] += 1
+            continue
+        d = linalg.det(a)
+        assert d == gj_det(a), a
+        if d:
+            kinds["square"] += 1
+            assert linalg.inverse(a) == gj_inverse(a), a
+            continue
+        kinds["singular"] += 1
+        kinds["consistent_singular" if x is not None else "inconsistent"] += 1
+        with pytest.raises(ValueError, match="singular matrix"):
+            linalg.inverse(a)
+        with pytest.raises(ValueError):
+            gj_inverse(a)
+    assert min(kinds.values()) >= 50, kinds
 
 
 P = 2**61 - 1
@@ -198,7 +347,7 @@ def test_inverse_solve():
         if linalg.det(a) == 0:
             continue
         inv = linalg.inverse(a)
-        assert linalg.mat_mul(a, inv) == linalg.identity(n)
+        assert linalg.mat_mul(a, inv) == identity(n)
         b = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
         x = linalg.solve(a, b)
         assert linalg.mat_vec(a, x) == b

@@ -13,6 +13,8 @@ from latvoa.rootdata import (
     weyl_vectors,
 )
 
+from conftest import identity
+
 F = Fraction
 
 
@@ -133,7 +135,7 @@ def test_fund_weights_times_cartan_is_identity():
         rs = build_root_system(series, rank)
         fw = [list(row) for row in rs.fund_weights]
         cart = linalg.frac_matrix(rs.cartan)
-        assert linalg.mat_mul(fw, cart) == linalg.identity(rank)
+        assert linalg.mat_mul(fw, cart) == identity(rank)
 
 
 def test_fund_weight_pairings():
