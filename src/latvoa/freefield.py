@@ -3,9 +3,11 @@ exponentials, with product, coproduct, derivation and the Laurent-valued
 Hopf pairing.
 
 A term is a pair (momentum coords, monomial) with a scalar coefficient.
-The monomial is a sorted tuple of factors (order m, basis index i), one
-entry per factor of the product of derivative generators of order m in
-the i-th ambient direction; its total degree is the sum of the orders.
+The coords are in the canonical form of `lattice.canonical`: an int for
+each integral coordinate, a Fraction otherwise.  The monomial is a sorted
+tuple of factors (order m, basis index i), one entry per factor of the
+product of derivative generators of order m in the i-th ambient
+direction; its total degree is the sum of the orders.
 Derivative generators with arbitrary momentum are expanded over the
 ambient basis before storage, so terms form an honest linear basis.
 """
@@ -16,10 +18,10 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .lattice import Momentum, MomentumSpace
+from .lattice import Momentum, MomentumSpace, canonical
 
 Mono = tuple[tuple[int, int], ...]  # sorted ((order, index), ...)
-TermKey = tuple[tuple[Fraction, ...], Mono]
+TermKey = tuple[tuple[int | Fraction, ...], Mono]
 
 
 class FracLaurent:
@@ -165,7 +167,8 @@ class FieldElement:
         terms = {}
         for i, c in enumerate(mom.coords):
             if c:
-                terms[(zero, ((order, i),))] = c
+                # a coordinate may be an int; coefficients stay Fractions
+                terms[(zero, ((order, i),))] = Fraction(c)
         return FieldElement(space, terms)
 
     # -- ring structure ---------------------------------------------------
@@ -197,7 +200,7 @@ class FieldElement:
             for (ma, ua), ca in self.terms.items():
                 for (mb, ub), cb in other.terms.items():
                     key = (
-                        tuple(x + y for x, y in zip(ma, mb)),
+                        canonical(x + y for x, y in zip(ma, mb)),
                         _merge_mono(ua, ub),
                     )
                     new = out.get(key, 0) + ca * cb
@@ -269,9 +272,7 @@ class FieldElement:
             for (mb, ub), cb in other.terms.items():
                 coeff = _match_coefficient(self.space, list(ua), list(ub), ma, mb)
                 if coeff:
-                    e = self.space.pair(Momentum(ma), Momentum(mb)) - _mono_degree(
-                        ua
-                    ) - _mono_degree(ub)
+                    e = self.space.pair_coords(ma, mb) - _mono_degree(ua) - _mono_degree(ub)
                     out = out + FracLaurent.monomial(ca * cb * coeff, e)
         return out
 
@@ -279,7 +280,7 @@ class FieldElement:
     def n0_degrees(self) -> set[int]:
         return {_mono_degree(mono) for (_, mono) in self.terms}
 
-    def momenta(self) -> set[tuple[Fraction, ...]]:
+    def momenta(self) -> set[tuple[int | Fraction, ...]]:
         return {mom for (mom, _) in self.terms}
 
     def conformal_weights(self, sl) -> set[Fraction]:

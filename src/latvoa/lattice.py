@@ -3,6 +3,8 @@
 All momenta live in the ambient basis {a_i / sqrt(p)} where a_i are the
 simple roots, so every inner product is an exact rational: the ambient Gram
 matrix is gram(a_i, a_j) / p and sqrt(p) never appears unsquared.
+Coordinates are kept in one canonical form (`canonical`): a plain int when
+integral, a Fraction otherwise.
 """
 
 from __future__ import annotations
@@ -16,22 +18,35 @@ from . import linalg
 from .rootdata import RootSystem, build_root_system, short_simple_system
 
 
+def canonical(coords) -> tuple[int | Fraction, ...]:
+    """The coordinate tuple with every integral entry as a plain int.
+
+    Entries that are not integers stay Fractions.  Since n == Fraction(n)
+    and both hash and sort alike, this changes no comparison, dict lookup
+    or printed form; it only makes the tuple cheap to hash.
+    """
+    return tuple(x.numerator if x.denominator == 1 else x for x in coords)
+
+
 @dataclass(frozen=True)
 class Momentum:
-    coords: tuple[Fraction, ...]
+    """Ambient coordinates of a momentum: an int where the coordinate is
+    integral and a Fraction otherwise (see `canonical`)."""
+
+    coords: tuple[int | Fraction, ...]
 
     def __add__(self, other: "Momentum") -> "Momentum":
-        return Momentum(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Momentum(canonical(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "Momentum") -> "Momentum":
-        return Momentum(tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Momentum(canonical(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "Momentum":
-        return Momentum(tuple(-a for a in self.coords))
+        return Momentum(canonical(-a for a in self.coords))
 
     def __rmul__(self, scalar) -> "Momentum":
         s = Fraction(scalar)
-        return Momentum(tuple(s * a for a in self.coords))
+        return Momentum(canonical(s * a for a in self.coords))
 
     __mul__ = __rmul__
 
@@ -43,15 +58,22 @@ class Momentum:
 
 
 class MomentumSpace:
-    """Rational quadratic space holding the ambient Gram matrix."""
+    """Rational quadratic space holding the ambient Gram matrix.
+
+    `gram` is the matrix of Fractions; the pairing itself runs on integer
+    numerators over one common denominator.
+    """
 
     def __init__(self, gram: list[list[Fraction]], p: int):
         self.p = p
         self.rank = len(gram)
         self.gram = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        self._den = math.lcm(*(x.denominator for row in self.gram for x in row))
+        self._num = tuple(tuple(_scaled(x, self._den) for x in row) for row in self.gram)
+        self._hash = hash((self.gram, self.p))
 
     def momentum(self, coords) -> Momentum:
-        c = tuple(Fraction(x) for x in coords)
+        c = canonical(Fraction(x) for x in coords)
         if len(c) != self.rank:
             raise ValueError(f"expected {self.rank} coordinates, got {len(c)}")
         return Momentum(c)
@@ -62,24 +84,28 @@ class MomentumSpace:
     def basis_vector(self, i: int) -> Momentum:
         return self.momentum([int(j == i) for j in range(self.rank)])
 
-    def pair(self, u: Momentum, v: Momentum) -> Fraction:
-        total = Fraction(0)
-        for i, ui in enumerate(u.coords):
+    def pair_coords(self, u, v) -> Fraction:
+        """(u, v) for raw coordinate tuples: sum u_i num_ij v_j over the
+        common denominator of the Gram matrix."""
+        total = 0
+        for ui, row in zip(u, self._num):
             if ui:
-                row = self.gram[i]
-                for j, vj in enumerate(v.coords):
-                    if vj:
-                        total += ui * row[j] * vj
-        return total
+                total += ui * sum(g * vj for g, vj in zip(row, v))
+        return Fraction(total, self._den)
+
+    def pair(self, u: Momentum, v: Momentum) -> Fraction:
+        return self.pair_coords(u.coords, v.coords)
 
     def norm(self, u: Momentum) -> Fraction:
-        return self.pair(u, u)
+        return self.pair_coords(u.coords, u.coords)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MomentumSpace) and self.gram == other.gram and self.p == other.p
+        return self is other or (
+            isinstance(other, MomentumSpace) and self.gram == other.gram and self.p == other.p
+        )
 
     def __hash__(self):
-        return hash((self.gram, self.p))
+        return self._hash
 
 
 def _basis_coords(basis, v: Momentum) -> list[Fraction] | None:
@@ -400,7 +426,7 @@ def points_within(
         if value <= top:
             found.append(
                 Momentum(
-                    tuple(
+                    canonical(
                         Fraction(c + sum(x * y for x, y in zip(n, col)), den)
                         for c, col in zip(rep_num, columns)
                     )

@@ -84,10 +84,12 @@ def _fraction_free_echelon(a: Matrix) -> tuple[list[list[int]], list[int], int, 
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
+        # every column left of c is zero from row r down (earlier pivot
+        # columns were cleared at their own step, skipped columns were zero
+        # already) and the update keeps it zero, so start at c + 1
         for i in range(r + 1, rows):
-            for j in range(cols):
-                if j != c:
-                    m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            for j in range(c + 1, cols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
             m[i][c] = 0
         prev = m[r][c]
         pivots.append(c)

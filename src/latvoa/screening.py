@@ -9,6 +9,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
+from .expr import format_momentum
 from .freefield import FieldElement, _mono_degree
 from .lattice import Coset, Momentum, ScreeningLattices, groundstates, points_within
 from .scalars import Scalar
@@ -48,10 +49,10 @@ def apply_screening(alpha: Momentum, state: FieldElement) -> FieldElement:
     """
     space = state.space
     for mom in state.momenta():
-        if space.pair(alpha, Momentum(mom)).denominator != 1:
+        if space.pair_coords(alpha.coords, mom).denominator != 1:
             raise ValueError(
-                f"screening momentum {tuple(alpha.coords)} pairs fractionally with "
-                f"state momentum {tuple(mom)}; use vertexop.residue_op in "
+                f"screening momentum {format_momentum(alpha.coords)} pairs fractionally "
+                f"with state momentum {format_momentum(mom)}; use vertexop.residue_op in "
                 "fractional mode"
             )
     return residue_op(FieldElement.exponential(space, alpha), state)

@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
 
+from .expr import format_momentum
 from .freefield import FieldElement, _match_coefficient, _merge_mono, _mono_degree, _mono_splits
-from .lattice import Momentum, MomentumSpace
+from .lattice import MomentumSpace, canonical
 from .scalars import Scalar
 
 _DK_CACHE: dict = {}
@@ -23,7 +24,7 @@ _DK_CACHE: dict = {}
 
 def _dk_term(space: MomentumSpace, mom, mono, k: int):
     """Terms of d^k (mono e^{phi_mom}) / k!, cached incrementally."""
-    key = (space.gram, mom, mono, k)
+    key = (space, mom, mono, k)
     hit = _DK_CACHE.get(key)
     if hit is not None:
         return hit
@@ -40,13 +41,10 @@ def _dk_term(space: MomentumSpace, mom, mono, k: int):
 def support_min(a: FieldElement, b: FieldElement) -> Fraction | None:
     """Exact lower bound for z-exponents of Y(a)b; None for zero input."""
     lows = []
+    pair = a.space.pair_coords
     for (ma, ua) in a.terms:
         for (mb, ub) in b.terms:
-            lows.append(
-                a.space.pair(Momentum(ma), Momentum(mb))
-                - _mono_degree(ua)
-                - _mono_degree(ub)
-            )
+            lows.append(pair(ma, mb) - _mono_degree(ua) - _mono_degree(ub))
     return min(lows) if lows else None
 
 
@@ -72,7 +70,7 @@ def _mode_terms(a: FieldElement, b: FieldElement, want):
         a_splits = _mono_splits(mono_a)
         for (beta, mono_b), cb in b.terms.items():
             beta_zero = not any(beta)
-            pab = space.pair(Momentum(alpha), Momentum(beta))
+            pab = space.pair_coords(alpha, beta)
             scale0 = ca * cb
             for a_left, a_right, mult_a, deg_ar in a_splits:
                 len_ar = len(a_right)
@@ -87,7 +85,7 @@ def _mode_terms(a: FieldElement, b: FieldElement, want):
                     ks = want(e_pair)
                     if not ks:
                         continue
-                    mkey = (space.gram, a_right, b_right, alpha, beta)
+                    mkey = (space, a_right, b_right, alpha, beta)
                     coeff = _MATCH_CACHE.get(mkey)
                     if coeff is None:
                         coeff = _match_coefficient(
@@ -102,7 +100,7 @@ def _mode_terms(a: FieldElement, b: FieldElement, want):
                         bucket = out.setdefault(exponent, {})
                         for (dm, dmono), dc in _dk_term(space, alpha, a_left, k).items():
                             term_key = (
-                                tuple(x + y for x, y in zip(beta, dm)),
+                                canonical(x + y for x, y in zip(beta, dm)),
                                 _merge_mono(b_left, dmono),
                             )
                             _accumulate(bucket, term_key, scale * dc)
@@ -188,7 +186,7 @@ def integer_pairing(a: FieldElement, b: FieldElement) -> bool:
     space = a.space
     for (ma, _u) in a.terms:
         for (mb, _v) in b.terms:
-            if space.pair(Momentum(ma), Momentum(mb)).denominator != 1:
+            if space.pair_coords(ma, mb).denominator != 1:
                 return False
     return True
 
@@ -220,10 +218,11 @@ def residue_op(a: FieldElement, b: FieldElement, fractional: bool = False, trunc
     if not fractional:
         for (ma, _u) in a.terms:
             for (mb, _v) in b.terms:
-                val = a.space.pair(Momentum(ma), Momentum(mb))
+                val = a.space.pair_coords(ma, mb)
                 if val.denominator != 1:
                     raise ValueError(
-                        f"pairing {val} of momenta {ma} and {mb} is fractional; "
+                        f"pairing {val} of momenta {format_momentum(ma)} and "
+                        f"{format_momentum(mb)} is fractional; "
                         "use fractional mode with a truncation bound"
                     )
         return mode_op(a, -1, b)
@@ -254,7 +253,7 @@ def residue_op(a: FieldElement, b: FieldElement, fractional: bool = False, trunc
     # first omitted term scale per output degree (k = K contributions)
     for (alpha, mono_a), _ca in a.terms.items():
         for (beta, mono_b), _cb in b.terms.items():
-            e0 = a.space.pair(Momentum(alpha), Momentum(beta))
+            e0 = a.space.pair_coords(alpha, beta)
             m = e0 + K
             if m.denominator == 1:
                 continue

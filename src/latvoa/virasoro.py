@@ -85,7 +85,7 @@ def _fast_term_modes(space, Q: Momentum, key, ns: tuple) -> dict[int, dict]:
     a factor, and creation of factors from the momentum, from Q, and in
     G-inverse-paired couples.
     """
-    cache_key = (space.gram, Q.coords, key, ns)
+    cache_key = (space, Q.coords, key, ns)
     hit = _FAST_CACHE.get(cache_key)
     if hit is not None:
         return hit
@@ -184,10 +184,10 @@ _GINV_CACHE: dict = {}
 
 
 def _gram_inv(space):
-    hit = _GINV_CACHE.get(space.gram)
+    hit = _GINV_CACHE.get(space)
     if hit is None:
         hit = linalg.inverse([list(r) for r in space.gram])
-        _GINV_CACHE[space.gram] = hit
+        _GINV_CACHE[space] = hit
     return hit
 
 

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from latvoa import cli
 from latvoa.cli import main
+from latvoa.scalars import TierError
 
 
 def run_cli(capsys, *argv):
@@ -106,6 +108,32 @@ def test_screen_apply_parse_error(capsys):
             "--momentum", momentum, "--state", state,
         )
         assert code == 2 and doc["errors"] and doc["ok"] is False
+
+
+def test_fractional_pairing_error_names_momenta(capsys):
+    code, doc = run_json(
+        capsys, "screen-apply", "--algebra", "B2", "--ell", "4",
+        "--momentum", "-a1 - a2", "--state", "exp[1/2*a1]",
+    )
+    assert code == 2 and doc["ok"] is False
+    (error,) = doc["errors"]
+    assert "momenta -a1 - a2 and 1/2*a1 is fractional" in error
+    assert "Fraction(" not in error
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [AssertionError("broken invariant"), IndexError("list index out of range"), TierError("tier")],
+    ids=["AssertionError", "IndexError", "TierError"],
+)
+def test_internal_error_exits_3(capsys, monkeypatch, exc):
+    def broken(_args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_kernel", broken)
+    code, doc = run_json(capsys, "kernel", "--algebra", "B2", "--ell", "4")
+    assert code == 3
+    assert doc == {"ok": False, "errors": [f"internal error: {type(exc).__name__}: {exc}"]}
 
 
 def test_characters_jtp(capsys):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from latvoa import linalg
 from latvoa.lattice import (
     Coset,
+    Momentum,
     MomentumSpace,
     ScreeningLattices,
     build_screening_lattices,
@@ -421,3 +422,70 @@ def test_points_within_bound_edges(sl_b3, name):
     # bound 0 around a lattice point is that point alone
     for v in pts:
         assert within(v, 0) == [v]
+
+
+# --- pairing ------------------------------------------------------------------
+
+
+def fraction_pair(space: MomentumSpace, u, v) -> Fraction:
+    """Reference pairing: the double loop over the Fraction Gram matrix,
+    independent of the integer numerators that `pair` uses."""
+    total = Fraction(0)
+    for i, ui in enumerate(u):
+        if ui:
+            row = space.gram[i]
+            for j, vj in enumerate(v):
+                if vj:
+                    total += ui * row[j] * vj
+    return total
+
+
+PAIRING_LATTICES = [
+    ScreeningLattices(build_root_system(series, rank), ell)
+    for series, rank, ell in [("A", 1, 4), ("A", 1, 6), ("B", 2, 4), ("B", 3, 4), ("G", 2, 6)]
+]
+
+
+@st.composite
+def coordinate_tuples(draw, rank: int):
+    """Raw coordinates: ints, integral Fractions, and Fractions with
+    denominators 2 and 3, mixed freely within one tuple."""
+    out = []
+    for _ in range(rank):
+        num = draw(st.integers(-7, 7))
+        form = draw(st.sampled_from(("int", "frac1", "frac2", "frac3")))
+        if form == "int":
+            out.append(num)
+        else:
+            out.append(Fraction(num, {"frac1": 1, "frac2": 2, "frac3": 3}[form]))
+    return tuple(out)
+
+
+@st.composite
+def pairing_requests(draw):
+    sl = draw(st.sampled_from(PAIRING_LATTICES))
+    rank = sl.space.rank
+    return sl.space, draw(coordinate_tuples(rank)), draw(coordinate_tuples(rank))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairing_requests())
+def test_pair_equals_fraction_loop(request):
+    space, u, v = request
+    want = fraction_pair(space, u, v)
+    for got in (
+        space.pair_coords(u, v),
+        space.pair(Momentum(u), Momentum(v)),
+        space.pair(space.momentum(u), space.momentum(v)),
+    ):
+        assert got == want
+        assert type(got) is Fraction
+    assert space.norm(space.momentum(u)) == fraction_pair(space, u, u)
+
+
+def test_space_hash_and_equality():
+    rs = build_root_system("B", 2)
+    a, b = ScreeningLattices(rs, 4).space, ScreeningLattices(rs, 4).space
+    assert a is not b and a == b and hash(a) == hash(b) == hash((a.gram, a.p))
+    assert a != ScreeningLattices(rs, 8).space
+    assert all(type(x) is Fraction for row in a.gram for x in row)

@@ -310,6 +310,15 @@ def test_apply_screening_rejects_fractional():
         apply_screening(SL_B2.space.momentum([0, -1]), state)
 
 
+def test_apply_screening_error_names_momenta():
+    state = FieldElement.exponential(SL_B2.space, SL_B2.Q)
+    with pytest.raises(ValueError) as info:
+        apply_screening(SL_B2.space.momentum([0, -1]), state)
+    message = str(info.value)
+    assert "screening momentum -a2 pairs fractionally with state momentum 1/2*a1 + a2" in message
+    assert "Fraction(" not in message
+
+
 # --- braiding, Nichols, Weyl powers ---------------------------------------
 
 
