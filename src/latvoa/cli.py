@@ -25,7 +25,7 @@ from .expr import format_momentum, format_state, parse_momentum, parse_state
 from .freefield import FieldElement
 from .lattice import ScreeningLattices, groundstates, num_simples, quadratic_form_F
 from .rootdata import build_root_system, parse_label
-from .scalars import Scalar, TierError
+from .scalars import Scalar
 from .screening import (
     braiding_matrix,
     kernel_report,
@@ -504,10 +504,12 @@ def main(argv=None) -> int:
     0: every requested check passed.  1: a check failed (the document
     reports `ok: false` and which check).  2: bad input, such as an unknown
     symbol, malformed state text, a negative count or an integer residue
-    on a fractional pairing.  3: an internal error, i.e. an AssertionError,
-    IndexError or TierError, which points at a fault of the program rather
-    than of the input.  Codes 2 and 3 print the JSON document
-    {"ok": false, "errors": [...]}.
+    on a fractional pairing (a ValueError or KeyError).  3: an internal
+    error, i.e. any other exception raised by the command (AssertionError,
+    IndexError, TierError, TypeError, ZeroDivisionError, RecursionError,
+    MemoryError, ...), which points at a fault of the program or of its
+    resources rather than of the input.  Codes 2 and 3 print the JSON
+    document {"ok": false, "errors": [...]}.
     """
     parser = argparse.ArgumentParser(
         prog="latvoa",
@@ -603,7 +605,7 @@ def main(argv=None) -> int:
     except (ValueError, KeyError) as exc:
         print(json.dumps({"ok": False, "errors": [str(exc)]}, indent=2))
         return 2
-    except (AssertionError, IndexError, TierError) as exc:
+    except Exception as exc:
         error = f"internal error: {type(exc).__name__}: {exc}"
         print(json.dumps({"ok": False, "errors": [error]}, indent=2))
         return 3

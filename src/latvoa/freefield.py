@@ -4,10 +4,13 @@ Hopf pairing.
 
 A term is a pair (momentum coords, monomial) with a scalar coefficient.
 The coords are in the canonical form of `lattice.canonical`: an int for
-each integral coordinate, a Fraction otherwise.  The monomial is a sorted
-tuple of factors (order m, basis index i), one entry per factor of the
-product of derivative generators of order m in the i-th ambient
-direction; its total degree is the sum of the orders.
+each integral coordinate, a Fraction otherwise.  The coefficients that the
+constructors, the derivation and the pairings build follow the same rule
+(`lattice.canonical_scalar`), so integral arithmetic stays on ints; sums
+and products of elements keep whatever their operands give.  The
+monomial is a sorted tuple of factors (order m, basis index i), one entry
+per factor of the product of derivative generators of order m in the
+i-th ambient direction; its total degree is the sum of the orders.
 Derivative generators with arbitrary momentum are expanded over the
 ambient basis before storage, so terms form an honest linear basis.
 """
@@ -18,7 +21,7 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .lattice import Momentum, MomentumSpace, canonical
+from .lattice import Momentum, MomentumSpace, canonical, canonical_scalar
 
 Mono = tuple[tuple[int, int], ...]  # sorted ((order, index), ...)
 TermKey = tuple[tuple[int | Fraction, ...], Mono]
@@ -99,6 +102,11 @@ def _mono_degree(mono: Mono) -> int:
     return sum(m for m, _ in mono)
 
 
+def _canonical_terms(terms: dict) -> dict:
+    """The term dict with every coefficient in canonical form."""
+    return {k: canonical_scalar(c) for k, c in terms.items()}
+
+
 _SPLIT_CACHE: dict[Mono, tuple] = {}
 
 
@@ -155,7 +163,7 @@ class FieldElement:
 
     @staticmethod
     def exponential(space: MomentumSpace, mom: Momentum) -> "FieldElement":
-        return FieldElement(space, {(mom.coords, ()): Fraction(1)})
+        return FieldElement(space, {(mom.coords, ()): 1})
 
     @staticmethod
     def dphi(space: MomentumSpace, mom: Momentum, order: int = 1) -> "FieldElement":
@@ -167,8 +175,8 @@ class FieldElement:
         terms = {}
         for i, c in enumerate(mom.coords):
             if c:
-                # a coordinate may be an int; coefficients stay Fractions
-                terms[(zero, ((order, i),))] = Fraction(c)
+                # the coefficient is the coordinate: an int when integral
+                terms[(zero, ((order, i),))] = canonical_scalar(c)
         return FieldElement(space, terms)
 
     # -- ring structure ---------------------------------------------------
@@ -253,7 +261,7 @@ class FieldElement:
             for i, x in enumerate(mom):
                 if x:
                     add((mom, _merge_mono(mono, ((1, i),))), c * x)
-        return FieldElement(self.space, out)
+        return FieldElement(self.space, _canonical_terms(out))
 
     def coproduct(self) -> dict[tuple[TermKey, TermKey], object]:
         """Coproduct as a dictionary keyed by (left term, right term)."""
@@ -303,43 +311,51 @@ class FieldElement:
 #
 # The four generator pairings, extended to higher orders by equivariance:
 # a derivation in the left slot acts as +d/dz on the value, in the right
-# slot as -d/dz (signs forced by the four base values).
+# slot as -d/dz (signs forced by the four base values).  Each runs on the
+# integer Gram numerators of the space and divides by their common
+# denominator once, at the end.
 
 
-def _pp_coeff(space: MomentumSpace, f_left: tuple[int, int], f_right: tuple[int, int]) -> Fraction:
+def _over_den(space: MomentumSpace, num):
+    """num / space._den in canonical form."""
+    den = space._den
+    return canonical_scalar(num if den == 1 else Fraction(num, den))
+
+
+def _pp_coeff(space: MomentumSpace, f_left: tuple[int, int], f_right: tuple[int, int]):
     (m, i), (k, j) = f_left, f_right
-    c = space.gram[i][j]
-    e = Fraction(-2)
+    c = space._num[i][j]
+    e = -2
     for _ in range(k - 1):  # right slot: -d/dz
         c *= -e
         e -= 1
     for _ in range(m - 1):  # left slot: +d/dz
         c *= e
         e -= 1
-    return c
+    return _over_den(space, c)
 
 
-def _pe_coeff(space: MomentumSpace, f_left: tuple[int, int], beta) -> Fraction:
+def _pe_coeff(space: MomentumSpace, f_left: tuple[int, int], beta):
     m, i = f_left
-    c = sum(space.gram[i][j] * x for j, x in enumerate(beta))
-    e = Fraction(-1)
+    c = sum(g * x for g, x in zip(space._num[i], beta))
+    e = -1
     for _ in range(m - 1):
         c *= e
         e -= 1
-    return c
+    return _over_den(space, c)
 
 
-def _ep_coeff(space: MomentumSpace, alpha, f_right: tuple[int, int]) -> Fraction:
+def _ep_coeff(space: MomentumSpace, alpha, f_right: tuple[int, int]):
     k, j = f_right
-    c = -sum(space.gram[i][j] * x for i, x in enumerate(alpha))
-    e = Fraction(-1)
+    c = -sum(row[j] * x for row, x in zip(space._num, alpha))
+    e = -1
     for _ in range(k - 1):
         c *= -e
         e -= 1
-    return c
+    return _over_den(space, c)
 
 
-def _match_coefficient(space, fa: list, fb: list, alpha, beta) -> Fraction:
+def _match_coefficient(space, fa: list, fb: list, alpha, beta):
     """Sum over partial matchings of the left factor list against the right.
 
     Every left factor pairs with one right factor or with e^{phi_beta};
@@ -347,12 +363,12 @@ def _match_coefficient(space, fa: list, fb: list, alpha, beta) -> Fraction:
     fixed by the total derivative order, so only the scalar is needed.
     """
     if not fa:
-        total = Fraction(1)
+        total = 1
         for g in fb:
             total *= _ep_coeff(space, alpha, g)
             if not total:
-                return total
-        return total
+                return 0
+        return canonical_scalar(total)
     f, rest = fa[0], fa[1:]
     total = _pe_coeff(space, f, beta) * _match_coefficient(space, rest, fb, alpha, beta)
     for pos in range(len(fb)):
@@ -361,4 +377,4 @@ def _match_coefficient(space, fa: list, fb: list, alpha, beta) -> Fraction:
             total += c * _match_coefficient(
                 space, rest, fb[:pos] + fb[pos + 1 :], alpha, beta
             )
-    return total
+    return canonical_scalar(total)

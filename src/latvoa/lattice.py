@@ -3,7 +3,8 @@
 All momenta live in the ambient basis {a_i / sqrt(p)} where a_i are the
 simple roots, so every inner product is an exact rational: the ambient Gram
 matrix is gram(a_i, a_j) / p and sqrt(p) never appears unsquared.
-Coordinates are kept in one canonical form (`canonical`): a plain int when
+Coordinates, and the term coefficients of `freefield`, are kept in one
+canonical form (`canonical`, `canonical_scalar`): a plain int when
 integral, a Fraction otherwise.
 """
 
@@ -26,6 +27,12 @@ def canonical(coords) -> tuple[int | Fraction, ...]:
     or printed form; it only makes the tuple cheap to hash.
     """
     return tuple(x.numerator if x.denominator == 1 else x for x in coords)
+
+
+def canonical_scalar(x):
+    """One coefficient in the form of `canonical`: a plain int when x is
+    integral, x itself (a Fraction) otherwise."""
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
@@ -169,10 +176,6 @@ class QuotientGroup:
     @property
     def order(self) -> int:
         return math.prod(self.invariant_factors) if self.invariant_factors else 1
-
-    @property
-    def is_cyclic(self) -> bool:
-        return len([f for f in self.invariant_factors if f > 1]) <= 1
 
 
 class ScreeningLattices:

@@ -222,16 +222,8 @@ def dual_root_system(rs: RootSystem) -> RootSystem:
     return build_root_system(dual_series, rs.rank)
 
 
-def weyl_vectors(rs: RootSystem) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-    return rs.rho, rs.rho_dual
-
-
 def positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
     return rs.positive_roots
-
-
-def fundamental_weights(rs: RootSystem) -> tuple[tuple[Fraction, ...], ...]:
-    return rs.fund_weights
 
 
 def short_root_norm(rs: RootSystem) -> int:

@@ -140,7 +140,7 @@ def layer_basis(sl: ScreeningLattices, coset: Coset, h) -> GradedLayer:
         if gap < 0 or gap.denominator != 1:
             continue
         for mono in _monomials_of_degree(space.rank, int(gap)):
-            basis.append(FieldElement(space, {(mu.coords, mono): Fraction(1)}))
+            basis.append(FieldElement(space, {(mu.coords, mono): 1}))
     return GradedLayer(coset=coset, h=h, basis=basis)
 
 
@@ -323,24 +323,3 @@ def long_screening_suite(sl: ScreeningLattices, st: StressTensor | None = None) 
         )
         triplet = {"W-": w_minus, "W0": w_zero, "W+": w_plus}
     return LongScreeningReport(checks=checks, triplet=triplet, commutators=commutators)
-
-
-# --- grading operators --------------------------------------------------------
-
-
-def grading_ops(sl: ScreeningLattices, i: int, state: FieldElement) -> tuple[Scalar, Fraction]:
-    """Eigenvalues of the exponentiated short grading operator K_i (a phase
-    e^{i pi r} with r = (a_i/sqrt p, lambda)) and the long grading operator
-    H_i (rational d * (a_i^v, lambda / sqrt p)) on a single-momentum state."""
-    moms = state.momenta()
-    if len(moms) != 1:
-        raise ValueError("grading operators act on single-momentum states")
-    (mom,) = moms
-    lam = Momentum(mom)
-    space = sl.space
-    e_i = space.basis_vector(i)
-    r = space.pair(e_i, lam)
-    k_val = Scalar.phase(1, r)
-    d = max(sl.rs.d)
-    h_val = Fraction(d, sl.p) * space.pair(sl.basis_long[i], lam)
-    return k_val, h_val

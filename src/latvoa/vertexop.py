@@ -15,8 +15,15 @@ from fractions import Fraction
 from math import factorial
 
 from .expr import format_momentum
-from .freefield import FieldElement, _match_coefficient, _merge_mono, _mono_degree, _mono_splits
-from .lattice import MomentumSpace, canonical
+from .freefield import (
+    FieldElement,
+    _canonical_terms,
+    _match_coefficient,
+    _merge_mono,
+    _mono_degree,
+    _mono_splits,
+)
+from .lattice import MomentumSpace, canonical, canonical_scalar
 from .scalars import Scalar
 
 _DK_CACHE: dict = {}
@@ -29,30 +36,26 @@ def _dk_term(space: MomentumSpace, mom, mono, k: int):
     if hit is not None:
         return hit
     if k == 0:
-        result = {(mom, mono): Fraction(1)}
+        result = {(mom, mono): 1}
     else:
         prev = _dk_term(space, mom, mono, k - 1)
         elem = FieldElement(space, prev).derive()
-        result = {kk: c / k for kk, c in elem.terms.items()}
+        result = {kk: canonical_scalar(Fraction(c, k)) for kk, c in elem.terms.items()}
     _DK_CACHE[key] = result
     return result
 
 
-def support_min(a: FieldElement, b: FieldElement) -> Fraction | None:
-    """Exact lower bound for z-exponents of Y(a)b; None for zero input."""
-    lows = []
-    pair = a.space.pair_coords
-    for (ma, ua) in a.terms:
-        for (mb, ub) in b.terms:
-            lows.append(pair(ma, mb) - _mono_degree(ua) - _mono_degree(ub))
-    return min(lows) if lows else None
-
-
 def _accumulate(out: dict, key, val) -> None:
-    new = out.get(key, 0) + val
+    """out[key] += val, dropping the entry when it cancels."""
+    old = out.get(key)
+    if old is None:
+        if val:
+            out[key] = val
+        return
+    new = old + val
     if new:
         out[key] = new
-    elif key in out:
+    else:
         del out[key]
 
 
@@ -62,15 +65,16 @@ _MATCH_CACHE: dict = {}
 def _mode_terms(a: FieldElement, b: FieldElement, want):
     """Core engine: want(E) returns the iterable of derivative indices k to
     keep for a combination with pairing exponent E.  Returns the map
-    {exponent E + k: accumulated term dict}."""
+    {exponent E + k: accumulated term dict}.  Exponents and coefficients
+    are in canonical form: ints when integral, Fractions otherwise."""
     space = a.space
-    out: dict[Fraction, dict] = {}
+    out: dict[int | Fraction, dict] = {}
     for (alpha, mono_a), ca in a.terms.items():
         alpha_zero = not any(alpha)
         a_splits = _mono_splits(mono_a)
         for (beta, mono_b), cb in b.terms.items():
             beta_zero = not any(beta)
-            pab = space.pair_coords(alpha, beta)
+            pab = canonical_scalar(space.pair_coords(alpha, beta))
             scale0 = ca * cb
             for a_left, a_right, mult_a, deg_ar in a_splits:
                 len_ar = len(a_right)
@@ -104,20 +108,21 @@ def _mode_terms(a: FieldElement, b: FieldElement, want):
                                 _merge_mono(b_left, dmono),
                             )
                             _accumulate(bucket, term_key, scale * dc)
-    return out
+    return {e: _canonical_terms(terms) for e, terms in out.items()}
 
 
 def multi_mode_op(a: FieldElement, ms, b: FieldElement) -> dict:
-    """z^m coefficients of Y(a)b for every m in ms, in one pass."""
+    """z^m coefficients of Y(a)b for every m in ms, in one pass, keyed by
+    m in canonical form (an int when integral)."""
     a._check_space(b)
-    targets = sorted({Fraction(m) for m in ms})
+    targets = sorted({canonical_scalar(Fraction(m)) for m in ms})
 
     def want(e_pair):
         ks = []
         for m in targets:
             k = m - e_pair
-            if k.denominator == 1 and k >= 0:
-                ks.append(int(k))
+            if k >= 0 and k.denominator == 1:
+                ks.append(k.numerator)
         return tuple(ks)
 
     buckets = _mode_terms(a, b, want)
@@ -127,12 +132,12 @@ def multi_mode_op(a: FieldElement, ms, b: FieldElement) -> dict:
 def mode_op(a: FieldElement, m, b: FieldElement) -> FieldElement:
     """The z^m coefficient of Y(a)b; exact for every rational m."""
     a._check_space(b)
-    m = Fraction(m)
+    m = canonical_scalar(Fraction(m))
 
     def want(e_pair):
         k = m - e_pair
-        if k.denominator == 1 and k >= 0:
-            return (int(k),)
+        if k >= 0 and k.denominator == 1:
+            return (k.numerator,)
         return ()
 
     buckets = _mode_terms(a, b, want)
@@ -179,16 +184,6 @@ def vertex_op(a: FieldElement, b: FieldElement, window) -> StateSeries:
         if lo <= e <= hi and terms
     }
     return StateSeries(a.space, (lo, hi), coeffs)
-
-
-def integer_pairing(a: FieldElement, b: FieldElement) -> bool:
-    """Whether all exponential pairings between a and b are integers."""
-    space = a.space
-    for (ma, _u) in a.terms:
-        for (mb, _v) in b.terms:
-            if space.pair_coords(ma, mb).denominator != 1:
-                return False
-    return True
 
 
 @dataclass
@@ -249,7 +244,8 @@ def residue_op(a: FieldElement, b: FieldElement, fractional: bool = False, trunc
         if not weight:
             continue
         for key, c in terms.items():
-            _accumulate(out, key, complex(c) * complex(weight))
+            # a sum that starts at 0: a -0.0 part prints as 0.0
+            _accumulate(out, key, 0 + complex(c) * complex(weight))
     # first omitted term scale per output degree (k = K contributions)
     for (alpha, mono_a), _ca in a.terms.items():
         for (beta, mono_b), _cb in b.terms.items():

@@ -8,9 +8,9 @@ from fractions import Fraction
 from math import factorial
 
 from . import linalg
-from .freefield import FieldElement
-from .lattice import Momentum, ScreeningLattices
-from .vertexop import mode_op
+from .freefield import FieldElement, _canonical_terms, _over_den
+from .lattice import Momentum, ScreeningLattices, canonical_scalar
+from .vertexop import _accumulate, mode_op
 
 
 @dataclass
@@ -44,6 +44,7 @@ def stress_tensor(sl: ScreeningLattices, basis=None) -> StressTensor:
     for qi, b in zip(qcoords, basis):
         if qi:
             elem = elem + qi * FieldElement.dphi(space, b, order=2)
+    elem = FieldElement(space, _canonical_terms(elem.terms))
     return StressTensor(element=elem, Q=sl.Q, c=sl.central_charge)
 
 
@@ -60,43 +61,70 @@ def virasoro_modes(st: StressTensor, ns, b: FieldElement) -> dict[int, FieldElem
     (multi_mode_op) and that agreement is pinned by tests.
     """
     space = b.space
+    ns = tuple(ns)
+    creation = _creation_terms(space, st.Q, ns)
     out = {n: {} for n in ns}
     for key, c in b.terms.items():
-        per_term = _fast_term_modes(space, st.Q, key, tuple(ns))
+        per_term = _fast_term_modes(space, st.Q, key, ns, creation)
         for n in ns:
             bucket = out[n]
-            for k2, c2 in per_term.get(n, {}).items():
-                new = bucket.get(k2, 0) + c * c2
-                if new:
-                    bucket[k2] = new
-                elif k2 in bucket:
-                    del bucket[k2]
-    return {n: FieldElement(b.space, terms) for n, terms in out.items()}
+            for k2, c2 in per_term[n].items():
+                _accumulate(bucket, k2, c * c2)
+    return {n: FieldElement(space, _canonical_terms(terms)) for n, terms in out.items()}
+
+
+def _creation_terms(space, Q: Momentum, ns: tuple) -> dict[int, list]:
+    """The part of L_n, n <= -2, that does not depend on the term it acts
+    on: one created factor from the background charge and the created
+    G-inverse-paired couples, summed per set of added factors.  Returns
+    {n: [(added factors, coeff), ...]}."""
+    gram_inv = _gram_inv(space)
+    rank = space.rank
+    table = {}
+    for n in ns:
+        if n > -2:
+            continue
+        k = -2 - n
+        acc: dict = {}
+        for i, qi in enumerate(Q.coords):
+            if qi:
+                acc[((2 + k, i),)] = Fraction(qi, factorial(k))
+        for r in range(k + 1):
+            w = Fraction(1, 2 * factorial(r) * factorial(k - r))
+            for i in range(rank):
+                for j in range(rank):
+                    gij = gram_inv[i][j]
+                    if gij:
+                        factors = tuple(sorted(((1 + r, i), (1 + k - r, j))))
+                        acc[factors] = acc.get(factors, 0) + w * gij
+        table[n] = [(f, canonical_scalar(c)) for f, c in acc.items() if c]
+    return table
 
 
 _FAST_CACHE: dict = {}
 
 
-def _fast_term_modes(space, Q: Momentum, key, ns: tuple) -> dict[int, dict]:
+def _fast_term_modes(space, Q: Momentum, key, ns: tuple, creation: dict) -> dict[int, dict]:
     """Closed-form L_n action on a single basis term, for all n in ns.
 
     The contributions mirror the coproduct legs of Y(T): scalar action at
     n = 0, annihilation of one or two derivative factors, order shifts of
-    a factor, and creation of factors from the momentum, from Q, and in
-    G-inverse-paired couples.
+    a factor, and creation of factors from the momentum and, through
+    `creation` (the `_creation_terms` of space, Q and ns), from Q and in
+    G-inverse-paired couples.  Pairings with the momentum and with Q are
+    integer numerators over the Gram denominator, divided once per
+    coefficient.
     """
     cache_key = (space, Q.coords, key, ns)
     hit = _FAST_CACHE.get(cache_key)
     if hit is not None:
         return hit
     beta, mono = key
-    rank = space.rank
-    gram = space.gram
-    gram_inv = _gram_inv(space)
-    gbeta = [sum(gram[i][j] * beta[j] for j in range(rank)) for i in range(rank)]
-    q_pair = [sum(gram[i][j] * Q.coords[j] for j in range(rank)) for i in range(rank)]
-    beta_sq = sum(beta[i] * gbeta[i] for i in range(rank))
-    beta_q = sum(beta[i] * q_pair[i] for i in range(rank))
+    num = space._num
+    gbeta = [sum(g * x for g, x in zip(row, beta)) for row in num]
+    q_pair = [sum(g * x for g, x in zip(row, Q.coords)) for row in num]
+    beta_sq = sum(x * y for x, y in zip(beta, gbeta))
+    beta_q = sum(x * y for x, y in zip(beta, q_pair))
     out: dict[int, dict] = {n: {} for n in ns}
 
     def add(n, mono_new, coeff):
@@ -104,10 +132,14 @@ def _fast_term_modes(space, Q: Momentum, key, ns: tuple) -> dict[int, dict]:
             return
         bucket = out[n]
         k2 = (beta, mono_new)
-        new = bucket.get(k2, 0) + coeff
+        old = bucket.get(k2)
+        if old is None:
+            bucket[k2] = canonical_scalar(coeff)
+            return
+        new = old + coeff
         if new:
-            bucket[k2] = new
-        elif k2 in bucket:
+            bucket[k2] = canonical_scalar(new)
+        else:
             del bucket[k2]
 
     def removed(positions):
@@ -118,7 +150,7 @@ def _fast_term_modes(space, Q: Momentum, key, ns: tuple) -> dict[int, dict]:
 
     # n = 0 scalar part (momentum); the degree part arises from the order
     # shift below at n = 0
-    add(0, mono, beta_sq / 2 - beta_q)
+    add(0, mono, Fraction(beta_sq - 2 * beta_q, 2 * space._den))
 
     for t, (s_t, l_t) in enumerate(mono):
         rest_t = removed([t])
@@ -126,7 +158,7 @@ def _fast_term_modes(space, Q: Momentum, key, ns: tuple) -> dict[int, dict]:
         add(
             s_t,
             tuple(rest_t),
-            factorial(s_t) * gbeta[l_t] - factorial(s_t + 1) * q_pair[l_t],
+            _over_den(space, factorial(s_t) * gbeta[l_t] - factorial(s_t + 1) * q_pair[l_t]),
         )
         # annihilate a pair of factors
         for r in range(t + 1, len(mono)):
@@ -134,7 +166,7 @@ def _fast_term_modes(space, Q: Momentum, key, ns: tuple) -> dict[int, dict]:
             add(
                 s_t + s_r,
                 tuple(removed([t, r])),
-                gram[l_t][l_r] * factorial(s_t) * factorial(s_r),
+                _over_den(space, num[l_t][l_r] * factorial(s_t) * factorial(s_r)),
             )
         # shift the order of one factor: (s, l) -> (s - n, l)
         for n in ns:
@@ -149,35 +181,14 @@ def _fast_term_modes(space, Q: Momentum, key, ns: tuple) -> dict[int, dict]:
     for n in ns:
         if n <= -1:
             # create a factor from the exponential momentum
-            coeff0 = Fraction(1, factorial(-1 - n))
-            for i in range(rank):
-                if beta[i]:
-                    add(n, _sorted_with(mono, (-n, i)), beta[i] * coeff0)
-        if n <= -2:
-            k = -2 - n
-            coeff0 = Fraction(1, factorial(k))
-            # create a factor from the background charge
-            for i, qi in enumerate(Q.coords):
-                if qi:
-                    add(n, _sorted_with(mono, (2 + k, i)), qi * coeff0)
-            # create a G-inverse-paired couple of factors
-            for r in range(k + 1):
-                w = Fraction(1, 2 * factorial(r) * factorial(k - r))
-                for i in range(rank):
-                    for j in range(rank):
-                        gij = gram_inv[i][j]
-                        if gij:
-                            add(
-                                n,
-                                tuple(sorted(mono + ((1 + r, i), (1 + k - r, j)))),
-                                w * gij,
-                            )
+            inv = factorial(-1 - n)
+            for i, x in enumerate(beta):
+                if x:
+                    add(n, tuple(sorted(mono + ((-n, i),))), Fraction(x, inv))
+        for factors, c in creation.get(n, ()):
+            add(n, tuple(sorted(mono + factors)), c)
     _FAST_CACHE[cache_key] = out
     return out
-
-
-def _sorted_with(mono, factor):
-    return tuple(sorted(mono + (factor,)))
 
 
 _GINV_CACHE: dict = {}
@@ -202,24 +213,16 @@ class CommutatorReport:
 def commutator_check(st: StressTensor, states, max_mode: int = 3) -> CommutatorReport:
     """Verify [L_m, L_n] = (m - n) L_{m+n} + c/12 (m^3 - m) delta_{m+n,0}
     exactly on every given state, for all |m|, |n| <= max_mode."""
-    cache: dict = {}
-    all_ns = list(range(-2 * max_mode, 2 * max_mode + 1))
+    space, Q = st.element.space, st.Q
+    all_ns = tuple(range(-2 * max_mode, 2 * max_mode + 1))
+    creation = _creation_terms(space, Q, all_ns)
 
     def apply_mode(n: int, elem: FieldElement) -> FieldElement:
         acc: dict = {}
         for key, c in elem.terms.items():
-            hit = cache.get(key)
-            if hit is None:
-                single = FieldElement(elem.space, {key: Fraction(1)})
-                hit = virasoro_modes(st, all_ns, single)
-                cache[key] = hit
-            for k2, c2 in hit[n].terms.items():
-                new = acc.get(k2, 0) + c * c2
-                if new:
-                    acc[k2] = new
-                elif k2 in acc:
-                    del acc[k2]
-        return FieldElement(elem.space, acc)
+            for k2, c2 in _fast_term_modes(space, Q, key, all_ns, creation)[n].items():
+                _accumulate(acc, k2, c * c2)
+        return FieldElement(space, _canonical_terms(acc))
 
     pairs = [
         (m, n)

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from latvoa.freefield import FieldElement
+from latvoa.freefield import FieldElement, _mono_degree
 from latvoa.lattice import ScreeningLattices
 from latvoa.rootdata import build_root_system
 
@@ -24,6 +24,16 @@ def sl_b3():
 
 def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def support_min(a, b):
+    """Exact lower bound for z-exponents of Y(a)b; None for zero input."""
+    lows = []
+    pair = a.space.pair_coords
+    for (ma, ua) in a.terms:
+        for (mb, ub) in b.terms:
+            lows.append(pair(ma, mb) - _mono_degree(ua) - _mono_degree(ub))
+    return min(lows) if lows else None
 
 
 def exp_state(sl, coords):

@@ -123,8 +123,18 @@ def test_fractional_pairing_error_names_momenta(capsys):
 
 @pytest.mark.parametrize(
     "exc",
-    [AssertionError("broken invariant"), IndexError("list index out of range"), TierError("tier")],
-    ids=["AssertionError", "IndexError", "TierError"],
+    [
+        AssertionError("broken invariant"),
+        IndexError("list index out of range"),
+        TierError("tier"),
+        TypeError("unsupported operand"),
+        ZeroDivisionError("division by zero"),
+        RecursionError("maximum recursion depth exceeded"),
+        MemoryError("out of memory"),
+        RuntimeError("runtime fault"),
+        AttributeError("no such attribute"),
+    ],
+    ids=lambda exc: type(exc).__name__,
 )
 def test_internal_error_exits_3(capsys, monkeypatch, exc):
     def broken(_args):

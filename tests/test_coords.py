@@ -12,10 +12,10 @@ from latvoa.freefield import FieldElement
 from latvoa.lattice import ScreeningLattices, canonical, groundstates, points_within
 from latvoa.rootdata import build_root_system
 from latvoa.screening import apply_screening, layer_basis, short_screening_set
-from latvoa.vertexop import mode_op, residue_op, support_min, vertex_op
+from latvoa.vertexop import mode_op, residue_op, vertex_op
 from latvoa.virasoro import stress_tensor, virasoro_modes
 
-from conftest import random_state
+from conftest import random_state, support_min
 
 SL_A1 = ScreeningLattices(build_root_system("A", 1), 4)
 SL_B2 = ScreeningLattices(build_root_system("B", 2), 4)

@@ -6,16 +6,22 @@ from latvoa.rootdata import (
     build_root_system,
     classify_simply_laced,
     dual_root_system,
-    fundamental_weights,
     parse_label,
     positive_roots,
     short_simple_system,
-    weyl_vectors,
 )
 
 from conftest import identity
 
 F = Fraction
+
+
+def weyl_vectors(rs):
+    return rs.rho, rs.rho_dual
+
+
+def fundamental_weights(rs):
+    return rs.fund_weights
 
 
 def test_gram_matrices():

@@ -14,13 +14,12 @@ from fractions import Fraction
 import pytest
 
 from latvoa.freefield import FieldElement
-from latvoa.lattice import Coset, ScreeningLattices, groundstates
+from latvoa.lattice import Coset, Momentum, ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
 from latvoa.scalars import Scalar
 from latvoa.screening import (
     apply_screening,
     braiding_matrix,
-    grading_ops,
     kernel_layer,
     kernel_report,
     layer_basis,
@@ -32,6 +31,24 @@ from latvoa.screening import (
 from latvoa.virasoro import stress_tensor
 
 from test_linalg import gj_rank
+
+
+def grading_ops(sl, i, state):
+    """Eigenvalues of the exponentiated short grading operator K_i (a phase
+    e^{i pi r} with r = (a_i/sqrt p, lambda)) and the long grading operator
+    H_i (rational d * (a_i^v, lambda / sqrt p)) on a single-momentum state."""
+    moms = state.momenta()
+    if len(moms) != 1:
+        raise ValueError("grading operators act on single-momentum states")
+    (mom,) = moms
+    lam = Momentum(mom)
+    space = sl.space
+    e_i = space.basis_vector(i)
+    r = space.pair(e_i, lam)
+    k_val = Scalar.phase(1, r)
+    d = max(sl.rs.d)
+    h_val = Fraction(d, sl.p) * space.pair(sl.basis_long[i], lam)
+    return k_val, h_val
 
 F = Fraction
 

@@ -9,20 +9,28 @@ from latvoa.lattice import ScreeningLattices
 from latvoa.rootdata import build_root_system
 from latvoa.vertexop import (
     FractionalResidue,
-    integer_pairing,
     mode_op,
     multi_mode_op,
     residue_op,
-    support_min,
     vertex_op,
 )
 
-from conftest import dphi_state, exp_state, random_state
+from conftest import dphi_state, exp_state, random_state, support_min
 
 F = Fraction
 
 SL_A1 = ScreeningLattices(build_root_system("A", 1), 4)
 SL_B2 = ScreeningLattices(build_root_system("B", 2), 4)
+
+
+def integer_pairing(a, b):
+    """Whether all exponential pairings between a and b are integers."""
+    space = a.space
+    for (ma, _u) in a.terms:
+        for (mb, _v) in b.terms:
+            if space.pair_coords(ma, mb).denominator != 1:
+                return False
+    return True
 
 
 def test_vacuum_acts_as_identity():
