@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .lattice import Momentum, MomentumSpace, canonical, canonical_scalar
+from .lattice import Momentum, MomentumSpace, canonical, canonical_quotient, canonical_scalar
 
 Mono = tuple[tuple[int, int], ...]  # sorted ((order, index), ...)
 TermKey = tuple[tuple[int | Fraction, ...], Mono]
@@ -318,8 +318,7 @@ class FieldElement:
 
 def _over_den(space: MomentumSpace, num):
     """num / space._den in canonical form."""
-    den = space._den
-    return canonical_scalar(num if den == 1 else Fraction(num, den))
+    return canonical_quotient(num, space._den)
 
 
 def _pp_coeff(space: MomentumSpace, f_left: tuple[int, int], f_right: tuple[int, int]):

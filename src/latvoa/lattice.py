@@ -35,6 +35,24 @@ def canonical_scalar(x):
     return x.numerator if x.denominator == 1 else x
 
 
+def canonical_quotient(num, den: int):
+    """num / den in the form of `canonical_scalar`; no Fraction is built
+    when an int num is a multiple of den."""
+    if type(num) is int:
+        q, r = divmod(num, den)
+        if not r:
+            return q
+    return canonical_scalar(Fraction(num, den))
+
+
+def common_numerators(values) -> tuple[int, list[int]]:
+    """(d, [x * d for x in values]) with d the lcm of the denominators of
+    the rational values, so that every x * d is an int."""
+    values = list(values)
+    d = math.lcm(*(x.denominator for x in values))
+    return d, [_scaled(x, d) for x in values]
+
+
 @dataclass(frozen=True)
 class Momentum:
     """Ambient coordinates of a momentum: an int where the coordinate is
@@ -91,14 +109,19 @@ class MomentumSpace:
     def basis_vector(self, i: int) -> Momentum:
         return self.momentum([int(j == i) for j in range(self.rank)])
 
-    def pair_coords(self, u, v) -> Fraction:
-        """(u, v) for raw coordinate tuples: sum u_i num_ij v_j over the
-        common denominator of the Gram matrix."""
+    def pair_num(self, u, v):
+        """sum u_i num_ij v_j for raw coordinate tuples: (u, v) times the
+        common denominator of the Gram matrix, an int when u and v are
+        integral."""
         total = 0
         for ui, row in zip(u, self._num):
             if ui:
                 total += ui * sum(g * vj for g, vj in zip(row, v))
-        return Fraction(total, self._den)
+        return total
+
+    def pair_coords(self, u, v) -> Fraction:
+        """(u, v) for raw coordinate tuples, as a Fraction."""
+        return Fraction(self.pair_num(u, v), self._den)
 
     def pair(self, u: Momentum, v: Momentum) -> Fraction:
         return self.pair_coords(u.coords, v.coords)

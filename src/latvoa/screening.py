@@ -10,7 +10,7 @@ from math import gcd
 
 from . import linalg
 from .expr import format_momentum
-from .freefield import FieldElement, _mono_degree
+from .freefield import FieldElement, _mono_degree, _over_den
 from .lattice import Coset, Momentum, ScreeningLattices, groundstates, points_within
 from .scalars import Scalar
 from .vertexop import residue_op
@@ -49,7 +49,7 @@ def apply_screening(alpha: Momentum, state: FieldElement) -> FieldElement:
     """
     space = state.space
     for mom in state.momenta():
-        if space.pair_coords(alpha.coords, mom).denominator != 1:
+        if _over_den(space, space.pair_num(alpha.coords, mom)).denominator != 1:
             raise ValueError(
                 f"screening momentum {format_momentum(alpha.coords)} pairs fractionally "
                 f"with state momentum {format_momentum(mom)}; use vertexop.residue_op in "
@@ -243,34 +243,38 @@ class RelationReport:
 
 def nichols_check(sl: ScreeningLattices, screenings, cosets, max_level: int) -> list[RelationReport]:
     """Z_i^2 = 0 and [Z_i, Z_j] = 0 on every layer of the given cosets up
-    to max_level above the groundstate, checked state by state."""
-    reports = []
+    to max_level above the groundstate, checked state by state.
+
+    Each Z_a v is computed once per state and shared by the relations that
+    need it; only one state's images are held at a time.  A relation stops
+    being checked at its first failing state, which it reports.
+    """
     states = []
     for coset in cosets:
         _gs, h0 = groundstates(sl, coset)
         for lvl in range(max_level + 1):
             states.extend((layer_basis(sl, coset, h0 + lvl).basis))
-    for i, a in enumerate(screenings):
-        ok = True
-        bad = None
-        for v in states:
-            img = apply_screening(a, apply_screening(a, v))
-            if not img.is_zero():
-                ok, bad = False, v
-                break
-        reports.append(RelationReport(f"Z{i + 1}^2 = 0", ok, bad))
-    for i in range(len(screenings)):
-        for j in range(i + 1, len(screenings)):
-            ok = True
-            bad = None
-            for v in states:
-                lhs = apply_screening(screenings[i], apply_screening(screenings[j], v))
-                rhs = apply_screening(screenings[j], apply_screening(screenings[i], v))
-                if lhs != rhs:
-                    ok, bad = False, v
-                    break
-            reports.append(RelationReport(f"[Z{i + 1}, Z{j + 1}] = 0", ok, bad))
-    return reports
+    count = len(screenings)
+    relations = [(f"Z{i + 1}^2 = 0", i, i) for i in range(count)] + [
+        (f"[Z{i + 1}, Z{j + 1}] = 0", i, j) for i in range(count) for j in range(i + 1, count)
+    ]
+    bad: list[FieldElement | None] = [None] * len(relations)
+    for v in states:
+        pending = [r for r in range(len(relations)) if bad[r] is None]
+        if not pending:
+            break
+        needed = {x for r in pending for x in relations[r][1:]}
+        images = {x: apply_screening(screenings[x], v) for x in sorted(needed)}
+        for r in pending:
+            _name, i, j = relations[r]
+            if i == j:
+                failed = not apply_screening(screenings[i], images[i]).is_zero()
+            else:
+                lhs = apply_screening(screenings[i], images[j])
+                failed = lhs != apply_screening(screenings[j], images[i])
+            if failed:
+                bad[r] = v
+    return [RelationReport(name, b is None, b) for (name, _i, _j), b in zip(relations, bad)]
 
 
 @dataclass

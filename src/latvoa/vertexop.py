@@ -4,7 +4,10 @@ operators, and integer/fractional residues.
 Y(a)b = sum_k <a2, b2> * b1 * z^k/k! * d^k.a1 over the coproduct legs.
 Every z-coefficient is a finite sum: for a fixed output exponent the
 derivative index k is pinned by the pairing exponent, and pairing
-exponents lie in a bounded window computed per term pair.
+exponents lie in a bounded window computed per term pair.  The engine
+sums integer numerators: the coefficients of a and b are brought over
+their common denominators, d^k is kept without its 1/k!, and each output
+coefficient is divided once.
 """
 
 from __future__ import annotations
@@ -17,20 +20,28 @@ from math import factorial
 from .expr import format_momentum
 from .freefield import (
     FieldElement,
-    _canonical_terms,
     _match_coefficient,
     _merge_mono,
     _mono_degree,
     _mono_splits,
+    _over_den,
 )
-from .lattice import MomentumSpace, canonical, canonical_scalar
+from .lattice import (
+    MomentumSpace,
+    canonical,
+    canonical_quotient,
+    canonical_scalar,
+    common_numerators,
+)
 from .scalars import Scalar
 
 _DK_CACHE: dict = {}
 
 
 def _dk_term(space: MomentumSpace, mom, mono, k: int):
-    """Terms of d^k (mono e^{phi_mom}) / k!, cached incrementally."""
+    """Terms of d^k (mono e^{phi_mom}), without the 1/k! of the Taylor
+    coefficient, cached incrementally.  Every term keeps the momentum mom;
+    the coefficients are ints when mom is integral."""
     key = (space, mom, mono, k)
     hit = _DK_CACHE.get(key)
     if hit is not None:
@@ -38,9 +49,7 @@ def _dk_term(space: MomentumSpace, mom, mono, k: int):
     if k == 0:
         result = {(mom, mono): 1}
     else:
-        prev = _dk_term(space, mom, mono, k - 1)
-        elem = FieldElement(space, prev).derive()
-        result = {kk: canonical_scalar(Fraction(c, k)) for kk, c in elem.terms.items()}
+        result = FieldElement(space, _dk_term(space, mom, mono, k - 1)).derive().terms
     _DK_CACHE[key] = result
     return result
 
@@ -59,26 +68,63 @@ def _accumulate(out: dict, key, val) -> None:
         del out[key]
 
 
+def _numerators(terms: dict):
+    """(d, [(key, c * d), ...]) with d the common denominator of the
+    coefficients, so that every c * d is an int."""
+    d, nums = common_numerators(terms.values())
+    return d, list(zip(terms, nums))
+
+
+def _divided(per_k: dict, scale: int) -> dict:
+    """One exponent bucket from its numerators per derivative index k: each
+    {term key: n} of index k stands for n / (scale * k!).  The indices are
+    brought over the largest k! and every coefficient is divided once."""
+    top = max(per_k)
+    if len(per_k) == 1:
+        (merged,) = per_k.values()
+    else:
+        merged = {}
+        for k, bucket in per_k.items():
+            f = factorial(top) // factorial(k)
+            for key, n in bucket.items():
+                merged[key] = merged.get(key, 0) + f * n
+    den = scale * factorial(top)
+    return {key: canonical_quotient(n, den) for key, n in merged.items() if n}
+
+
 _MATCH_CACHE: dict = {}
 
 
 def _mode_terms(a: FieldElement, b: FieldElement, want):
     """Core engine: want(E) returns the iterable of derivative indices k to
     keep for a combination with pairing exponent E.  Returns the map
-    {exponent E + k: accumulated term dict}.  Exponents and coefficients
-    are in canonical form: ints when integral, Fractions otherwise."""
+    {exponent E + k: accumulated term dict}, exponents in the order they
+    are first met.  Exponents and coefficients are in canonical form: ints
+    when integral, Fractions otherwise.
+
+    Contributions are summed as numerators, one accumulator per (exponent,
+    k): with da and db the common denominators of the coefficients of a
+    and b, a contribution through d^k stands for its numerator over
+    da * db * k!.
+    """
     space = a.space
+    da, a_terms = _numerators(a.terms)
+    db, b_terms = _numerators(b.terms)
+    b_legs = [
+        (beta, not any(beta), cb, _mono_splits(mono_b)) for (beta, mono_b), cb in b_terms
+    ]
     out: dict[int | Fraction, dict] = {}
-    for (alpha, mono_a), ca in a.terms.items():
+    for (alpha, mono_a), ca in a_terms:
         alpha_zero = not any(alpha)
         a_splits = _mono_splits(mono_a)
-        for (beta, mono_b), cb in b.terms.items():
-            beta_zero = not any(beta)
-            pab = canonical_scalar(space.pair_coords(alpha, beta))
+        for beta, beta_zero, cb, b_splits in b_legs:
+            pab = _over_den(space, space.pair_num(alpha, beta))
+            # d^k keeps the momentum alpha: every output term of this pair has alpha + beta
+            mom = canonical(x + y for x, y in zip(beta, alpha))
             scale0 = ca * cb
             for a_left, a_right, mult_a, deg_ar in a_splits:
                 len_ar = len(a_right)
-                for b_left, b_right, mult_b, deg_br in _mono_splits(mono_b):
+                for b_left, b_right, mult_b, deg_br in b_splits:
                     # a pure-exponential leg pairs to zero with any leftover
                     # primitive on the other side
                     if alpha_zero and len(b_right) > len_ar:
@@ -101,14 +147,16 @@ def _mode_terms(a: FieldElement, b: FieldElement, want):
                     scale = scale0 * mult_a * mult_b * coeff
                     for k in ks:
                         exponent = e_pair + k
-                        bucket = out.setdefault(exponent, {})
-                        for (dm, dmono), dc in _dk_term(space, alpha, a_left, k).items():
-                            term_key = (
-                                canonical(x + y for x, y in zip(beta, dm)),
-                                _merge_mono(b_left, dmono),
-                            )
-                            _accumulate(bucket, term_key, scale * dc)
-    return {e: _canonical_terms(terms) for e, terms in out.items()}
+                        per_k = out.get(exponent)
+                        if per_k is None:
+                            per_k = out[exponent] = {}
+                        bucket = per_k.get(k)
+                        if bucket is None:
+                            bucket = per_k[k] = {}
+                        for (_mom, dmono), dc in _dk_term(space, alpha, a_left, k).items():
+                            term_key = (mom, _merge_mono(b_left, dmono) if b_left else dmono)
+                            bucket[term_key] = bucket.get(term_key, 0) + scale * dc
+    return {e: _divided(per_k, da * db) for e, per_k in out.items()}
 
 
 def multi_mode_op(a: FieldElement, ms, b: FieldElement) -> dict:
@@ -213,7 +261,7 @@ def residue_op(a: FieldElement, b: FieldElement, fractional: bool = False, trunc
     if not fractional:
         for (ma, _u) in a.terms:
             for (mb, _v) in b.terms:
-                val = a.space.pair_coords(ma, mb)
+                val = _over_den(a.space, a.space.pair_num(ma, mb))
                 if val.denominator != 1:
                     raise ValueError(
                         f"pairing {val} of momenta {format_momentum(ma)} and "

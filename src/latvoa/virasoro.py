@@ -5,12 +5,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm, perm
 
 from . import linalg
-from .freefield import FieldElement, _canonical_terms, _over_den
-from .lattice import Momentum, ScreeningLattices, canonical_scalar
-from .vertexop import _accumulate, mode_op
+from .freefield import FieldElement, _canonical_terms
+from .lattice import Momentum, ScreeningLattices, canonical_quotient, common_numerators
+from .vertexop import _numerators, mode_op
 
 
 @dataclass
@@ -54,30 +54,49 @@ def virasoro_mode(st: StressTensor, n: int, b: FieldElement) -> FieldElement:
 
 
 def virasoro_modes(st: StressTensor, ns, b: FieldElement) -> dict[int, FieldElement]:
-    """L_n b for every n in ns.
+    """L_n b for every n in ns; a repeated n is computed once.
 
     Evaluates the closed-form free-field action of the stress-tensor modes
     on basis terms; it agrees with the generic vertex-operator route
     (multi_mode_op) and that agreement is pinned by tests.
     """
     space = b.space
-    ns = tuple(ns)
-    creation = _creation_terms(space, st.Q, ns)
-    out = {n: {} for n in ns}
-    for key, c in b.terms.items():
-        per_term = _fast_term_modes(space, st.Q, key, ns, creation)
-        for n in ns:
-            bucket = out[n]
-            for k2, c2 in per_term[n].items():
-                _accumulate(bucket, k2, c * c2)
-    return {n: FieldElement(space, _canonical_terms(terms)) for n, terms in out.items()}
+    ns = tuple(dict.fromkeys(ns))
+    return apply_modes(space, st.Q, ns, _creation_terms(space, st.Q, ns), b)
 
 
-def _creation_terms(space, Q: Momentum, ns: tuple) -> dict[int, list]:
+def apply_modes(space, Q: Momentum, ns: tuple, creation: dict, elem: FieldElement, want=None):
+    """{n: L_n elem} for every n in want (all of ns by default), in one
+    pass over the terms of elem.
+
+    ns and creation (the `_creation_terms` of space, Q and ns) name the
+    table that `_fast_term_modes` builds per term; want is a subset of ns.
+    The coefficients of elem are brought over their common denominator, so
+    each output coefficient is a sum of int products divided once.
+    """
+    want = ns if want is None else want
+    d, terms = _numerators(elem.terms)
+    per_term = [(c, _fast_term_modes(space, Q, key, ns, creation, want)) for key, c in terms]
+    out = {}
+    for n in want:
+        top = lcm(*(modes[n][0] for _c, modes in per_term))
+        acc: dict = {}
+        for c, modes in per_term:
+            den, nums = modes[n]
+            f = c * (top // den)
+            for k2, x in nums.items():
+                acc[k2] = acc.get(k2, 0) + f * x
+        den = d * top
+        out[n] = FieldElement(space, {k2: canonical_quotient(x, den) for k2, x in acc.items() if x})
+    return out
+
+
+def _creation_terms(space, Q: Momentum, ns: tuple) -> dict[int, tuple[int, list]]:
     """The part of L_n, n <= -2, that does not depend on the term it acts
     on: one created factor from the background charge and the created
     G-inverse-paired couples, summed per set of added factors.  Returns
-    {n: [(added factors, coeff), ...]}."""
+    {n: (den, [(added factors, numerator), ...])}, each coefficient the
+    int numerator over the common denominator den of that n."""
     gram_inv = _gram_inv(space)
     rank = space.rank
     table = {}
@@ -97,50 +116,51 @@ def _creation_terms(space, Q: Momentum, ns: tuple) -> dict[int, list]:
                     if gij:
                         factors = tuple(sorted(((1 + r, i), (1 + k - r, j))))
                         acc[factors] = acc.get(factors, 0) + w * gij
-        table[n] = [(f, canonical_scalar(c)) for f, c in acc.items() if c]
+        entries = {f: c for f, c in acc.items() if c}
+        den, nums = common_numerators(entries.values())
+        table[n] = (den, list(zip(entries, nums)))
     return table
 
 
 _FAST_CACHE: dict = {}
 
 
-def _fast_term_modes(space, Q: Momentum, key, ns: tuple, creation: dict) -> dict[int, dict]:
-    """Closed-form L_n action on a single basis term, for all n in ns.
+def _fast_term_modes(space, Q: Momentum, key, ns: tuple, creation: dict, rows=None) -> dict:
+    """Closed-form L_n action on a single basis term, for every n in rows
+    (all of ns by default; rows is a subset of ns).  The cache entry of a
+    term holds the rows built so far and gains the missing ones.
 
     The contributions mirror the coproduct legs of Y(T): scalar action at
     n = 0, annihilation of one or two derivative factors, order shifts of
     a factor, and creation of factors from the momentum and, through
     `creation` (the `_creation_terms` of space, Q and ns), from Q and in
-    G-inverse-paired couples.  Pairings with the momentum and with Q are
-    integer numerators over the Gram denominator, divided once per
-    coefficient.
+    G-inverse-paired couples.  Returns {n: (den, {term key: numerator})}
+    with int numerators over one denominator per n.  Pairings with the
+    momentum and with Q are taken on the integer Gram numerators, with the
+    coordinates of the momentum and of Q over their own denominators.
     """
     cache_key = (space, Q.coords, key, ns)
-    hit = _FAST_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
+    entry = _FAST_CACHE.get(cache_key)
+    if entry is None:
+        entry = _FAST_CACHE[cache_key] = {}
+    missing = [n for n in (ns if rows is None else rows) if n not in entry]
+    if not missing:
+        return entry
     beta, mono = key
     num = space._num
-    gbeta = [sum(g * x for g, x in zip(row, beta)) for row in num]
-    q_pair = [sum(g * x for g, x in zip(row, Q.coords)) for row in num]
-    beta_sq = sum(x * y for x, y in zip(beta, gbeta))
-    beta_q = sum(x * y for x, y in zip(beta, q_pair))
-    out: dict[int, dict] = {n: {} for n in ns}
+    bden, bnum = common_numerators(beta)
+    qden, qnum = common_numerators(Q.coords)
+    # gb[l] / (den bden) = (a_l, beta), gq[l] / (den qden) = (a_l, Q)
+    gb = [sum(g * x for g, x in zip(row, bnum)) for row in num]
+    gq = [sum(g * x for g, x in zip(row, qnum)) for row in num]
+    pair_den = space._den * bden * qden
+    # numerators per n, grouped by denominator: {n: {den: {new monomial: x}}}
+    parts: dict[int, dict] = {n: {} for n in missing}
 
-    def add(n, mono_new, coeff):
-        if n not in out or not coeff:
-            return
-        bucket = out[n]
-        k2 = (beta, mono_new)
-        old = bucket.get(k2)
-        if old is None:
-            bucket[k2] = canonical_scalar(coeff)
-            return
-        new = old + coeff
-        if new:
-            bucket[k2] = canonical_scalar(new)
-        else:
-            del bucket[k2]
+    def add(n, mono_new, x, den):
+        if x and n in parts:
+            group = parts[n].setdefault(den, {})
+            group[mono_new] = group.get(mono_new, 0) + x
 
     def removed(positions):
         rest = list(mono)
@@ -148,9 +168,11 @@ def _fast_term_modes(space, Q: Momentum, key, ns: tuple, creation: dict) -> dict
             del rest[p]
         return rest
 
-    # n = 0 scalar part (momentum); the degree part arises from the order
-    # shift below at n = 0
-    add(0, mono, Fraction(beta_sq - 2 * beta_q, 2 * space._den))
+    # n = 0 scalar part (beta, beta)/2 - (beta, Q); the degree part arises
+    # from the order shift below at n = 0
+    beta_sq = sum(x * y for x, y in zip(bnum, gb))
+    beta_q = sum(x * y for x, y in zip(bnum, gq))
+    add(0, mono, qden * beta_sq - 2 * bden * beta_q, 2 * bden * pair_den)
 
     for t, (s_t, l_t) in enumerate(mono):
         rest_t = removed([t])
@@ -158,7 +180,8 @@ def _fast_term_modes(space, Q: Momentum, key, ns: tuple, creation: dict) -> dict
         add(
             s_t,
             tuple(rest_t),
-            _over_den(space, factorial(s_t) * gbeta[l_t] - factorial(s_t + 1) * q_pair[l_t]),
+            qden * factorial(s_t) * gb[l_t] - bden * factorial(s_t + 1) * gq[l_t],
+            pair_den,
         )
         # annihilate a pair of factors
         for r in range(t + 1, len(mono)):
@@ -166,29 +189,42 @@ def _fast_term_modes(space, Q: Momentum, key, ns: tuple, creation: dict) -> dict
             add(
                 s_t + s_r,
                 tuple(removed([t, r])),
-                _over_den(space, num[l_t][l_r] * factorial(s_t) * factorial(s_r)),
+                num[l_t][l_r] * factorial(s_t) * factorial(s_r),
+                space._den,
             )
-        # shift the order of one factor: (s, l) -> (s - n, l)
-        for n in ns:
+        # shift the order of one factor: (s, l) -> (s - n, l), with the
+        # factor s! / (s - n - 1)!
+        for n in missing:
             new_order = s_t - n
             if new_order >= 1:
-                add(
-                    n,
-                    tuple(sorted(rest_t + [(new_order, l_t)])),
-                    Fraction(factorial(s_t), factorial(new_order - 1)),
-                )
+                shifted = tuple(sorted(rest_t + [(new_order, l_t)]))
+                if n >= -1:
+                    add(n, shifted, perm(s_t, n + 1), 1)
+                else:
+                    add(n, shifted, 1, perm(new_order - 1, -1 - n))
 
-    for n in ns:
+    for n in missing:
         if n <= -1:
             # create a factor from the exponential momentum
-            inv = factorial(-1 - n)
-            for i, x in enumerate(beta):
-                if x:
-                    add(n, tuple(sorted(mono + ((-n, i),))), Fraction(x, inv))
-        for factors, c in creation.get(n, ()):
-            add(n, tuple(sorted(mono + factors)), c)
-    _FAST_CACHE[cache_key] = out
-    return out
+            inv = bden * factorial(-1 - n)
+            for i, x in enumerate(bnum):
+                add(n, tuple(sorted(mono + ((-n, i),))), x, inv)
+        if n in creation:
+            den, entries = creation[n]
+            group = parts[n].setdefault(den, {})
+            for factors, c in entries:
+                mono_new = tuple(sorted(mono + factors))
+                group[mono_new] = group.get(mono_new, 0) + c
+
+    for n, groups in parts.items():
+        top = lcm(*groups)
+        bucket: dict = {}
+        for den, group in groups.items():
+            f = top // den
+            for mono_new, x in group.items():
+                bucket[mono_new] = bucket.get(mono_new, 0) + f * x
+        entry[n] = (top, {(beta, m): x for m, x in bucket.items() if x})
+    return entry
 
 
 _GINV_CACHE: dict = {}
@@ -212,31 +248,29 @@ class CommutatorReport:
 
 def commutator_check(st: StressTensor, states, max_mode: int = 3) -> CommutatorReport:
     """Verify [L_m, L_n] = (m - n) L_{m+n} + c/12 (m^3 - m) delta_{m+n,0}
-    exactly on every given state, for all |m|, |n| <= max_mode."""
+    exactly on every given state, for all |m|, |n| <= max_mode.
+
+    Per state, every L_k v is computed in one pass over v, and L_m L_n v
+    for all m != n in one pass over each L_n v.  Since m < n, the sum
+    m + n stays within 2 max_mode - 1 of zero.
+    """
     space, Q = st.element.space, st.Q
-    all_ns = tuple(range(-2 * max_mode, 2 * max_mode + 1))
+    reach = max(2 * max_mode - 1, max_mode)
+    all_ns = tuple(range(-reach, reach + 1))
     creation = _creation_terms(space, Q, all_ns)
-
-    def apply_mode(n: int, elem: FieldElement) -> FieldElement:
-        acc: dict = {}
-        for key, c in elem.terms.items():
-            for k2, c2 in _fast_term_modes(space, Q, key, all_ns, creation)[n].items():
-                _accumulate(acc, k2, c * c2)
-        return FieldElement(space, _canonical_terms(acc))
-
-    pairs = [
-        (m, n)
-        for m in range(-max_mode, max_mode + 1)
-        for n in range(-max_mode, max_mode + 1)
-        if m < n
-    ]
+    modes = range(-max_mode, max_mode + 1)
+    pairs = [(m, n) for m in modes for n in modes if m < n]
     checked_states = 0
     for v in states:
         checked_states += 1
-        images = {n: apply_mode(n, v) for n in range(-max_mode, max_mode + 1)}
+        images = apply_modes(space, Q, all_ns, creation, v)
+        twice = {
+            n: apply_modes(space, Q, all_ns, creation, images[n], [m for m in modes if m != n])
+            for n in modes
+        }
         for m, n in pairs:
-            lhs = apply_mode(m, images[n]) - apply_mode(n, images[m])
-            rhs = (m - n) * apply_mode(m + n, v)
+            lhs = twice[n][m] - twice[m][n]
+            rhs = (m - n) * images[m + n]
             if m + n == 0:
                 rhs = rhs + (st.c * Fraction(m**3 - m, 12)) * v
             if lhs != rhs:

@@ -121,6 +121,231 @@ def test_fractional_pairing_error_names_momenta(capsys):
     assert "Fraction(" not in error
 
 
+# Exact stdout of two truncated fractional residues.  The coefficients are
+# complex floats.  Each state has three terms of one momentum and degrees
+# 0, 1 and 2, so an output term collects contributions from three exponent
+# buckets of the mode engine, summed in floats in the order the engine
+# first meets those exponents: these digits pin that order as well as the
+# exact values behind them.
+A1_CENTER_TAIL = {"8": 9.28775344840659e-07, "9": 9.28775344840659e-07, "10": 9.28775344840659e-07}
+A1_CENTER_TERMS = [
+    ("-1/2*a1", (), "-0.2122065907891938j"),
+    ("-1/2*a1", ((1, 0),), "0.4244131815783876j"),
+    ("-1/2*a1", ((1, 0), (1, 0)), "0.27586856802595194j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0)), "-0.008084060601493095j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0)), "-0.0031157316901587974j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (1, 0)), "0.0011176826210397655j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0)), "-0.00023564769697194212j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0)), "3.83945768660657e-05j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0)), "-8.420896459888643e-06j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (2, 0)), "-8.420896459888643e-06j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (2, 0)), "0.0002448537586029159j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (2, 0)), "-0.0008804842228549298j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (2, 0), (2, 0)), "0.0001768388256576615j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (1, 0), (3, 0)), "-0.0002947313760961025j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (2, 0)), "0.004070590683844773j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (2, 0), (2, 0)), "-0.0019044181224671236j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (2, 0), (3, 0)), "-0.0002947313760961025j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (3, 0)), "0.0003235861961334829j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (1, 0), (4, 0)), "0.0002947313760961025j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (2, 0)), "-0.01454518479435311j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (2, 0), (2, 0)), "0.004773411657612401j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (2, 0), (2, 0), (2, 0)), "-0.0008841941282883075j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (2, 0), (3, 0)), "0.003128686915481703j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (2, 0), (4, 0)), "0.0002947313760961025j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (3, 0)), "0.00010992312395192582j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (4, 0)), "1.6488468592789187e-05j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (1, 0), (5, 0)), "-0.0001768388256576615j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (2, 0)), "0.036883526494312244j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (2, 0), (2, 0)), "-0.01381939773933124j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (2, 0), (2, 0), (2, 0)), "0.003944866110824756j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (2, 0), (2, 0), (3, 0)), "0.001768388256576615j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (2, 0), (3, 0)), "-0.0026834982634764016j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (2, 0), (4, 0)), "-0.0019044181224671236j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (2, 0), (5, 0)), "-0.0001768388256576615j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (3, 0)), "-0.006507056355368496j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (3, 0), (3, 0)), "-0.000589462752192205j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (4, 0)), "-0.0012881616088116366j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (5, 0)), "-0.00021393787999143672j"),
+    ("-1/2*a1", ((1, 0), (1, 0), (6, 0)), "5.89462752192205e-05j"),
+    ("-1/2*a1", ((1, 0), (2, 0)), "-0.06063045451119823j"),
+    ("-1/2*a1", ((1, 0), (2, 0), (2, 0)), "0.026870315067462847j"),
+    ("-1/2*a1", ((1, 0), (2, 0), (2, 0), (2, 0)), "-0.005144402200950153j"),
+    ("-1/2*a1", ((1, 0), (2, 0), (2, 0), (2, 0), (2, 0)), "0.0008841941282883075j"),
+    ("-1/2*a1", ((1, 0), (2, 0), (2, 0), (3, 0)), "-0.004965090105003572j"),
+    ("-1/2*a1", ((1, 0), (2, 0), (2, 0), (4, 0)), "-0.0008841941282883075j"),
+    ("-1/2*a1", ((1, 0), (2, 0), (3, 0)), "0.0018137315452067858j"),
+    ("-1/2*a1", ((1, 0), (2, 0), (3, 0), (3, 0)), "-0.000589462752192205j"),
+    ("-1/2*a1", ((1, 0), (2, 0), (4, 0)), "0.0003215251375593845j"),
+    ("-1/2*a1", ((1, 0), (2, 0), (5, 0)), "0.000584928423329188j"),
+    ("-1/2*a1", ((1, 0), (2, 0), (6, 0)), "5.89462752192205e-05j"),
+    ("-1/2*a1", ((1, 0), (3, 0)), "0.03300991412276348j"),
+    ("-1/2*a1", ((1, 0), (3, 0), (3, 0)), "-0.0013932755960906664j"),
+    ("-1/2*a1", ((1, 0), (3, 0), (4, 0)), "0.0002947313760961025j"),
+    ("-1/2*a1", ((1, 0), (4, 0)), "0.006200841938645273j"),
+    ("-1/2*a1", ((1, 0), (5, 0)), "0.0009975523498637314j"),
+    ("-1/2*a1", ((1, 0), (6, 0)), "0.00013932755960906665j"),
+    ("-1/2*a1", ((1, 0), (7, 0)), "-8.420896459888643e-06j"),
+    ("-1/2*a1", ((2, 0),), "0.14854461355243564j"),
+    ("-1/2*a1", ((2, 0), (2, 0)), "-0.027536331423835853j"),
+    ("-1/2*a1", ((2, 0), (2, 0), (2, 0)), "0.0051423411423760544j"),
+    ("-1/2*a1", ((2, 0), (2, 0), (2, 0), (2, 0)), "-0.001020223994178816j"),
+    ("-1/2*a1", ((2, 0), (2, 0), (2, 0), (3, 0)), "-0.0008841941282883075j"),
+    ("-1/2*a1", ((2, 0), (2, 0), (3, 0)), "0.001712739675075953j"),
+    ("-1/2*a1", ((2, 0), (2, 0), (4, 0)), "0.001020223994178816j"),
+    ("-1/2*a1", ((2, 0), (2, 0), (5, 0)), "0.0001768388256576615j"),
+    ("-1/2*a1", ((2, 0), (3, 0)), "0.0031386977714130404j"),
+    ("-1/2*a1", ((2, 0), (3, 0), (3, 0)), "0.000680149329452544j"),
+    ("-1/2*a1", ((2, 0), (3, 0), (4, 0)), "0.0002947313760961025j"),
+    ("-1/2*a1", ((2, 0), (4, 0)), "0.0007522863795459956j"),
+    ("-1/2*a1", ((2, 0), (5, 0)), "0.0001397397713238863j"),
+    ("-1/2*a1", ((2, 0), (6, 0)), "-6.801493294525442e-05j"),
+    ("-1/2*a1", ((2, 0), (7, 0)), "-8.420896459888643e-06j"),
+    ("-1/2*a1", ((3, 0),), "-0.07174603783825123j"),
+    ("-1/2*a1", ((3, 0), (3, 0)), "0.0024664000936713473j"),
+    ("-1/2*a1", ((3, 0), (4, 0)), "0.0010367124627716053j"),
+    ("-1/2*a1", ((4, 0),), "-0.01204188193764076j"),
+    ("-1/2*a1", ((5, 0),), "-0.0018296311399212597j"),
+    ("-1/2*a1", ((6, 0),), "-0.00024664000936713474j"),
+    ("-1/2*a1", ((7, 0),), "-2.9620356079188722e-05j"),
+]
+
+B2_STEINBERG_TAIL = {"8": 8.310095190679582e-07, "9": 8.310095190679582e-07, "10": 8.310095190679582e-07}
+B2_STEINBERG_TERMS = [
+    ("1/2*a1 - a2", (), "0.2122065907891938j"),
+    ("1/2*a1 - a2", ((1, 1),), "-0.7639437268410977j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1)), "0.08791415904123742j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1)), "-0.0026946868671643663j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1)), "-0.0026410993442378024j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (1, 1)), "0.000931598475492576j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)), "-0.00020074710511720534j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)), "3.337875700842739e-05j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1)), "-7.430202758725272e-06j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (2, 1)), "-7.430202758725272e-06j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (2, 1)), "0.0002149805331524512j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (2, 1)), "-0.0007553658435331784j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (2, 1), (2, 1)), "0.0001560342579332307j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (3, 1)), "-0.0002600570965553845j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (2, 1)), "0.0033821971200958334j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (2, 1), (2, 1)), "-0.001664365417954461j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (2, 1), (3, 1)), "-0.0002600570965553845j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (3, 1)), "0.00028406236700665105j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (1, 1), (4, 1)), "0.0002600570965553845j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (2, 1)), "-0.011459485671988321j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (2, 1), (2, 1)), "0.0040488889494469105j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (2, 1), (2, 1), (2, 1)), "-0.0007801712896661536j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (2, 1), (3, 1)), "0.002739268083716717j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (2, 1), (4, 1)), "0.0002600570965553845j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (3, 1)), "6.595387437115675e-05j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (4, 1)), "1.0669009089451511e-05j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (1, 1), (5, 1)), "-0.0001560342579332307j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (2, 1)), "0.02595167181729318j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (2, 1), (2, 1)), "-0.011259562990300755j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (2, 1), (2, 1), (2, 1)), "0.003432753674531076j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (2, 1), (2, 1), (3, 1)), "0.001560342579332307j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (2, 1), (3, 1)), "-0.00224849366560194j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (2, 1), (4, 1)), "-0.001664365417954461j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (2, 1), (5, 1)), "-0.0001560342579332307j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (3, 1)), "-0.005152646435246547j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (3, 1), (3, 1)), "-0.000520114193110769j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (4, 1)), "-0.0010696893999571834j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (5, 1)), "-0.00018324023111133242j"),
+    ("1/2*a1 - a2", ((1, 1), (1, 1), (6, 1)), "5.20114193110769e-05j"),
+    ("1/2*a1 - a2", ((1, 1), (2, 1)), "-0.028294212105225834j"),
+    ("1/2*a1 - a2", ((1, 1), (2, 1), (2, 1)), "0.020404479883576326j"),
+    ("1/2*a1 - a2", ((1, 1), (2, 1), (2, 1), (2, 1)), "-0.004320948681227927j"),
+    ("1/2*a1 - a2", ((1, 1), (2, 1), (2, 1), (2, 1), (2, 1)), "0.0007801712896661536j"),
+    ("1/2*a1 - a2", ((1, 1), (2, 1), (2, 1), (3, 1)), "-0.004316947802819384j"),
+    ("1/2*a1 - a2", ((1, 1), (2, 1), (2, 1), (4, 1)), "-0.0007801712896661536j"),
+    ("1/2*a1 - a2", ((1, 1), (2, 1), (3, 1)), "0.001286100550237538j"),
+    ("1/2*a1 - a2", ((1, 1), (2, 1), (3, 1), (3, 1)), "-0.000520114193110769j"),
+    ("1/2*a1 - a2", ((1, 1), (2, 1), (4, 1)), "0.00024005270451266255j"),
+    ("1/2*a1 - a2", ((1, 1), (2, 1), (5, 1)), "0.0005097119092485538j"),
+    ("1/2*a1 - a2", ((1, 1), (2, 1), (6, 1)), "5.20114193110769e-05j"),
+    ("1/2*a1 - a2", ((1, 1), (3, 1)), "0.024803367754581092j"),
+    ("1/2*a1 - a2", ((1, 1), (3, 1), (3, 1)), "-0.001200263522563313j"),
+    ("1/2*a1 - a2", ((1, 1), (3, 1), (4, 1)), "0.0002600570965553845j"),
+    ("1/2*a1 - a2", ((1, 1), (4, 1)), "0.004987761749318658j"),
+    ("1/2*a1 - a2", ((1, 1), (5, 1)), "0.0008359653576544j"),
+    ("1/2*a1 - a2", ((1, 1), (6, 1)), "0.00012002635225633133j"),
+    ("1/2*a1 - a2", ((1, 1), (7, 1)), "-7.430202758725272e-06j"),
+    ("1/2*a1 - a2", ((2, 1),), "-0.0030315227255599056j"),
+    ("1/2*a1 - a2", ((2, 1), (2, 1)), "-0.01802837378457977j"),
+    ("1/2*a1 - a2", ((2, 1), (2, 1), (2, 1)), "0.004124178206771337j"),
+    ("1/2*a1 - a2", ((2, 1), (2, 1), (2, 1), (2, 1)), "-0.0008841941282883075j"),
+    ("1/2*a1 - a2", ((2, 1), (2, 1), (2, 1), (3, 1)), "-0.0007801712896661536j"),
+    ("1/2*a1 - a2", ((2, 1), (2, 1), (3, 1)), "0.0013963065645819874j"),
+    ("1/2*a1 - a2", ((2, 1), (2, 1), (4, 1)), "0.0008841941282883075j"),
+    ("1/2*a1 - a2", ((2, 1), (2, 1), (5, 1)), "0.0001560342579332307j"),
+    ("1/2*a1 - a2", ((2, 1), (3, 1)), "0.0030091455181839822j"),
+    ("1/2*a1 - a2", ((2, 1), (3, 1), (3, 1)), "0.000589462752192205j"),
+    ("1/2*a1 - a2", ((2, 1), (3, 1), (4, 1)), "0.0002600570965553845j"),
+    ("1/2*a1 - a2", ((2, 1), (4, 1)), "0.0006986988566194316j"),
+    ("1/2*a1 - a2", ((2, 1), (5, 1)), "0.00012882828475512898j"),
+    ("1/2*a1 - a2", ((2, 1), (6, 1)), "-5.89462752192205e-05j"),
+    ("1/2*a1 - a2", ((2, 1), (7, 1)), "-7.430202758725272e-06j"),
+    ("1/2*a1 - a2", ((3, 1),), "-0.04816752775056304j"),
+    ("1/2*a1 - a2", ((3, 1), (3, 1)), "0.0020734249255432106j"),
+    ("1/2*a1 - a2", ((3, 1), (4, 1)), "0.000894863137377759j"),
+    ("1/2*a1 - a2", ((4, 1),), "-0.009148155699606298j"),
+    ("1/2*a1 - a2", ((5, 1),), "-0.0014798400562028085j"),
+    ("1/2*a1 - a2", ((6, 1),), "-0.00020734249255432107j"),
+    ("1/2*a1 - a2", ((7, 1),), "-2.5567518210793115e-05j"),
+]
+
+
+def _fractional_stdout(algebra, momentum, state, tail, terms):
+    doc = {
+        "schema": "latvoa/screen-apply/v1",
+        "golden_key": f"screen-apply_{algebra}_l4",
+        "algebra": algebra,
+        "ell": 4,
+        "momentum": momentum,
+        "state": state,
+        "checks": [],
+        "banner": "APPROXIMATE: fractional residue truncated; coefficients are complex floats",
+        "approximate_result": {
+            "truncation": 8,
+            "tail_scale": tail,
+            "terms": [
+                {"momentum": m, "monomial": [list(f) for f in mono], "coeff": c}
+                for m, mono, c in terms
+            ],
+        },
+        "ok": True,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "algebra, momentum, state, tail, terms",
+    [
+        (
+            "A1",
+            "-a1",
+            "exp[1/2*a1] + d phi[a1] * exp[1/2*a1] + d^2 phi[a1] * exp[1/2*a1]",
+            A1_CENTER_TAIL,
+            A1_CENTER_TERMS,
+        ),
+        (
+            "B2",
+            "-a2",
+            "exp[1/2*a1] + d phi[a2] * exp[1/2*a1] + d^2 phi[a2] * exp[1/2*a1]",
+            B2_STEINBERG_TAIL,
+            B2_STEINBERG_TERMS,
+        ),
+    ],
+    ids=["A1-center", "B2-steinberg"],
+)
+def test_fractional_screen_apply_stdout_is_pinned(capsys, algebra, momentum, state, tail, terms):
+    code, out = run_cli(
+        capsys, "screen-apply", "--algebra", algebra, "--ell", "4",
+        "--momentum", momentum, "--state", state, "--fractional", "--truncate", "8",
+    )
+    assert code == 0
+    assert out == _fractional_stdout(algebra, momentum, state, tail, terms)
+
+
 @pytest.mark.parametrize(
     "exc",
     [

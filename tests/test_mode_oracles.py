@@ -1,24 +1,54 @@
-"""The mode engine on integer Gram numerators against the plain Fraction
+"""The mode engine on integer numerators against the plain Fraction
 routines it replaced.
 
 `fraction_pp_coeff`, `fraction_pe_coeff`, `fraction_ep_coeff` and
 `fraction_fast_term_modes` are the earlier bodies of the generator
 pairings and of the closed-form L_n action, written over the Fraction Gram
-matrix with Fraction loop variables.  The engine must give exactly the
-same values, and the same term keys.
+matrix with Fraction loop variables.  `fraction_dk_term` and
+`fraction_mode_terms` are the earlier vertex-operator engine, which divides
+by k! in every derivative term and sums Fractions in every bucket.
+`reference_commutator_check` and `reference_nichols_check` are the earlier
+checks, which apply one mode or one screening at a time.  The engine must
+give exactly the same values, the same term keys and the same reports.
 """
 
 from fractions import Fraction
 from math import factorial
 
+import functools
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latvoa import linalg, virasoro
-from latvoa.freefield import _ep_coeff, _pe_coeff, _pp_coeff
-from latvoa.lattice import ScreeningLattices
+from latvoa.freefield import (
+    FieldElement,
+    _canonical_terms,
+    _ep_coeff,
+    _match_coefficient,
+    _merge_mono,
+    _mono_splits,
+    _pe_coeff,
+    _pp_coeff,
+)
+from latvoa.lattice import ScreeningLattices, canonical, canonical_scalar, groundstates
 from latvoa.rootdata import build_root_system
-from latvoa.virasoro import _creation_terms, _fast_term_modes
+from latvoa.screening import (
+    RelationReport,
+    apply_screening,
+    layer_basis,
+    nichols_check,
+    short_screening_set,
+)
+from latvoa.vertexop import _accumulate, _mode_terms
+from latvoa.virasoro import (
+    CommutatorReport,
+    _creation_terms,
+    _fast_term_modes,
+    commutator_check,
+    stress_tensor,
+)
 
 
 def fraction_pp_coeff(space, f_left, f_right) -> Fraction:
@@ -139,6 +169,137 @@ def fraction_fast_term_modes(space, Q, key, ns: tuple) -> dict[int, dict]:
     return out
 
 
+_FRACTION_DK: dict = {}
+
+
+def fraction_dk_term(space, mom, mono, k: int):
+    """Terms of d^k (mono e^{phi_mom}) / k!, each step divided by k."""
+    key = (space, mom, mono, k)
+    hit = _FRACTION_DK.get(key)
+    if hit is not None:
+        return hit
+    if k == 0:
+        result = {(mom, mono): 1}
+    else:
+        prev = fraction_dk_term(space, mom, mono, k - 1)
+        elem = FieldElement(space, prev).derive()
+        result = {kk: canonical_scalar(Fraction(c, k)) for kk, c in elem.terms.items()}
+    _FRACTION_DK[key] = result
+    return result
+
+
+def fraction_mode_terms(a, b, want):
+    """{exponent: term dict} of Y(a)b, every product and sum a Fraction."""
+    space = a.space
+    out: dict = {}
+    for (alpha, mono_a), ca in a.terms.items():
+        alpha_zero = not any(alpha)
+        a_splits = _mono_splits(mono_a)
+        for (beta, mono_b), cb in b.terms.items():
+            beta_zero = not any(beta)
+            pab = canonical_scalar(space.pair_coords(alpha, beta))
+            scale0 = ca * cb
+            for a_left, a_right, mult_a, deg_ar in a_splits:
+                len_ar = len(a_right)
+                for b_left, b_right, mult_b, deg_br in _mono_splits(mono_b):
+                    if alpha_zero and len(b_right) > len_ar:
+                        continue
+                    if beta_zero and len_ar > len(b_right):
+                        continue
+                    e_pair = pab - deg_ar - deg_br
+                    ks = want(e_pair)
+                    if not ks:
+                        continue
+                    coeff = _match_coefficient(space, list(a_right), list(b_right), alpha, beta)
+                    if not coeff:
+                        continue
+                    scale = scale0 * mult_a * mult_b * coeff
+                    for k in ks:
+                        exponent = e_pair + k
+                        bucket = out.setdefault(exponent, {})
+                        for (dm, dmono), dc in fraction_dk_term(space, alpha, a_left, k).items():
+                            term_key = (
+                                canonical(x + y for x, y in zip(beta, dm)),
+                                _merge_mono(b_left, dmono),
+                            )
+                            _accumulate(bucket, term_key, scale * dc)
+    return {e: _canonical_terms(terms) for e, terms in out.items()}
+
+
+@functools.cache
+def _cached_fraction_modes(space, Q, key, ns):
+    return fraction_fast_term_modes(space, Q, key, ns)
+
+
+def reference_commutator_check(st_, states, max_mode: int = 3) -> CommutatorReport:
+    """[L_m, L_n] checked one mode application at a time."""
+    space, Q = st_.element.space, st_.Q
+    all_ns = tuple(range(-2 * max_mode, 2 * max_mode + 1))
+
+    def apply_mode(n: int, elem: FieldElement) -> FieldElement:
+        acc: dict = {}
+        for key, c in elem.terms.items():
+            for k2, c2 in _cached_fraction_modes(space, Q, key, all_ns)[n].items():
+                _accumulate(acc, k2, c * c2)
+        return FieldElement(space, _canonical_terms(acc))
+
+    pairs = [
+        (m, n)
+        for m in range(-max_mode, max_mode + 1)
+        for n in range(-max_mode, max_mode + 1)
+        if m < n
+    ]
+    checked_states = 0
+    for v in states:
+        checked_states += 1
+        images = {n: apply_mode(n, v) for n in range(-max_mode, max_mode + 1)}
+        for m, n in pairs:
+            lhs = apply_mode(m, images[n]) - apply_mode(n, images[m])
+            rhs = (m - n) * apply_mode(m + n, v)
+            if m + n == 0:
+                rhs = rhs + (st_.c * Fraction(m**3 - m, 12)) * v
+            if lhs != rhs:
+                return CommutatorReport(
+                    ok=False,
+                    pairs_checked=len(pairs),
+                    states_checked=checked_states,
+                    counterexample=(m, n, v),
+                )
+    return CommutatorReport(ok=True, pairs_checked=len(pairs), states_checked=checked_states)
+
+
+def reference_nichols_check(sl, screenings, cosets, max_level: int) -> list[RelationReport]:
+    """The Nichols relations checked relation by relation, each screening
+    image computed afresh."""
+    reports = []
+    states = []
+    for coset in cosets:
+        _gs, h0 = groundstates(sl, coset)
+        for lvl in range(max_level + 1):
+            states.extend((layer_basis(sl, coset, h0 + lvl).basis))
+    for i, a in enumerate(screenings):
+        ok = True
+        bad = None
+        for v in states:
+            img = apply_screening(a, apply_screening(a, v))
+            if not img.is_zero():
+                ok, bad = False, v
+                break
+        reports.append(RelationReport(f"Z{i + 1}^2 = 0", ok, bad))
+    for i in range(len(screenings)):
+        for j in range(i + 1, len(screenings)):
+            ok = True
+            bad = None
+            for v in states:
+                lhs = apply_screening(screenings[i], apply_screening(screenings[j], v))
+                rhs = apply_screening(screenings[j], apply_screening(screenings[i], v))
+                if lhs != rhs:
+                    ok, bad = False, v
+                    break
+            reports.append(RelationReport(f"[Z{i + 1}, Z{j + 1}] = 0", ok, bad))
+    return reports
+
+
 def _lattices(rows):
     return [ScreeningLattices(build_root_system(s, r), ell) for s, r, ell in rows]
 
@@ -208,7 +369,142 @@ def test_fast_term_modes_equal_fraction_loops(data):
     virasoro._FAST_CACHE.pop((space, sl.Q.coords, key, NS), None)
     got = _fast_term_modes(space, sl.Q, key, NS, _creation_terms(space, sl.Q, NS))
     want = fraction_fast_term_modes(space, sl.Q, key, NS)
-    assert got == want
+    # each bucket holds int numerators over one int denominator
     for n in NS:
-        for c in got[n].values():
+        den, nums = got[n]
+        assert type(den) is int and den > 0
+        assert all(type(x) is int for x in nums.values())
+    assert {n: {k: Fraction(x, den) for k, x in nums.items()} for n, (den, nums) in got.items()} == want
+
+
+@st.composite
+def elements(draw, sl, max_terms=3):
+    """A small element: integral, module or rational momenta, monomials of
+    degree up to 6, and int or Fraction coefficients."""
+    space = sl.space
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        mono = tuple(sorted(draw(st.lists(factors(space.rank, 3), max_size=2))))
+        num = draw(st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)))
+        terms[(draw(momentum_coords(sl)), mono)] = canonical_scalar(
+            Fraction(num, draw(st.sampled_from((1, 2, 3))))
+        )
+    return FieldElement(space, terms)
+
+
+@functools.cache
+def _stress(sl):
+    return stress_tensor(sl)
+
+
+def _want_modes(targets, max_k=5):
+    """The derivative indices up to max_k that land on the given exponents."""
+
+    def want(e_pair):
+        ks = []
+        for m in targets:
+            k = m - e_pair
+            if 0 <= k <= max_k and k.denominator == 1:
+                ks.append(k.numerator)
+        return tuple(ks)
+
+    return want
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_mode_terms_equal_fraction_engine(data):
+    sl = data.draw(st.sampled_from(INTEGRAL + FRACTIONAL))
+    space = sl.space
+    b = data.draw(elements(sl))
+    kind = data.draw(st.sampled_from(("stress", "exponential", "element", "residue")))
+    if kind == "stress":
+        a = _stress(sl).element
+    elif kind == "exponential":
+        a = FieldElement(space, {(data.draw(momentum_coords(sl)), ()): 1})
+    else:
+        a = data.draw(elements(sl, max_terms=1 if kind == "residue" else 2))
+        if kind == "residue":
+            # a z^{-1} coefficient with Fraction coefficients, built by the oracle
+            res = fraction_mode_terms(_stress(sl).element, a, _want_modes((-1,))).get(-1)
+            a = FieldElement(space, res) if res else a
+    if data.draw(st.booleans()):
+        want = _want_modes(
+            sorted(
+                {
+                    canonical_scalar(Fraction(n, d))
+                    for n, d in data.draw(
+                        st.lists(
+                            st.tuples(st.integers(-8, 3), st.sampled_from((1, 2, 3))),
+                            min_size=1,
+                            max_size=3,
+                        )
+                    )
+                }
+            )
+        )
+    else:
+        depth = data.draw(st.integers(1, 5))
+
+        def want(e_pair):
+            return tuple(range(depth))
+
+    got = _mode_terms(a, b, want)
+    ref = fraction_mode_terms(a, b, want)
+    assert list(got) == list(ref)  # exponents in first-seen order
+    assert got == ref
+    for exponent, terms in got.items():
+        assert type(exponent) is (int if exponent.denominator == 1 else Fraction)
+        for c in terms.values():
             assert type(c) is (int if c.denominator == 1 else Fraction)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_commutator_check_reports_equal_reference(data):
+    sl = data.draw(st.sampled_from(INTEGRAL + FRACTIONAL))
+    st_ = _stress(sl)
+    variant = data.draw(st.sampled_from(("exact", "central charge + 1", "shifted Q")))
+    if variant == "central charge + 1":
+        st_ = virasoro.StressTensor(st_.element, st_.Q, st_.c + 1)
+    elif variant == "shifted Q":
+        st_ = virasoro.StressTensor(st_.element, st_.Q + sl.space.basis_vector(0), st_.c)
+    states = data.draw(st.lists(elements(sl, max_terms=2), min_size=1, max_size=3))
+    max_mode = data.draw(st.integers(1, 2))
+    got = commutator_check(st_, states, max_mode)
+    assert got == reference_commutator_check(st_, states, max_mode)
+    if variant == "exact":
+        assert got.ok
+
+
+def test_commutator_check_counterexample_equals_reference():
+    sl = INTEGRAL[1]
+    st_ = _stress(sl)
+    bad = virasoro.StressTensor(st_.element, st_.Q, st_.c + 1)
+    blue = sl.named_cosets()["blue"]
+    states = [v for h in range(3) for v in layer_basis(sl, blue, h).basis]
+    got = commutator_check(bad, states, max_mode=3)
+    assert not got.ok and got.counterexample is not None
+    assert got == reference_commutator_check(bad, states, max_mode=3)
+
+
+def _nichols_cases():
+    cases = []
+    for sl in INTEGRAL:
+        cosets = sl.named_cosets()
+        pair = [cosets["blue"], cosets["green"]]
+        mixed = (sl.basis_long[0],) + tuple(sl.basis_short[1:])
+        for label, screenings in (
+            ("short", short_screening_set(sl)),
+            ("simple", sl.basis_short),
+            ("long first", mixed),
+        ):
+            cases.append(pytest.param(sl, screenings, pair, id=f"{sl.rs.label}-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("sl, screenings, cosets", _nichols_cases())
+def test_nichols_check_reports_equal_reference(sl, screenings, cosets):
+    level = 2 if sl.rs.rank < 3 else 1
+    got = nichols_check(sl, screenings, cosets, level)
+    assert got == reference_nichols_check(sl, screenings, cosets, level)

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from latvoa import screening
 from latvoa.freefield import FieldElement
 from latvoa.lattice import Coset, Momentum, ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
@@ -374,6 +375,31 @@ def test_nichols_relations_b2():
     reports = nichols_check(SL_B2, screens, [cosets["blue"], cosets["green"]], max_level=4)
     assert [r.name for r in reports] == ["Z1^2 = 0", "Z2^2 = 0", "[Z1, Z2] = 0"]
     assert all(r.ok for r in reports)
+
+
+def test_nichols_check_applies_each_screening_image_once(monkeypatch):
+    # per state: Z_a v for every screening a, Z_a Z_a v for every a, and
+    # the two sides of each commutator built from those first images
+    calls = []
+    real = screening.apply_screening
+
+    def counted(alpha, state):
+        calls.append(alpha)
+        return real(alpha, state)
+
+    monkeypatch.setattr(screening, "apply_screening", counted)
+    screens = short_screening_set(SL_B2)
+    cosets = SL_B2.named_cosets()
+    chosen = [cosets["blue"], cosets["green"]]
+    reports = nichols_check(SL_B2, screens, chosen, max_level=2)
+    assert all(r.ok for r in reports)
+    states = 0
+    for coset in chosen:
+        _gs, h0 = groundstates(SL_B2, coset)
+        states += sum(layer_basis(SL_B2, coset, h0 + lvl).dim for lvl in range(3))
+    commutator_pairs = 1
+    assert len(calls) == (2 * len(screens) + commutator_pairs * 2) * states
+    assert len(calls) == 6 * states
 
 
 def test_nichols_relations_a1():

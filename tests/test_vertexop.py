@@ -1,6 +1,7 @@
 import cmath
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -141,6 +142,7 @@ def test_integer_residue_rejects_fractional():
 def test_fractional_residue_matches_display_formula():
     # Z_{-a/sqrt2} e^{phi_{a/2 sqrt2}} =
     #   sum_k ((e^{2 pi i (k+1/2)} - 1)/(2 pi i (k+1/2))) e^{phi} d^k e^{phi_-}/k!
+    # where _dk_term gives d^k e^{phi_-} without the 1/k!
     from latvoa.vertexop import _dk_term
 
     a = exp_state(SL_A1, [-1])
@@ -154,7 +156,7 @@ def test_fractional_residue_matches_display_formula():
         w = (cmath.exp(2j * cmath.pi * (k + 0.5)) - 1) / (2j * cmath.pi * (k + 0.5))
         for (dm, dmono), c in _dk_term(SL_A1.space, (F(-1),), (), k).items():
             key = ((F(1, 2) + dm[0],), dmono)
-            expect[key] = expect.get(key, 0) + w * complex(c)
+            expect[key] = expect.get(key, 0) + w * complex(Fraction(c, factorial(k)))
     assert set(expect) == set(res.element_terms)
     for key, val in expect.items():
         assert abs(val - res.element_terms[key]) < 1e-12

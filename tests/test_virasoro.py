@@ -145,3 +145,15 @@ def test_commutator_counterexample_reporting():
     rep = commutator_check(st_bad, states, max_mode=2)
     assert not rep.ok
     assert rep.counterexample is not None
+
+
+def test_virasoro_modes_counts_a_repeated_n_once():
+    st = stress_tensor(SL_A1)
+    v = exp_state(SL_A1, [2])
+    once = virasoro_modes(st, [0], v)
+    assert once[0] == virasoro_mode(st, 0, v) == v
+    assert virasoro_modes(st, [0, 0], v) == once
+    repeated = virasoro_modes(st, [1, 0, 1, -2, 0], v)
+    assert list(repeated) == [1, 0, -2]
+    for n, image in repeated.items():
+        assert image == virasoro_mode(st, n, v)
