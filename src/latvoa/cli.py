@@ -8,6 +8,7 @@ main table) and exits 0 exactly when all requested checks pass.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -39,12 +40,11 @@ from .virasoro import commutator_check, stress_tensor, virasoro_mode
 
 SCHEMA_PREFIX = "latvoa"
 MODULE_NAMES = ("blue", "center", "green", "steinberg")
-# integer options that count orders, levels, modes or pairs
-COUNT_OPTIONS = ("order", "max_level", "max_mode", "truncate", "pairs")
+EXTENSION_HEADERS = ["g", "ell", "#simples", "dim X", "g0", "g0 #simples", "c", "symmetry"]
 
 
 def _root_system(args):
-    series, rank = parse_label(args.algebra) if args.algebra[-1].isdigit() else (args.algebra[0], None)
+    series, rank = parse_label(args.algebra) if args.algebra[-1:].isdigit() else (args.algebra[:1], None)
     if rank is None:
         if args.n is None:
             raise ValueError(f"--algebra {args.algebra} needs --n RANK")
@@ -52,47 +52,47 @@ def _root_system(args):
     return build_root_system(series, rank)
 
 
-def _reject_negative_counts(args) -> None:
-    for name in COUNT_OPTIONS:
-        value = getattr(args, name, None)
-        if value is not None and value < 0:
-            raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
-
-
 def _mom_str(m) -> str:
     return format_momentum(m.coords)
 
 
+def _report(command: str, rs=None, ell=None, key: str = "", **fields) -> dict:
+    """The report envelope: schema, golden key, and the algebra and level
+    when the command has them, followed by the command's own fields.  The
+    golden key is the command name, then `_<algebra>_l<ell>` if any, then
+    `key`."""
+    schema = f"{SCHEMA_PREFIX}/{command}/v1"
+    if rs is None:
+        return {"schema": schema, "golden_key": command + key, **fields}
+    golden_key = f"{command}_{rs.label}_l{ell}{key}"
+    return {"schema": schema, "golden_key": golden_key, "algebra": rs.label, "ell": ell, **fields}
+
+
 def _emit(report: dict, args) -> int:
-    fmt = getattr(args, "format", "json")
     golden_note = _golden_compare(report, args)
     if golden_note:
         report.setdefault("checks", []).append(golden_note)
     ok = all(c.get("ok", True) for c in report.get("checks", []))
     report["ok"] = ok and not report.get("errors")
-    if fmt == "json":
+    table = report.get("table")
+    if args.format == "json" or not table:
         print(json.dumps(report, indent=2))
-    elif fmt in ("tsv", "md"):
-        table = report.get("table")
-        if not table:
-            print(json.dumps(report, indent=2))
-        elif fmt == "tsv":
-            print("\t".join(table["headers"]))
-            for row in table["rows"]:
-                print("\t".join(str(x) for x in row))
-        else:
-            print("| " + " | ".join(table["headers"]) + " |")
-            print("|" + "---|" * len(table["headers"]))
-            for row in table["rows"]:
-                print("| " + " | ".join(str(x) for x in row) + " |")
+    elif args.format == "tsv":
+        print("\t".join(table["headers"]))
+        for row in table["rows"]:
+            print("\t".join(str(x) for x in row))
+    else:
+        print("| " + " | ".join(table["headers"]) + " |")
+        print("|" + "---|" * len(table["headers"]))
+        for row in table["rows"]:
+            print("| " + " | ".join(str(x) for x in row) + " |")
     return 0 if report["ok"] else 1
 
 
 def _golden_compare(report: dict, args) -> dict | None:
-    golden_dir = getattr(args, "golden_dir", None)
-    if not golden_dir:
+    if not args.golden_dir:
         return None
-    path = Path(golden_dir) / (report["golden_key"] + ".json")
+    path = Path(args.golden_dir) / (report["golden_key"] + ".json")
     payload = {k: v for k, v in report.items() if k not in ("checks", "ok")}
     if path.exists():
         stored = json.loads(path.read_text())
@@ -116,38 +116,30 @@ def cmd_lattice_info(args) -> int:
     rs = _root_system(args)
     sl = ScreeningLattices(rs, args.ell)
     qg = sl.module_cosets()
+    n_simples = num_simples(rs, args.ell)
     checks = [
         _check("h(short momenta) = 1", all(sl.conformal_dim(a) == 1 for a in sl.basis_short)),
         _check("h(long momenta) = 1", all(sl.conformal_dim(a) == 1 for a in sl.basis_long)),
-        _check(
-            "num_simples = quotient order",
-            num_simples(rs, args.ell) == qg.order,
-            f"{num_simples(rs, args.ell)} vs {qg.order}",
-        ),
+        _check("num_simples = quotient order", n_simples == qg.order, f"{n_simples} vs {qg.order}"),
     ]
-    report = {
-        "schema": f"{SCHEMA_PREFIX}/lattice-info/v1",
-        "golden_key": f"lattice-info_{rs.label}_l{args.ell}",
-        "algebra": rs.label,
-        "ell": args.ell,
-        "p": sl.p,
-        "gram": [[int(x) for x in row] for row in rs.gram],
-        "positive_roots": [list(r) for r in rs.positive_roots],
-        "rho": [str(x) for x in rs.rho],
-        "rho_dual": [str(x) for x in rs.rho_dual],
-        "Q": _mom_str(sl.Q),
-        "central_charge": str(sl.central_charge),
-        "basis_short": [_mom_str(b) for b in sl.basis_short],
-        "basis_long": [_mom_str(b) for b in sl.basis_long],
-        "basis_dual": [_mom_str(b) for b in sl.basis_dual],
-        "short_screening_set": [_mom_str(b) for b in short_screening_set(sl)],
-        "braiding_exponents": [
-            [str(x) for x in row] for row in braiding_matrix(sl).q_exponents
-        ],
-        "num_simples": num_simples(rs, args.ell),
-        "quotient_invariant_factors": qg.invariant_factors,
-        "checks": checks,
-    }
+    report = _report(
+        "lattice-info", rs, args.ell,
+        p=sl.p,
+        gram=[[int(x) for x in row] for row in rs.gram],
+        positive_roots=[list(r) for r in rs.positive_roots],
+        rho=[str(x) for x in rs.rho],
+        rho_dual=[str(x) for x in rs.rho_dual],
+        Q=_mom_str(sl.Q),
+        central_charge=str(sl.central_charge),
+        basis_short=[_mom_str(b) for b in sl.basis_short],
+        basis_long=[_mom_str(b) for b in sl.basis_long],
+        basis_dual=[_mom_str(b) for b in sl.basis_dual],
+        short_screening_set=[_mom_str(b) for b in short_screening_set(sl)],
+        braiding_exponents=[[str(x) for x in row] for row in braiding_matrix(sl).q_exponents],
+        num_simples=n_simples,
+        quotient_invariant_factors=qg.invariant_factors,
+        checks=checks,
+    )
     report["table"] = {
         "headers": ["quantity", "value"],
         "rows": [
@@ -182,15 +174,12 @@ def cmd_groundstates(args) -> int:
             }
         )
         rows.append([name, len(gs), str(h), "; ".join(_mom_str(g) for g in gs)])
-    report = {
-        "schema": f"{SCHEMA_PREFIX}/groundstates/v1",
-        "golden_key": f"groundstates_{rs.label}_l{args.ell}",
-        "algebra": rs.label,
-        "ell": args.ell,
-        "modules": modules,
-        "table": {"headers": ["module", "count", "h", "groundstates"], "rows": rows},
-        "checks": [],
-    }
+    report = _report(
+        "groundstates", rs, args.ell,
+        modules=modules,
+        table={"headers": ["module", "count", "h", "groundstates"], "rows": rows},
+        checks=[],
+    )
     return _emit(report, args)
 
 
@@ -202,40 +191,35 @@ def cmd_kernel(args) -> int:
     _gs, h0 = groundstates(sl, coset)
     hs = [h0 + lvl for lvl in range(args.max_level + 1)]
     rep = kernel_report(sl, coset, screens, hs)
-    rows = rep.rows()
-    layers = []
-    for lay in rep.layers:
-        layers.append(
-            {
-                "h": str(lay.h),
-                "dim": lay.dim,
-                "ker_dims": lay.ker_dims,
-                "intersection_dim": lay.intersection_dim,
-                "intersection_basis": [format_state(v) for v in lay.intersection_basis],
-            }
-        )
+    layers = [
+        {
+            "h": str(lay.h),
+            "dim": lay.dim,
+            "ker_dims": lay.ker_dims,
+            "intersection_dim": lay.intersection_dim,
+            "intersection_basis": [format_state(v) for v in lay.intersection_basis],
+        }
+        for lay in rep.layers
+    ]
     checks = [
         _check(
             "intersection <= min kernel",
             all(l.intersection_dim <= min(l.ker_dims) for l in rep.layers if l.ker_dims),
         )
     ]
-    report = {
-        "schema": f"{SCHEMA_PREFIX}/kernel/v1",
-        "golden_key": f"kernel_{rs.label}_l{args.ell}_{args.module}_lvl{args.max_level}",
-        "algebra": rs.label,
-        "ell": args.ell,
-        "module": args.module,
-        "screenings": [_mom_str(a) for a in screens],
-        "weyl_powers": rep.weyl_powers,
-        "rows": rows,
-        "layers": layers,
-        "table": {
+    report = _report(
+        "kernel", rs, args.ell, f"_{args.module}_lvl{args.max_level}",
+        module=args.module,
+        screenings=[_mom_str(a) for a in screens],
+        weyl_powers=rep.weyl_powers,
+        rows=rep.rows(),
+        layers=layers,
+        table={
             "headers": ["h", "dim", "ker", "intersection"],
             "rows": [[lay["h"], lay["dim"], lay["ker_dims"], lay["intersection_dim"]] for lay in layers],
         },
-        "checks": checks,
-    }
+        checks=checks,
+    )
     return _emit(report, args)
 
 
@@ -244,11 +228,13 @@ def cmd_screen_apply(args) -> int:
     sl = ScreeningLattices(rs, args.ell)
     screen_exp = FieldElement.exponential(sl.space, parse_momentum(args.momentum, sl))
     state = parse_state(args.state, sl)
-    result_repr = None
-    approx = None
+    report = _report(
+        "screen-apply", rs, args.ell, momentum=args.momentum, state=args.state, checks=[]
+    )
     if args.fractional:
         res = residue_op(screen_exp, state, fractional=True, truncate=args.truncate)
-        approx = {
+        report["banner"] = "APPROXIMATE: fractional residue truncated; coefficients are complex floats"
+        report["approximate_result"] = {
             "truncation": res.truncation,
             "tail_scale": {str(k): v for k, v in sorted(res.tail_scale.items())},
             "terms": [
@@ -258,23 +244,9 @@ def cmd_screen_apply(args) -> int:
         }
     else:
         try:
-            result_repr = format_state(residue_op(screen_exp, state))
+            report["result"] = format_state(residue_op(screen_exp, state))
         except ValueError as exc:
             raise ValueError(f"{exc}; rerun with --fractional --truncate K") from exc
-    report = {
-        "schema": f"{SCHEMA_PREFIX}/screen-apply/v1",
-        "golden_key": f"screen-apply_{rs.label}_l{args.ell}",
-        "algebra": rs.label,
-        "ell": args.ell,
-        "momentum": args.momentum,
-        "state": args.state,
-        "checks": [],
-    }
-    if result_repr is not None:
-        report["result"] = result_repr
-    if approx is not None:
-        report["banner"] = "APPROXIMATE: fractional residue truncated; coefficients are complex floats"
-        report["approximate_result"] = approx
     return _emit(report, args)
 
 
@@ -297,65 +269,63 @@ def cmd_characters(args) -> int:
         ok = blue.agrees_with(target, through=bound)
         checks.append(_check("vacuum character matches 2^{n-1} chi_ns+", ok))
         print(f"JTP check: {'MATCH' if ok else 'MISMATCH'}", file=sys.stderr)
-    report = {
-        "schema": f"{SCHEMA_PREFIX}/characters/v1",
-        "golden_key": f"characters_{rs.label}_l{args.ell}_o{args.order}",
-        "algebra": rs.label,
-        "ell": args.ell,
-        "order": args.order,
-        "graded_dimensions": series,
-        "table": {"headers": ["module", "offset", "coefficients"], "rows": rows},
-        "checks": checks,
-    }
+    report = _report(
+        "characters", rs, args.ell, f"_o{args.order}",
+        order=args.order,
+        graded_dimensions=series,
+        table={"headers": ["module", "offset", "coefficients"], "rows": rows},
+        checks=checks,
+    )
     return _emit(report, args)
 
 
 def cmd_sf_characters(args) -> int:
     chars = sf_characters(args.pairs, args.order)
-    report = {
-        "schema": f"{SCHEMA_PREFIX}/sf-characters/v1",
-        "golden_key": f"sf-characters_n{args.pairs}_o{args.order}",
-        "pairs": args.pairs,
-        "order": args.order,
-        "characters": {k: v.to_json_dict() for k, v in chars.items()},
-        "table": {
+    report = _report(
+        "sf-characters", key=f"_n{args.pairs}_o{args.order}",
+        pairs=args.pairs,
+        order=args.order,
+        characters={k: v.to_json_dict() for k, v in chars.items()},
+        table={
             "headers": ["character", "offset", "step", "coefficients"],
             "rows": [
                 [k, str(v.offset), str(v.step), " ".join(str(int(c)) for c in v.coeffs[:9])]
                 for k, v in chars.items()
             ],
         },
-        "checks": [
+        checks=[
             _check("chi1 + chi2 = chi_ns+", chars["chi1"] + chars["chi2"] == chars["ns+"]),
             _check("chi3 + chi4 = chi_r+", chars["chi3"] + chars["chi4"] == chars["r+"]),
         ],
-    }
+    )
     return _emit(report, args)
+
+
+def _extension_row(r) -> list:
+    return [
+        r.g, r.ell, r.num_simples, r.dim_x, r.g0, r.g0_num_simples, str(r.central_charge),
+        r.global_symmetry,
+    ]
+
+
+def _dim_x_check(r, where: str = "") -> dict:
+    return _check(f"dim X routes agree{where}", r.dim_x == r.dim_x_from_counts)
+
+
+def _central_charge_check(r, where: str = "") -> dict:
+    return _check(
+        f"central charge matches table formula{where}",
+        r.central_charge_consistent,
+        f"{r.central_charge} vs {r.central_charge_table}",
+    )
 
 
 def cmd_degeneracy(args) -> int:
     if args.table:
-        rows = classification_table()
         ext = extension_table()
-        checks = [
-            _check(
-                f"dim X routes agree for {r.g} l={r.ell}",
-                r.dim_x == r.dim_x_from_counts,
-            )
-            for r in ext
-        ] + [
-            _check(
-                f"central charge matches table formula for {r.g} l={r.ell}",
-                r.central_charge_consistent,
-                f"{r.central_charge} vs {r.central_charge_table}",
-            )
-            for r in ext
-        ]
-        report = {
-            "schema": f"{SCHEMA_PREFIX}/degeneracy-table/v1",
-            "golden_key": "degeneracy-table",
-            "classification": rows,
-            "extension": [
+        report = _report(
+            "degeneracy-table", classification=classification_table(),
+            extension=[
                 {
                     "g": r.g,
                     "ell": r.ell,
@@ -368,81 +338,41 @@ def cmd_degeneracy(args) -> int:
                 }
                 for r in ext
             ],
-            "table": {
-                "headers": ["g", "ell", "#simples", "dim X", "g0", "g0 #simples", "c", "symmetry"],
-                "rows": [
-                    [r.g, r.ell, r.num_simples, r.dim_x, r.g0,
-                     r.g0_num_simples, str(r.central_charge), r.global_symmetry]
-                    for r in ext
-                ],
-            },
-            "checks": checks,
-        }
+            table={"headers": EXTENSION_HEADERS, "rows": [_extension_row(r) for r in ext]},
+            checks=[_dim_x_check(r, f" for {r.g} l={r.ell}") for r in ext]
+            + [_central_charge_check(r, f" for {r.g} l={r.ell}") for r in ext],
+        )
         return _emit(report, args)
+    if args.algebra is None or args.ell is None:
+        raise ValueError("degeneracy requires --algebra and --ell (or --table)")
     rs = _root_system(args)
-    checks = []
     try:
         g0, gl = classify(rs, args.ell)
     except ValueError as exc:
-        report = {
-            "schema": f"{SCHEMA_PREFIX}/degeneracy/v1",
-            "golden_key": f"degeneracy_{rs.label}_l{args.ell}",
-            "algebra": rs.label,
-            "ell": args.ell,
-            "errors": [str(exc)],
-            "checks": [],
-        }
-        return _emit(report, args)
-    payload = {
-        "schema": f"{SCHEMA_PREFIX}/degeneracy/v1",
-        "golden_key": f"degeneracy_{rs.label}_l{args.ell}",
-        "algebra": rs.label,
-        "ell": args.ell,
-        "g0": g0,
-        "gl": gl,
-        "divided_power_orders": divided_power_orders(rs, args.ell),
-        "checks": checks,
-    }
+        return _emit(_report("degeneracy", rs, args.ell, errors=[str(exc)], checks=[]), args)
+    report = _report(
+        "degeneracy", rs, args.ell,
+        g0=g0,
+        gl=gl,
+        divided_power_orders=divided_power_orders(rs, args.ell),
+        checks=[],
+    )
     try:
         rep = extension_report(rs, args.ell)
     except ValueError:
-        rep = None
-    if rep is not None:
-        payload.update(
-            {
-                "num_simples": rep.num_simples,
-                "dim_X": rep.dim_x,
-                "dim_X_from_counts": rep.dim_x_from_counts,
-                "g0_num_simples": rep.g0_num_simples,
-                "central_charge": str(rep.central_charge),
-                "central_charge_table": str(rep.central_charge_table),
-                "global_symmetry": rep.global_symmetry,
-            }
-        )
-        checks.append(_check("dim X routes agree", rep.dim_x == rep.dim_x_from_counts))
-        checks.append(
-            _check(
-                "central charge matches table formula",
-                rep.central_charge_consistent,
-                f"{rep.central_charge} vs {rep.central_charge_table}",
-            )
-        )
-        payload["table"] = {
-            "headers": ["g", "ell", "#simples", "dim X", "g0", "g0 #simples", "c", "symmetry"],
-            "rows": [
-                [
-                    rs.label,
-                    args.ell,
-                    rep.num_simples,
-                    rep.dim_x,
-                    rep.g0,
-                    rep.g0_num_simples,
-                    str(rep.central_charge),
-                    rep.global_symmetry,
-                ]
-            ],
-        }
-    return _emit(payload, args)
+        return _emit(report, args)
+    report.update(
+        num_simples=rep.num_simples,
+        dim_X=rep.dim_x,
+        dim_X_from_counts=rep.dim_x_from_counts,
+        g0_num_simples=rep.g0_num_simples,
+        central_charge=str(rep.central_charge),
+        central_charge_table=str(rep.central_charge_table),
+        global_symmetry=rep.global_symmetry,
+        table={"headers": EXTENSION_HEADERS, "rows": [_extension_row(rep)]},
+    )
+    report["checks"] += [_dim_x_check(rep), _central_charge_check(rep)]
+    return _emit(report, args)
 
 
 def cmd_virasoro_check(args) -> int:
@@ -465,17 +395,14 @@ def cmd_virasoro_check(args) -> int:
     # L_{-1} = derivation on one layer of states
     ok_der = all(virasoro_mode(st, -1, v) == v.derive() for v in states[: min(len(states), 40)])
     checks.append(_check("L_{-1} = derivation", ok_der))
-    report = {
-        "schema": f"{SCHEMA_PREFIX}/virasoro-check/v1",
-        "golden_key": f"virasoro-check_{rs.label}_l{args.ell}_m{args.max_mode}_lvl{args.max_level}",
-        "algebra": rs.label,
-        "ell": args.ell,
-        "central_charge": str(st.c),
-        "max_mode": args.max_mode,
-        "max_level": args.max_level,
-        "states_checked": rep.states_checked,
-        "checks": checks,
-    }
+    report = _report(
+        "virasoro-check", rs, args.ell, f"_m{args.max_mode}_lvl{args.max_level}",
+        central_charge=str(st.c),
+        max_mode=args.max_mode,
+        max_level=args.max_level,
+        states_checked=rep.states_checked,
+        checks=checks,
+    )
     return _emit(report, args)
 
 
@@ -487,101 +414,112 @@ def cmd_nichols(args) -> int:
     reports = nichols_check(
         sl, screens, [cosets["blue"], cosets["green"]], max_level=args.max_level
     )
-    report = {
-        "schema": f"{SCHEMA_PREFIX}/nichols/v1",
-        "golden_key": f"nichols_{rs.label}_l{args.ell}_lvl{args.max_level}",
-        "algebra": rs.label,
-        "ell": args.ell,
-        "relations": [r.name for r in reports],
-        "checks": [_check(r.name, r.ok) for r in reports],
-    }
+    report = _report(
+        "nichols", rs, args.ell, f"_lvl{args.max_level}",
+        relations=[r.name for r in reports],
+        checks=[_check(r.name, r.ok) for r in reports],
+    )
     return _emit(report, args)
+
+
+# --- the command line ---------------------------------------------------------
+
+
+def count(text: str) -> int:
+    """An integer option that counts orders, levels, modes, terms or pairs."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+# Every command: its help, whether it takes --algebra/--n/--ell
+# ("required", "optional" or None) and its own options.  Each command also
+# takes --format and --golden-dir.  Its handler is cmd_<name, with "-" as
+# "_">, looked up when it runs.
+COMMANDS = {
+    "lattice-info": ("lattices, Q, central charge, braiding", "required", ()),
+    "groundstates": ("groundstate table of every module", "required", ()),
+    "kernel": ("screening kernels layer by layer", "required", (
+        ("--module", {"choices": MODULE_NAMES, "default": "blue"}),
+        ("--max-level", {"type": count, "default": 1}),
+    )),
+    "screen-apply": ("apply one screening charge to a state", "required", (
+        ("--momentum", {"required": True, "help": 'e.g. "-a/sqrtp" or "-a2"'}),
+        ("--state", {"required": True, "help": 'e.g. "d phi[a1] * exp[a1]"'}),
+        ("--fractional", {"action": "store_true"}),
+        ("--truncate", {"type": count, "default": 8}),
+    )),
+    "characters": ("graded dimensions of the four modules", "required", (
+        ("--order", {"type": count, "default": 12}),
+        ("--check-jtp", {"action": "store_true", "help": "match vacuum character against fermions"}),
+    )),
+    "sf-characters": ("symplectic fermion characters", None, (
+        ("--pairs", {"type": count, "required": True}),
+        ("--order", {"type": count, "default": 12}),
+    )),
+    "degeneracy": ("quantum-group degeneracy and extension data", "optional", (
+        ("--table", {"action": "store_true", "help": "emit the full classification table"}),
+    )),
+    "virasoro-check": ("commutator identity on vacuum layers", "required", (
+        ("--max-mode", {"type": count, "default": 3}),
+        ("--max-level", {"type": count, "default": 5}),
+    )),
+    "nichols": ("screening nilpotency/commutation relations", "required", (
+        ("--max-level", {"type": count, "default": 2}),
+    )),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are bad input: it raises ValueError,
+    which `main` reports as the JSON error document, instead of printing
+    its usage and exiting."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every command, built from COMMANDS on first use."""
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=("json", "tsv", "md"), default="json")
+    output.add_argument("--golden-dir", help="directory of golden JSON files for regression")
+    algebra = {}
+    for need in ("required", "optional"):
+        p = algebra[need] = _Parser(add_help=False)
+        p.add_argument("--algebra", required=need == "required", help="root system label, e.g. A1, B2, Bn")
+        p.add_argument("--n", type=int, help="rank when the label ends in 'n'")
+        p.add_argument("--ell", type=int, required=need == "required", help="even level l = 2p")
+    parser = _Parser(
+        prog="latvoa",
+        description="Lattice vertex algebra screening-kernel toolkit (exact arithmetic)",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, need, options) in COMMANDS.items():
+        parents = [algebra[need], output] if need else [output]
+        p = sub.add_parser(name, help=help_text, parents=parents)
+        for flag, spec in options:
+            p.add_argument(flag, **spec)
+    return parser
 
 
 def main(argv=None) -> int:
     """Run one command and return its exit code.
 
     0: every requested check passed.  1: a check failed (the document
-    reports `ok: false` and which check).  2: bad input, such as an unknown
-    symbol, malformed state text, a negative count or an integer residue
+    reports `ok: false` and which check).  2: bad input: a bad command line
+    (an unknown command or option, a missing or malformed value, a negative
+    count), an unknown symbol, malformed state text or an integer residue
     on a fractional pairing (a ValueError or KeyError).  3: an internal
     error, i.e. any other exception raised by the command (AssertionError,
     IndexError, TierError, TypeError, ZeroDivisionError, RecursionError,
     MemoryError, ...), which points at a fault of the program or of its
     resources rather than of the input.  Codes 2 and 3 print the JSON
-    document {"ok": false, "errors": [...]}.
+    document {"ok": false, "errors": [...]}.  Only --help exits through
+    SystemExit (code 0), after printing the usage.
     """
-    parser = argparse.ArgumentParser(
-        prog="latvoa",
-        description="Lattice vertex algebra screening-kernel toolkit (exact arithmetic)",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, ell_default=None):
-        p.add_argument("--algebra", required=True, help="root system label, e.g. A1, B2, Bn")
-        p.add_argument("--n", type=int, help="rank when the label ends in 'n'")
-        if ell_default is None:
-            p.add_argument("--ell", type=int, required=True, help="even level l = 2p")
-        else:
-            p.add_argument("--ell", type=int, default=ell_default)
-        p.add_argument("--format", choices=("json", "tsv", "md"), default="json")
-        p.add_argument("--golden-dir", help="directory of golden JSON files for regression")
-
-    p = sub.add_parser("lattice-info", help="lattices, Q, central charge, braiding")
-    common(p)
-    p.set_defaults(func=cmd_lattice_info)
-
-    p = sub.add_parser("groundstates", help="groundstate table of every module")
-    common(p)
-    p.set_defaults(func=cmd_groundstates)
-
-    p = sub.add_parser("kernel", help="screening kernels layer by layer")
-    common(p)
-    p.add_argument("--module", choices=MODULE_NAMES, default="blue")
-    p.add_argument("--max-level", type=int, default=1)
-    p.set_defaults(func=cmd_kernel)
-
-    p = sub.add_parser("screen-apply", help="apply one screening charge to a state")
-    common(p)
-    p.add_argument("--momentum", required=True, help='e.g. "-a/sqrtp" or "-a2"')
-    p.add_argument("--state", required=True, help='e.g. "d phi[a1] * exp[a1]"')
-    p.add_argument("--fractional", action="store_true")
-    p.add_argument("--truncate", type=int, default=8)
-    p.set_defaults(func=cmd_screen_apply)
-
-    p = sub.add_parser("characters", help="graded dimensions of the four modules")
-    common(p)
-    p.add_argument("--order", type=int, default=12)
-    p.add_argument("--check-jtp", action="store_true", help="match vacuum character against fermions")
-    p.set_defaults(func=cmd_characters)
-
-    p = sub.add_parser("sf-characters", help="symplectic fermion characters")
-    p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--order", type=int, default=12)
-    p.add_argument("--format", choices=("json", "tsv", "md"), default="json")
-    p.add_argument("--golden-dir")
-    p.set_defaults(func=cmd_sf_characters)
-
-    p = sub.add_parser("degeneracy", help="quantum-group degeneracy and extension data")
-    p.add_argument("--algebra")
-    p.add_argument("--n", type=int)
-    p.add_argument("--ell", type=int)
-    p.add_argument("--table", action="store_true", help="emit the full classification table")
-    p.add_argument("--format", choices=("json", "tsv", "md"), default="json")
-    p.add_argument("--golden-dir")
-    p.set_defaults(func=cmd_degeneracy)
-
-    p = sub.add_parser("virasoro-check", help="commutator identity on vacuum layers")
-    common(p)
-    p.add_argument("--max-mode", type=int, default=3)
-    p.add_argument("--max-level", type=int, default=5)
-    p.set_defaults(func=cmd_virasoro_check)
-
-    p = sub.add_parser("nichols", help="screening nilpotency/commutation relations")
-    common(p)
-    p.add_argument("--max-level", type=int, default=2)
-    p.set_defaults(func=cmd_nichols)
-
     if argv is None:
         argv = sys.argv[1:]
     # let values like "-a/sqrtp" follow their flag without argparse
@@ -596,12 +534,9 @@ def main(argv=None) -> int:
         else:
             glued.append(tok)
             i += 1
-    args = parser.parse_args(glued)
-    if args.command == "degeneracy" and not args.table and not args.algebra:
-        parser.error("degeneracy requires --algebra (or --table)")
     try:
-        _reject_negative_counts(args)
-        return args.func(args)
+        args = _parser().parse_args(glued)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, KeyError) as exc:
         print(json.dumps({"ok": False, "errors": [str(exc)]}, indent=2))
         return 2

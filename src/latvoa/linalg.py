@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals and integers.
 
-Everything here works on plain lists of lists of Fraction (or int for the
-lattice routines), and every result is exact.  Lattice matrices are small
+Everything here works on plain lists of lists whose entries are ints or
+Fractions (only ints for the lattice routines), and every result is exact;
+the rational routines return Fractions.  Lattice matrices are small
 (rank <= 8).  Stacked screening matrices have a few hundred columns, but a
 screening maps momentum mu to mu + a, so they fall apart into many small
 independent column blocks; `nullspace` finds those blocks and eliminates

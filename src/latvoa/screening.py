@@ -11,7 +11,14 @@ from math import gcd
 from . import linalg
 from .expr import format_momentum
 from .freefield import FieldElement, _mono_degree, _over_den
-from .lattice import Coset, Momentum, ScreeningLattices, groundstates, points_within
+from .lattice import (
+    Coset,
+    Momentum,
+    ScreeningLattices,
+    canonical_scalar,
+    groundstates,
+    points_within,
+)
 from .scalars import Scalar
 from .vertexop import residue_op
 from .virasoro import StressTensor, stress_tensor
@@ -174,11 +181,12 @@ class KernelReport:
 
 
 def _screening_matrix(sl: ScreeningLattices, a: Momentum, layer: GradedLayer, target: GradedLayer):
-    """Matrix of Z_a from the layer basis to the target layer basis."""
+    """Matrix of Z_a from the layer basis to the target layer basis, with
+    int and Fraction entries."""
     idx = target.term_index()
     rows = len(target.basis)
     cols = len(layer.basis)
-    mat = [[Fraction(0)] * cols for _ in range(rows)]
+    mat = [[0] * cols for _ in range(rows)]
     for j, v in enumerate(layer.basis):
         img = apply_screening(a, v)
         for key, c in img.terms.items():
@@ -191,7 +199,8 @@ def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h) -> LayerKer
 
     Integer-pairing modules use the screening matrices directly; on
     fractional modules the Weyl power decides: k = 0 leaves nothing
-    (identity map), the nilpotent power keeps everything.
+    (identity map), the nilpotent power keeps everything.  Screenings that
+    shift the module to the same coset share one target layer basis.
     """
     h = Fraction(h)
     layer = layer_basis(sl, coset, h)
@@ -207,21 +216,24 @@ def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h) -> LayerKer
         return LayerKernel(
             h, layer.dim, [layer.dim] * len(ks), layer.dim, list(layer.basis)
         )
-    stacked: list[list[Fraction]] = []
+    targets: dict[Coset, GradedLayer] = {}
+    stacked: list[list] = []
     ker_dims = []
     for a in screenings:
-        target = layer_basis(sl, coset.shifted(a), h)
+        shifted = coset.shifted(a)
+        target = targets.get(shifted)
+        if target is None:
+            target = targets[shifted] = layer_basis(sl, shifted, h)
         mat = _screening_matrix(sl, a, layer, target)
         ker_dims.append(len(linalg.nullspace(mat, ncols=layer.dim)))
         stacked.extend(mat)
     null = linalg.nullspace(stacked, ncols=layer.dim)
-    basis = []
-    for vec in null:
-        elem = FieldElement.zero(sl.space)
-        for c, b in zip(vec, layer.basis):
-            if c:
-                elem = elem + c * b
-        basis.append(elem)
+    # each layer basis element is one term with coefficient 1
+    keys = list(layer.term_index())
+    basis = [
+        FieldElement(sl.space, {key: canonical_scalar(c) for key, c in zip(keys, vec) if c})
+        for vec in null
+    ]
     return LayerKernel(h, layer.dim, ker_dims, len(null), basis)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -498,5 +499,164 @@ def test_missing_rank_rejected(capsys):
 
 
 def test_unknown_flag_rejected(capsys):
-    with pytest.raises(SystemExit):
-        main(["kernel", "--algebra", "B2", "--ell", "4", "--bogus"])
+    code, doc = run_json(capsys, "kernel", "--algebra", "B2", "--ell", "4", "--bogus")
+    assert code == 2
+    assert doc["ok"] is False
+    assert "--bogus" in doc["errors"][0]
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (("degeneracy",), "--algebra"),
+        (("degeneracy", "--algebra", "B2"), "--ell"),
+        (("kernel", "--algebra", "", "--ell", "4"), "--n"),
+        (("lattice-info", "--algebra", "", "--n", "2", "--ell", "4"), "series"),
+        (("kernel", "--algebra", "B2"), "--ell"),
+        (("kernel", "--algebra", "B2", "--ell", "four"), "--ell"),
+        (("kernel", "--algebra", "B2", "--ell", "4", "--module", "red"), "--module"),
+        (("kernel", "--algebra", "B2", "--ell", "4", "--format", "xml"), "--format"),
+        (("krenel", "--algebra", "B2", "--ell", "4"), "krenel"),
+        ((), "command"),
+    ],
+    ids=[
+        "degeneracy-alone", "degeneracy-no-ell", "empty-label", "empty-label-rank",
+        "missing-ell", "bad-int", "bad-choice", "bad-format", "unknown-command", "empty",
+    ],
+)
+def test_bad_command_line_is_json_error(capsys, argv, names):
+    code, doc = run_json(capsys, *argv)
+    assert code == 2
+    assert doc["ok"] is False
+    (error,) = doc["errors"]
+    assert names in error
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kernel", "--help"])
+    assert exc.value.code == 0
+    assert "--max-level" in capsys.readouterr().out
+
+
+def test_repeated_command_same_stdout(capsys):
+    a = ("kernel", "--algebra", "B2", "--ell", "4")
+    b = ("kernel", "--algebra", "A1", "--ell", "4", "--module", "green", "--max-level", "0",
+         "--format", "tsv")
+    first = run_cli(capsys, *a)
+    run_cli(capsys, *b)
+    assert run_cli(capsys, *a) == first
+    assert first[0] == 0 and json.loads(first[1])["module"] == "blue"
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    cli._parser.cache_clear()
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(10):
+        assert main(["sf-characters", "--pairs", "1", "--order", "2"]) == 0
+    capsys.readouterr()
+    assert built.count("latvoa") == 1
+    assert cli._parser() is cli._parser()
+
+
+# Option string -> (default, required, choices) of every command, recorded
+# from the parser as it was before the command table: no option may be
+# added or lost, and none may change its default, requiredness or choices.
+CLI_SURFACE = {
+    "lattice-info": {
+        "--algebra": (None, True, None),
+        "--ell": (None, True, None),
+        "--format": ("json", False, ("json", "tsv", "md")),
+        "--golden-dir": (None, False, None),
+        "--n": (None, False, None),
+    },
+    "groundstates": {
+        "--algebra": (None, True, None),
+        "--ell": (None, True, None),
+        "--format": ("json", False, ("json", "tsv", "md")),
+        "--golden-dir": (None, False, None),
+        "--n": (None, False, None),
+    },
+    "kernel": {
+        "--algebra": (None, True, None),
+        "--ell": (None, True, None),
+        "--format": ("json", False, ("json", "tsv", "md")),
+        "--golden-dir": (None, False, None),
+        "--max-level": (1, False, None),
+        "--module": ("blue", False, ("blue", "center", "green", "steinberg")),
+        "--n": (None, False, None),
+    },
+    "screen-apply": {
+        "--algebra": (None, True, None),
+        "--ell": (None, True, None),
+        "--format": ("json", False, ("json", "tsv", "md")),
+        "--fractional": (False, False, None),
+        "--golden-dir": (None, False, None),
+        "--momentum": (None, True, None),
+        "--n": (None, False, None),
+        "--state": (None, True, None),
+        "--truncate": (8, False, None),
+    },
+    "characters": {
+        "--algebra": (None, True, None),
+        "--check-jtp": (False, False, None),
+        "--ell": (None, True, None),
+        "--format": ("json", False, ("json", "tsv", "md")),
+        "--golden-dir": (None, False, None),
+        "--n": (None, False, None),
+        "--order": (12, False, None),
+    },
+    "sf-characters": {
+        "--format": ("json", False, ("json", "tsv", "md")),
+        "--golden-dir": (None, False, None),
+        "--order": (12, False, None),
+        "--pairs": (None, True, None),
+    },
+    "degeneracy": {
+        "--algebra": (None, False, None),
+        "--ell": (None, False, None),
+        "--format": ("json", False, ("json", "tsv", "md")),
+        "--golden-dir": (None, False, None),
+        "--n": (None, False, None),
+        "--table": (False, False, None),
+    },
+    "virasoro-check": {
+        "--algebra": (None, True, None),
+        "--ell": (None, True, None),
+        "--format": ("json", False, ("json", "tsv", "md")),
+        "--golden-dir": (None, False, None),
+        "--max-level": (5, False, None),
+        "--max-mode": (3, False, None),
+        "--n": (None, False, None),
+    },
+    "nichols": {
+        "--algebra": (None, True, None),
+        "--ell": (None, True, None),
+        "--format": ("json", False, ("json", "tsv", "md")),
+        "--golden-dir": (None, False, None),
+        "--max-level": (2, False, None),
+        "--n": (None, False, None),
+    },
+}
+
+
+def test_cli_surface():
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    surface = {
+        name: {
+            flag: (a.default, a.required, tuple(a.choices) if a.choices else None)
+            for a in parser._actions
+            for flag in a.option_strings
+            if flag.startswith("--") and flag != "--help"
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert surface == CLI_SURFACE
+    assert sum(len(options) for options in surface.values()) == 56

@@ -277,6 +277,30 @@ def test_kernel_composition_series_bookkeeping():
         assert lg.intersection_dim == pi1[lvl]
 
 
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_kernel_layer_builds_each_target_coset_once(monkeypatch, rank):
+    # at ell = 4 every short screening shifts the blue (green) module of
+    # B_n to one and the same coset, so a layer needs two bases, not n + 1
+    sl = ScreeningLattices(build_root_system("B", rank), 4)
+    screens = short_screening_set(sl)
+    assert len(screens) == rank
+    built = []
+    real = screening.layer_basis
+
+    def counted(sl_, coset, h):
+        built.append(coset)
+        return real(sl_, coset, h)
+
+    monkeypatch.setattr(screening, "layer_basis", counted)
+    for name in ("blue", "green"):
+        coset = sl.named_cosets()[name]
+        _gs, h0 = groundstates(sl, coset)
+        built.clear()
+        lk = kernel_layer(sl, coset, screens, h0 + 1)
+        assert len(built) == 2 and built[0] == coset and built[1] != coset
+        assert len(lk.ker_dims) == rank
+
+
 def test_kernel_representative_independence():
     rng = random.Random(18)
     screens = short_screening_set(SL_B2)
