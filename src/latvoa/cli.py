@@ -44,12 +44,23 @@ EXTENSION_HEADERS = ["g", "ell", "#simples", "dim X", "g0", "g0 #simples", "c", 
 
 
 def _root_system(args):
-    series, rank = parse_label(args.algebra) if args.algebra[-1:].isdigit() else (args.algebra[:1], None)
-    if rank is None:
+    """The root system named by --algebra and --n: a series letter and a
+    rank (B2), with --n absent or equal to that rank, or a series letter
+    and n (Bn) with --n RANK.  Any other label is bad input."""
+    label = args.algebra
+    if len(label) == 2 and label[0].isalpha() and label[1] == "n":
         if args.n is None:
-            raise ValueError(f"--algebra {args.algebra} needs --n RANK")
-        rank = args.n
-    return build_root_system(series, rank)
+            raise ValueError(f"--algebra {label} needs --n RANK")
+        return build_root_system(label[0], args.n)
+    if label[:1].isalpha() and label[1:].isdecimal():
+        series, rank = parse_label(label)
+        if args.n is not None and args.n != rank:
+            raise ValueError(f"--algebra {label} has rank {rank}, but --n {args.n} was given")
+        return build_root_system(series, rank)
+    raise ValueError(
+        f"bad root system label {label!r}: expected a series letter and a rank (e.g. B2), "
+        "or a series letter and n with --n RANK (e.g. Bn --n 2)"
+    )
 
 
 def _mom_str(m) -> str:
@@ -322,6 +333,9 @@ def _central_charge_check(r, where: str = "") -> dict:
 
 def cmd_degeneracy(args) -> int:
     if args.table:
+        given = [f"--{name}" for name in ("algebra", "n", "ell") if getattr(args, name) is not None]
+        if given:
+            raise ValueError(f"degeneracy --table covers every algebra and level; drop {' '.join(given)}")
         ext = extension_table()
         report = _report(
             "degeneracy-table", classification=classification_table(),

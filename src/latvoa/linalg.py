@@ -1,28 +1,40 @@
 """Exact linear algebra over the rationals and integers.
 
-Everything here works on plain lists of lists whose entries are ints or
+Dense matrices are plain lists of lists whose entries are ints or
 Fractions (only ints for the lattice routines), and every result is exact;
 the rational routines return Fractions.  Lattice matrices are small
-(rank <= 8).  Stacked screening matrices have a few hundred columns, but a
-screening maps momentum mu to mu + a, so they fall apart into many small
-independent column blocks; `nullspace` finds those blocks and eliminates
-each one on its own, which returns exactly the whole-matrix result.
+(rank <= 8).
 
-There is one rational elimination, the Bareiss fraction-free echelon
-(Bareiss, Math. Comp. 22, 1968) in `_fraction_free_echelon`, followed by
-exact back substitution.  `nullspace`, `det`, `solve` and `inverse` all run
-on it; the integer routines at the end (Hermite and Smith normal forms)
-are unimodular and separate.
+The elimination works on sparse integer rows: a row is a dict
+{column: int} of its nonzero entries.  `integer_row` scales a row by the
+lcm of its denominators, which leaves its kernel unchanged, and
+`sparse_rows` turns a dense matrix into such rows, dropping zero rows.
+Stacked screening matrices have a few hundred columns, but a screening
+maps momentum mu to mu + a, so they fall apart into many small
+independent column blocks; `nullity` and `nullspace` find those blocks
+from the row keys and eliminate each one on its own, which returns exactly
+the whole-matrix result.
+
+There is one elimination, the Bareiss fraction-free echelon (Bareiss,
+Math. Comp. 22, 1968) on sparse integer rows in `_echelon`, followed by
+integer back substitution over one denominator per vector.  `nullity`,
+`nullspace`, `det`, `solve` and `inverse` all run on it; the integer
+routines at the end (Hermite and Smith normal forms) are unimodular and
+separate.  `nullspace` keeps a dense signature, dense rows in and dense
+Fraction vectors out: the benchmark's tracer reads its dense argument,
+and the tests hold it to the dense whole-matrix elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 Row = list[Fraction]
 Matrix = list[Row]
+SparseRow = dict[int, int]
 
 
 def frac_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -54,84 +66,176 @@ def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 
 
-def _fraction_free_echelon(a: Matrix) -> tuple[list[list[int]], list[int], int, int]:
-    """Bareiss fraction-free forward elimination of the integerized matrix.
+# --- sparse integer rows ---------------------------------------------------
 
-    Rows are first scaled to integers (kernel unchanged); the one-step
-    Bareiss update divides exactly by the previous pivot, so every
-    intermediate entry is an exact integer.  Returns the echelon form, its
-    pivot columns, the sign of the row permutation and the product of the
-    row scales; for a square a of full rank the last pivot is sign * scale
-    * det(a).
+
+def _scaled_row(entries: Iterable[tuple[int, int | Fraction]]) -> tuple[SparseRow, int]:
+    """The nonzero (column, value) entries times the lcm of their
+    denominators, as a sparse integer row, and that lcm."""
+    entries = [(j, x) for j, x in entries if x]
+    den = 1
+    for _j, x in entries:
+        d = x.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    return {j: x.numerator * (den // x.denominator) for j, x in entries}, den
+
+
+def integer_row(entries: Iterable[tuple[int, int | Fraction]]) -> SparseRow:
+    """The sparse integer row of the given (column, value) entries: the
+    nonzero ones, scaled by the lcm of their denominators."""
+    return _scaled_row(entries)[0]
+
+
+def sparse_rows(a: Sequence[Sequence[int | Fraction]]) -> list[SparseRow]:
+    """The nonzero rows of a dense matrix as sparse integer rows."""
+    rows = (integer_row(compress(enumerate(row), row)) for row in a)
+    return [row for row in rows if row]
+
+
+def _echelon(
+    rows: Sequence[SparseRow], columns: Iterable[int]
+) -> tuple[list[SparseRow], list[int], int]:
+    """Bareiss fraction-free forward elimination of sparse integer rows
+    over the given columns, in ascending order.
+
+    The pivot of a column is the first remaining row with a nonzero in it.
+    The one-step Bareiss update divides exactly by the previous pivot, so
+    every entry is an exact integer (a minor of the input), and only stored
+    entries are touched.  A row with no entry in the pivot column would just
+    be scaled by pivot / previous pivot; that scale telescopes, so it is
+    applied only when the row is next updated or becomes a pivot row (its
+    entries are still exact minors then).  Returns the pivot rows, their
+    pivot columns and the sign of the row permutation; for a square matrix
+    of full rank the last pivot is sign * det.
     """
-    m = []
-    scale = 1
-    for row in a:
-        den = 1
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-        m.append([int(x * den) for x in row])
-        scale *= den
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
+    m = [dict(row) for row in rows]
+    n = len(m)
+    # the pivot at which each row's stored entries are exact
+    level = [1] * n
+    red: list[SparseRow] = []
     pivots: list[int] = []
     sign = 1
-    r = 0
     prev = 1
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+    r = 0
+    for c in columns:
+        piv = next((i for i in range(r, n) if c in m[i]), None)
         if piv is None:
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
+            level[r], level[piv] = level[piv], level[r]
             sign = -sign
-        # every column left of c is zero from row r down (earlier pivot
-        # columns were cleared at their own step, skipped columns were zero
-        # already) and the update keeps it zero, so start at c + 1
-        for i in range(r + 1, rows):
-            for j in range(c + 1, cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+        prow = m[r]
+        if level[r] != prev:
+            prow = {j: x * prev // level[r] for j, x in prow.items()}
+        p = prow[c]
+        rest = [(j, x) for j, x in prow.items() if j != c]
+        for i in range(r + 1, n):
+            row = m[i]
+            x = row.pop(c, 0)
+            if not x:
+                continue
+            lv = level[i]
+            if lv != prev:
+                scale, x = p * prev, x * prev // lv
+                new = {j: y * scale // lv for j, y in row.items()}
+            else:
+                new = {j: y * p for j, y in row.items()}
+            for j, z in rest:
+                y = new.get(j, 0) - x * z
+                if y:
+                    new[j] = y
+                else:
+                    del new[j]
+            m[i] = new if prev == 1 else {j: y // prev for j, y in new.items()}
+            level[i] = p
+        red.append(prow)
         pivots.append(c)
+        prev = p
         r += 1
-        if r == rows:
+        if r == n:
             break
-    return m, pivots, sign, scale
+    return red, pivots, sign
 
 
-def _kernel_vector(red: list[list[int]], pivots: list[int], cols: int, f: int) -> Row:
-    """The kernel vector of free column f, by exact rational back
-    substitution on the echelon form: v[f] = 1 and v[g] = 0 at every other
-    free column g."""
-    v = [Fraction(0)] * cols
-    v[f] = Fraction(1)
+def _kernel_vector(red: Sequence[SparseRow], pivots: Sequence[int], f: int) -> dict[int, Fraction]:
+    """The nonzero entries of the kernel vector of free column f: v[f] = 1
+    and v[g] = 0 at every other free column g.
+
+    The back substitution runs on integer numerators w = D * v, with D
+    the last pivot.  Up to sign, D is the determinant of the input rows
+    that became pivot rows, at the pivot columns, so by Cramer's rule every
+    D * v[c] is an integer and each step divides exactly; the vector is
+    divided by D once at the end.
+    """
+    d = red[-1][pivots[-1]] if red else 1
+    w = {f: d}
     for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        total = sum(
-            (Fraction(red[r][j]) * v[j] for j in range(c + 1, cols) if red[r][j]),
-            Fraction(0),
-        )
-        v[c] = -total / red[r][c]
+        row = red[r]
+        total = sum(x * w[j] for j, x in row.items() if j in w)
+        if total:
+            c = pivots[r]
+            w[c] = -total // row[c]
+    return {j: Fraction(x, d) for j, x in w.items()}
+
+
+def _dense(vec: dict[int, Fraction], cols: int) -> Row:
+    """The full-width vector with the given nonzero entries."""
+    v = [Fraction(0)] * cols
+    for j, x in vec.items():
+        v[j] = x
     return v
 
 
-def _echelon_kernel(a: Matrix, cols: int) -> list[tuple[int, Row]]:
-    """(free column, kernel vector) pairs of a with the given column count,
-    in ascending order of the free column."""
-    red, pivots, _sign, _scale = _fraction_free_echelon(a)
-    pivot_set = set(pivots)
-    return [(f, _kernel_vector(red, pivots, cols, f)) for f in range(cols) if f not in pivot_set]
+def _blocks(rows: Sequence[SparseRow], cols: int) -> list[tuple[list[int], list[SparseRow]]]:
+    """The independent column blocks of the rows: two columns share a
+    block when some row is nonzero in both (union-find over the row keys).
+    Each block is its columns in ascending order and its rows in input
+    order; blocks come in order of their first column."""
+    parent = list(range(cols))
+
+    def find(j: int) -> int:
+        while parent[j] != j:
+            parent[j] = parent[parent[j]]
+            j = parent[j]
+        return j
+
+    for row in rows:
+        it = iter(row)
+        root = find(next(it))
+        for j in it:
+            other = find(j)
+            if other != root:
+                parent[other] = root
+    blocks: dict[int, tuple[list[int], list[SparseRow]]] = {}
+    for j in range(cols):
+        blocks.setdefault(find(j), ([], []))[0].append(j)
+    for row in rows:
+        blocks[find(next(iter(row)))][1].append(row)
+    return list(blocks.values())
+
+
+def nullity(rows: Sequence[SparseRow], ncols: int) -> int:
+    """Dimension of the right nullspace of the nonzero sparse integer rows
+    over ncols columns: ncols minus the rank, summed over the column
+    blocks.  No kernel vector is built."""
+    rank = 0
+    for members, block_rows in _blocks(rows, ncols):
+        if block_rows:
+            rank += len(_echelon(block_rows, members)[1])
+    return ncols - rank
 
 
 def nullspace(a: Matrix, ncols: int | None = None) -> list[Row]:
-    """Basis of the right nullspace of a, one vector per free column.
+    """Basis of the right nullspace of the dense matrix a, one vector per
+    free column.
 
-    The columns are first split into blocks: two columns share a block when
-    some row is nonzero in both (union-find over each row's support).  Each
-    block is eliminated on its own rows, with its columns in ascending
-    order, and its vectors are padded back to full width; zero rows are
-    dropped and a column no row touches gives a unit vector.
+    The rows become sparse integer rows and the columns are split into
+    blocks (`_blocks`).  Each block is eliminated on its own rows, with its
+    columns in ascending order, and its vectors are padded back to full
+    width; zero rows are dropped and a column no row touches gives a unit
+    vector.
 
     The output equals that of eliminating the whole matrix at once, order
     included.  Blocks share no rows, so a column is a pivot of a exactly
@@ -142,38 +246,13 @@ def nullspace(a: Matrix, ncols: int | None = None) -> list[Row]:
     """
     cols = len(a[0]) if a else ncols
     assert cols is not None
-    parent = list(range(cols))
-
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    supports = []
-    for row in a:
-        support = [j for j, x in enumerate(row) if x]
-        if support:
-            supports.append((row, support[0]))
-            root = find(support[0])
-            for j in support[1:]:
-                other = find(j)
-                if other != root:
-                    parent[other] = root
-    block_cols: dict[int, list[int]] = {}
-    for j in range(cols):
-        block_cols.setdefault(find(j), []).append(j)
-    block_rows: dict[int, Matrix] = {root: [] for root in block_cols}
-    for row, first in supports:
-        block_rows[find(first)].append(row)
     basis = []
-    for root, members in block_cols.items():
-        sub = [[row[j] for j in members] for row in block_rows[root]]
-        for f, vec in _echelon_kernel(sub, len(members)):
-            v = [Fraction(0)] * cols
-            for j, x in zip(members, vec):
-                v[j] = x
-            basis.append((members[f], v))
+    for members, block_rows in _blocks(sparse_rows(a), cols):
+        red, pivots, _sign = _echelon(block_rows, members)
+        pivot_set = set(pivots)
+        for f in members:
+            if f not in pivot_set:
+                basis.append((f, _dense(_kernel_vector(red, pivots, f), cols)))
     basis.sort(key=lambda item: item[0])
     return [v for _f, v in basis]
 
@@ -183,10 +262,18 @@ def det(a: Matrix) -> Fraction:
     times the last Bareiss pivot, over the product of the row scales.  It is
     0 below full rank and 1 for the 0 x 0 matrix."""
     n = len(a)
-    red, pivots, sign, scale = _fraction_free_echelon(a)
+    rows = []
+    scale = 1
+    for row in a:
+        srow, den = _scaled_row(enumerate(row))
+        if not srow:
+            return Fraction(0)
+        rows.append(srow)
+        scale *= den
+    red, pivots, sign = _echelon(rows, range(n))
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * red[n - 1][n - 1], scale) if n else Fraction(1)
+    return Fraction(sign * red[-1][n - 1], scale) if n else Fraction(1)
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> Row | None:
@@ -198,12 +285,11 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Row | None:
     a pivot, i.e. when b is not in the column span of a.
     """
     cols = len(a[0]) + 1
-    red, pivots, _sign, _scale = _fraction_free_echelon(
-        [[*row, -Fraction(v)] for row, v in zip(a, b)]
-    )
+    rows = sparse_rows([[*row, -Fraction(v)] for row, v in zip(a, b)])
+    red, pivots, _sign = _echelon(rows, range(cols))
     if pivots and pivots[-1] == cols - 1:
         return None
-    return _kernel_vector(red, pivots, cols, cols - 1)[:-1]
+    return _dense(_kernel_vector(red, pivots, cols - 1), cols)[:-1]
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -213,12 +299,11 @@ def inverse(a: Matrix) -> Matrix:
     n + j.  a is invertible exactly when the free columns are n .. 2n - 1.
     """
     n = len(a)
-    red, pivots, _sign, _scale = _fraction_free_echelon(
-        [[*row, *(Fraction(-int(i == j)) for j in range(n))] for i, row in enumerate(a)]
-    )
+    rows = sparse_rows([[*row, *(-int(i == j) for j in range(n))] for i, row in enumerate(a)])
+    red, pivots, _sign = _echelon(rows, range(2 * n))
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    columns = [_kernel_vector(red, pivots, 2 * n, n + j) for j in range(n)]
+    columns = [_dense(_kernel_vector(red, pivots, n + j), 2 * n) for j in range(n)]
     return [[col[i] for col in columns] for i in range(n)]
 
 

@@ -181,26 +181,31 @@ class KernelReport:
 
 
 def _screening_matrix(sl: ScreeningLattices, a: Momentum, layer: GradedLayer, target: GradedLayer):
-    """Matrix of Z_a from the layer basis to the target layer basis, with
-    int and Fraction entries."""
+    """Matrix of Z_a from the layer basis to the target layer basis, as
+    sparse integer rows (`linalg.integer_row`): one {column: int} row per
+    target basis element that some image reaches, in target order, each
+    scaled to integers (which leaves the kernel unchanged).  Zero rows are
+    dropped."""
     idx = target.term_index()
-    rows = len(target.basis)
-    cols = len(layer.basis)
-    mat = [[0] * cols for _ in range(rows)]
+    rows: dict[int, dict] = {}
     for j, v in enumerate(layer.basis):
         img = apply_screening(a, v)
         for key, c in img.terms.items():
-            mat[idx[key]][j] = c
-    return mat
+            rows.setdefault(idx[key], {})[j] = c
+    scaled = (linalg.integer_row(rows[i].items()) for i in sorted(rows))
+    return [row for row in scaled if row]
 
 
 def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h) -> LayerKernel:
     """Exact kernels (per screening and intersected) on one layer.
 
-    Integer-pairing modules use the screening matrices directly; on
-    fractional modules the Weyl power decides: k = 0 leaves nothing
-    (identity map), the nilpotent power keeps everything.  Screenings that
-    shift the module to the same coset share one target layer basis.
+    Integer-pairing modules use the screening matrices directly: each
+    per-screening kernel dimension is a `linalg.nullity` of its sparse rows,
+    and only the stacked matrix, whose kernel is the intersection, is asked
+    for basis vectors.  On fractional modules the Weyl power decides: k = 0
+    leaves nothing (identity map), the nilpotent power keeps everything.
+    Screenings that shift the module to the same coset share one target
+    layer basis.
     """
     h = Fraction(h)
     layer = layer_basis(sl, coset, h)
@@ -217,17 +222,24 @@ def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h) -> LayerKer
             h, layer.dim, [layer.dim] * len(ks), layer.dim, list(layer.basis)
         )
     targets: dict[Coset, GradedLayer] = {}
-    stacked: list[list] = []
+    stacked: list[dict[int, int]] = []
     ker_dims = []
     for a in screenings:
         shifted = coset.shifted(a)
         target = targets.get(shifted)
         if target is None:
             target = targets[shifted] = layer_basis(sl, shifted, h)
-        mat = _screening_matrix(sl, a, layer, target)
-        ker_dims.append(len(linalg.nullspace(mat, ncols=layer.dim)))
-        stacked.extend(mat)
-    null = linalg.nullspace(stacked, ncols=layer.dim)
+        rows = _screening_matrix(sl, a, layer, target)
+        ker_dims.append(linalg.nullity(rows, layer.dim))
+        stacked.extend(rows)
+    # dense rows for perfbench/tracer.py until it reads obs counters (ROADMAP item 1)
+    dense = []
+    for row in stacked:
+        cells = [0] * layer.dim
+        for j, x in row.items():
+            cells[j] = x
+        dense.append(cells)
+    null = linalg.nullspace(dense, ncols=layer.dim)
     # each layer basis element is one term with coefficient 1
     keys = list(layer.term_index())
     basis = [

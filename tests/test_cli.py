@@ -498,6 +498,13 @@ def test_missing_rank_rejected(capsys):
     assert "needs --n RANK" in doc["errors"][0]
 
 
+def test_rank_label_accepts_matching_n(capsys):
+    plain = run_cli(capsys, "groundstates", "--algebra", "B2", "--ell", "4")
+    assert plain[0] == 0
+    assert run_cli(capsys, "groundstates", "--algebra", "B2", "--n", "2", "--ell", "4") == plain
+    assert run_cli(capsys, "groundstates", "--algebra", "Bn", "--n", "2", "--ell", "4") == plain
+
+
 def test_unknown_flag_rejected(capsys):
     code, doc = run_json(capsys, "kernel", "--algebra", "B2", "--ell", "4", "--bogus")
     assert code == 2
@@ -518,10 +525,16 @@ def test_unknown_flag_rejected(capsys):
         (("kernel", "--algebra", "B2", "--ell", "4", "--format", "xml"), "--format"),
         (("krenel", "--algebra", "B2", "--ell", "4"), "krenel"),
         ((), "command"),
+        (("groundstates", "--algebra", "Bxyz", "--n", "2", "--ell", "4"), "'Bxyz'"),
+        (("groundstates", "--algebra", "B2", "--n", "7", "--ell", "4"), "--n 7"),
+        (("degeneracy", "--table", "--algebra", "B2"), "--algebra"),
+        (("degeneracy", "--table", "--n", "3", "--ell", "4"), "--n --ell"),
     ],
     ids=[
         "degeneracy-alone", "degeneracy-no-ell", "empty-label", "empty-label-rank",
         "missing-ell", "bad-int", "bad-choice", "bad-format", "unknown-command", "empty",
+        "label-not-rank-or-n", "label-rank-disagrees-with-n", "table-with-algebra",
+        "table-with-n-and-ell",
     ],
 )
 def test_bad_command_line_is_json_error(capsys, argv, names):

@@ -22,6 +22,10 @@ COMMANDS = {
     "kernel_B2_l4_center_lvl1": "kernel --algebra B2 --ell 4 --module center --max-level 1",
     "kernel_B2_l4_steinberg_lvl1": "kernel --algebra B2 --ell 4 --module steinberg --max-level 1",
     "kernel_A1_l4_blue_lvl3": "kernel --algebra A1 --ell 4 --module blue --max-level 3",
+    "kernel_B2_l4_blue_lvl3": "kernel --algebra B2 --ell 4 --module blue --max-level 3",
+    "kernel_B2_l4_green_lvl3": "kernel --algebra B2 --ell 4 --module green --max-level 3",
+    "kernel_B3_l4_blue_lvl2": "kernel --algebra B3 --ell 4 --module blue --max-level 2",
+    "kernel_B3_l4_green_lvl2": "kernel --algebra B3 --ell 4 --module green --max-level 2",
     "characters_B2_l4_o8": "characters --algebra B2 --ell 4 --order 8",
     "characters_A1_l4_o12": "characters --algebra A1 --ell 4 --order 12",
     "sf-characters_n2_o10": "sf-characters --pairs 2 --order 10",

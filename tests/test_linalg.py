@@ -1,6 +1,7 @@
 import functools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,64 @@ def test_nullspace_and_rank():
     assert linalg.nullspace([], ncols=3) == identity(3)
 
 
+# --- dense Bareiss reference ----------------------------------------------
+# The dense elimination that linalg ran before it moved onto sparse integer
+# rows; nullspace, nullity and _echelon are held to it exactly.
+
+
+def dense_echelon(a):
+    """Bareiss fraction-free forward elimination of the integerized dense
+    matrix: the echelon form, its pivot columns, the sign of the row
+    permutation and the product of the row scales."""
+    m = []
+    scale = 1
+    for row in a:
+        den = 1
+        for x in row:
+            den = den * x.denominator // gcd(den, x.denominator)
+        m.append([int(x * den) for x in row])
+        scale *= den
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
+    pivots = []
+    sign = 1
+    r = 0
+    prev = 1
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        for i in range(r + 1, rows):
+            for j in range(c + 1, cols):
+                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
+            m[i][c] = 0
+        prev = m[r][c]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return m, pivots, sign, scale
+
+
+def dense_kernel_vector(red, pivots, cols, f):
+    """The kernel vector of free column f by rational back substitution on
+    the dense echelon form: v[f] = 1 and v[g] = 0 at every other free
+    column g."""
+    v = [Fraction(0)] * cols
+    v[f] = Fraction(1)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        total = sum(
+            (Fraction(red[r][j]) * v[j] for j in range(c + 1, cols) if red[r][j]),
+            Fraction(0),
+        )
+        v[c] = -total / red[r][c]
+    return v
+
+
 def dense_nullspace(a, ncols=None):
     """Whole-matrix elimination: the reference that linalg.nullspace must
     reproduce exactly, vectors and order."""
@@ -66,22 +125,19 @@ def dense_nullspace(a, ncols=None):
         assert ncols is not None
         return [row[:] for row in identity(ncols)]
     cols = len(a[0])
-    red, pivots, _sign, _scale = linalg._fraction_free_echelon(a)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * cols
-        v[f] = Fraction(1)
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            total = sum(
-                (Fraction(red[r][j]) * v[j] for j in range(c + 1, cols) if red[r][j]),
-                Fraction(0),
-            )
-            v[c] = -total / red[r][c]
-        basis.append(v)
-    return basis
+    red, pivots, _sign, _scale = dense_echelon(a)
+    return [dense_kernel_vector(red, pivots, cols, f) for f in range(cols) if f not in pivots]
 
+
+def densify(rows, ncols):
+    """Dense rows of sparse {column: value} rows."""
+    dense = []
+    for row in rows:
+        cells = [0] * ncols
+        for j, x in row.items():
+            cells[j] = x
+        dense.append(cells)
+    return dense
 
 
 # --- Gauss-Jordan reference routines --------------------------------------
@@ -255,18 +311,25 @@ def rank_mod_p(a):
 
 
 @functools.cache
-def stacked_screening_matrix(rank, color, level):
-    """The stacked short-screening matrix that kernel_layer eliminates on
-    layer h0 + level of a B_rank module at ell = 4, with its column count."""
+def screening_matrices(rank, color, level):
+    """The sparse integer rows of each short screening on layer h0 + level
+    of a B_rank module at ell = 4, with the layer's column count."""
     sl = ScreeningLattices(build_root_system("B", rank), 4)
     coset = sl.named_cosets()[color]
     _gs, h0 = groundstates(sl, coset)
     layer = layer_basis(sl, coset, h0 + level)
-    stacked = []
+    matrices = []
     for a in short_screening_set(sl):
         target = layer_basis(sl, coset.shifted(a), h0 + level)
-        stacked.extend(_screening_matrix(sl, a, layer, target))
-    return stacked, layer.dim
+        matrices.append(_screening_matrix(sl, a, layer, target))
+    return matrices, layer.dim
+
+
+def stacked_screening_matrix(rank, color, level):
+    """The stacked short-screening matrix whose kernel kernel_layer returns
+    on that layer, densified, with its column count."""
+    matrices, ncols = screening_matrices(rank, color, level)
+    return densify([row for rows in matrices for row in rows], ncols), ncols
 
 
 ENTRIES = st.sampled_from(
@@ -323,6 +386,34 @@ def test_nullspace_equals_dense_elimination(case):
     assert linalg.nullspace(a, ncols) == dense_nullspace(a, ncols)
 
 
+@settings(max_examples=300, deadline=None)
+@given(block_matrices())
+def test_nullity_equals_dense_elimination(case):
+    a, ncols = case
+    assert linalg.nullity(linalg.sparse_rows(a), ncols) == len(dense_nullspace(a, ncols))
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_matrices())
+def test_echelon_pivots_equal_dense_elimination(case):
+    a, ncols = case
+    cols = len(a[0]) if a else ncols
+    red, pivots, sign = linalg._echelon(linalg.sparse_rows(a), range(cols))
+    dense_red, dense_pivots, dense_sign, _scale = dense_echelon(a) if a else ([], [], 1, 1)
+    assert pivots == dense_pivots
+    if all(any(row) for row in a):
+        # the same rows in the same order: the same Bareiss rows and swaps,
+        # so the deferred scaling of rows without the pivot column is exact
+        assert red == [{j: x for j, x in enumerate(row) if x} for row in dense_red[: len(pivots)]]
+        assert sign == dense_sign
+
+
+def test_sparse_rows_scale_to_integers_and_drop_zero_rows():
+    a = [[Fraction(1, 2), 0, Fraction(-1, 3)], [0, 0, 0], [0, Fraction(4), 2]]
+    assert linalg.sparse_rows(a) == [{0: 3, 2: -2}, {1: 4, 2: 2}]
+    assert linalg.integer_row([(4, Fraction(0)), (7, Fraction(5, 6))]) == {7: 5}
+
+
 def test_nullspace_equals_dense_on_screening_matrix():
     a, ncols = stacked_screening_matrix(3, "blue", 3)
     basis = linalg.nullspace(a, ncols)
@@ -337,6 +428,17 @@ def test_nullspace_equals_dense_on_screening_matrix():
 def test_nullity_matches_rank_mod_p(rank, color, level):
     a, ncols = stacked_screening_matrix(rank, color, level)
     assert ncols - len(linalg.nullspace(a, ncols)) == rank_mod_p(a)
+
+
+@pytest.mark.parametrize(
+    "rank, color, level",
+    [(2, "blue", 4), (2, "green", 4), (3, "blue", 3), (3, "green", 3)],
+)
+def test_per_screening_nullity_matches_rank_mod_p(rank, color, level):
+    matrices, ncols = screening_matrices(rank, color, level)
+    assert len(matrices) == rank
+    for rows in matrices:
+        assert linalg.nullity(rows, ncols) == ncols - rank_mod_p(densify(rows, ncols))
 
 
 def test_inverse_solve():

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from latvoa import screening
+from latvoa import linalg, screening
 from latvoa.freefield import FieldElement
 from latvoa.lattice import Coset, Momentum, ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
@@ -299,6 +299,30 @@ def test_kernel_layer_builds_each_target_coset_once(monkeypatch, rank):
         lk = kernel_layer(sl, coset, screens, h0 + 1)
         assert len(built) == 2 and built[0] == coset and built[1] != coset
         assert len(lk.ker_dims) == rank
+
+
+@pytest.mark.parametrize("rank, level", [(2, 2), (3, 1)])
+def test_kernel_layer_asks_for_vectors_once(monkeypatch, rank, level):
+    # per-screening kernels are counted (linalg.nullity); only the stacked
+    # intersection is asked for a basis, once per integer-pairing layer
+    sl = ScreeningLattices(build_root_system("B", rank), 4)
+    screens = short_screening_set(sl)
+    calls = []
+    real = linalg.nullspace
+
+    def counted(a, ncols=None):
+        calls.append(ncols)
+        return real(a, ncols)
+
+    monkeypatch.setattr(linalg, "nullspace", counted)
+    for name in ("blue", "green"):
+        coset = sl.named_cosets()[name]
+        _gs, h0 = groundstates(sl, coset)
+        for lvl in range(level + 1):
+            calls.clear()
+            lk = kernel_layer(sl, coset, screens, h0 + lvl)
+            assert calls == [lk.dim]
+            assert len(lk.ker_dims) == rank
 
 
 def test_kernel_representative_independence():
