@@ -1,28 +1,52 @@
 """Exact truncated q-series: eta powers, lattice-coset theta functions,
 module graded dimensions, symplectic-fermion characters, and the matching
-of kernel dimensions against those characters."""
+of kernel dimensions against those characters.
+
+Coefficients are ints when integral and Fractions otherwise.  Two series
+are combined on one grid: the rational gcd of their steps (and offset
+difference), on which every exponent of either is an integer position."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .lattice import Coset, Momentum, ScreeningLattices, groundstates, points_within
+from .lattice import Coset, Momentum, ScreeningLattices, canonical_scalar, groundstates, points_within
 from .screening import kernel_layer, short_screening_set
+
+
+def _rational_gcd(*xs) -> Fraction:
+    """The largest rational g >= 0 of which every x is an integer multiple
+    (0 when every x is 0)."""
+    g = Fraction(0)
+    for x in xs:
+        x = Fraction(x)
+        g = Fraction(
+            gcd(g.numerator * x.denominator, x.numerator * g.denominator),
+            g.denominator * x.denominator,
+        )
+    return g
 
 
 @dataclass(frozen=True)
 class QSeries:
-    """sum_i coeffs[i] * t^(offset + i * step), exact up to the last entry."""
+    """sum_i coeffs[i] * t^(offset + i * step), exact up to the last entry.
+
+    Coefficients are ints when integral (as `lattice.canonical_scalar`
+    makes them) and Fractions otherwise; offset and step are Fractions.
+    Series on different grids meet on one finer grid (`_on_grid`), where
+    every exponent is an integer position."""
 
     offset: Fraction
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple
     step: Fraction = Fraction(1)
 
     @staticmethod
     def make(offset, coeffs, step=1) -> "QSeries":
-        return QSeries(Fraction(offset), tuple(Fraction(c) for c in coeffs), Fraction(step))
+        coeffs = tuple(canonical_scalar(Fraction(c)) for c in coeffs)
+        return QSeries(Fraction(offset), coeffs, Fraction(step))
 
     @property
     def order(self) -> int:
@@ -33,11 +57,11 @@ class QSeries:
         """Largest exponent whose coefficient is known exactly."""
         return self.offset + self.order * self.step
 
-    def coefficient_at(self, exponent) -> Fraction:
+    def coefficient_at(self, exponent):
         e = Fraction(exponent)
         pos = (e - self.offset) / self.step
         if pos.denominator != 1 or pos < 0:
-            return Fraction(0)
+            return 0
         if pos > self.order:
             raise ValueError(f"exponent {e} beyond computed order")
         return self.coeffs[int(pos)]
@@ -54,98 +78,74 @@ class QSeries:
         return QSeries(self.offset + i * self.step, self.coeffs[i:], self.step)
 
     # -- arithmetic -----------------------------------------------------
-    def _common_step(self, other: "QSeries") -> Fraction:
-        return Fraction(
-            gcd(self.step.numerator * other.step.denominator,
-                other.step.numerator * self.step.denominator),
-            self.step.denominator * other.step.denominator,
-        )
-
-    def _common_grid(self, other: "QSeries") -> Fraction:
-        step = self._common_step(other)
-        shift = (other.offset - self.offset) / step
-        if shift.denominator != 1:
+    def _on_grid(self, offset: Fraction, step: Fraction, n: int) -> list:
+        """The coefficients at offset + i * step for i = 0..n, zero where
+        this series has no exponent.  This series' exponents must lie on
+        that grid: it starts at an integer position and steps by an integer
+        stride."""
+        start = (self.offset - offset) / step
+        stride = self.step / step
+        if start.denominator != 1 or stride.denominator != 1:
             raise ValueError("series offsets are incommensurable")
-        return step
+        start, stride = int(start), int(stride)
+        out = [0] * (n + 1)
+        for k, c in enumerate(self.coeffs):
+            pos = start + k * stride
+            if pos > n:
+                break
+            if pos >= 0:
+                out[pos] = c
+        return out
 
     def __add__(self, other):
         if not isinstance(other, QSeries):
             raise TypeError("add QSeries to QSeries")
-        step = self._common_grid(other)
+        step = _rational_gcd(self.step, other.step)
         offset = min(self.offset, other.offset)
-        end = min(self.end_exponent, other.end_exponent)
-        n = int((end - offset) / step)
-        coeffs = []
-        for i in range(n + 1):
-            e = offset + i * step
-            c = Fraction(0)
-            for s in (self, other):
-                pos = (e - s.offset) / s.step
-                if pos.denominator == 1 and 0 <= pos <= s.order:
-                    c += s.coeffs[int(pos)]
-            coeffs.append(c)
-        return QSeries(offset, tuple(coeffs), step)
+        n = int((min(self.end_exponent, other.end_exponent) - offset) / step)
+        a = self._on_grid(offset, step, n)
+        b = other._on_grid(offset, step, n)
+        return QSeries(offset, tuple(canonical_scalar(x + y) for x, y in zip(a, b)), step)
 
     def __sub__(self, other):
         return self + (-1) * other
 
     def __mul__(self, other):
         if isinstance(other, QSeries):
-            step = self._common_step(other)
+            step = _rational_gcd(self.step, other.step)
+            sa, sb = int(self.step / step), int(other.step / step)
             # relative accuracy: each factor exact through its own order
-            n_self = int((self.end_exponent - self.offset) / step)
-            n_other = int((other.end_exponent - other.offset) / step)
-            n = min(n_self, n_other)
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                ia = int(i * self.step / step)
-                if ia > n or a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    pos = ia + int(j * other.step / step)
-                    if pos > n:
-                        break
-                    if b:
-                        out[pos] += a * b
-            return QSeries(self.offset + other.offset, tuple(out), step)
+            n = min(self.order * sa, other.order * sb)
+            out = [0] * (n + 1)
+            for ia, a in zip(range(0, n + 1, sa), self.coeffs):
+                if a:
+                    for pos, b in zip(range(ia, n + 1, sb), other.coeffs):
+                        if b:
+                            out[pos] += a * b
+            return QSeries(self.offset + other.offset, tuple(map(canonical_scalar, out)), step)
         c = Fraction(other)
-        return QSeries(self.offset, tuple(c * x for x in self.coeffs), self.step)
+        return QSeries(self.offset, tuple(canonical_scalar(c * x) for x in self.coeffs), self.step)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "QSeries":
         if k < 0:
             raise ValueError("negative powers not supported")
-        result = QSeries(Fraction(0), (Fraction(1),) + (Fraction(0),) * len(self.coeffs), self.step)
-        base = self
-        first = True
-        while k:
-            if k & 1:
-                result = base if first else result * base
-                first = False
-            base = base * base
-            k >>= 1
+        result = QSeries(Fraction(0), (1,) + (0,) * len(self.coeffs), self.step)
+        for _ in range(k):
+            result = result * self
         return result
 
     def agrees_with(self, other: "QSeries", through) -> bool:
-        """Exact coefficient agreement for all exponents <= through,
-        compared on the union of the two exponent grids."""
+        """Exact coefficient agreement for all exponents <= through, on a
+        grid that holds the exponents of both series."""
         bound = Fraction(through)
         if self.end_exponent < bound or other.end_exponent < bound:
             raise ValueError("series not computed far enough to compare")
-        exponents = set()
-        for s in (self, other):
-            e = s.offset
-            while e <= bound:
-                exponents.add(e)
-                e += s.step
-        return all(self._at_or_zero(e) == other._at_or_zero(e) for e in exponents)
-
-    def _at_or_zero(self, e) -> Fraction:
-        pos = (Fraction(e) - self.offset) / self.step
-        if pos.denominator != 1 or pos < 0 or pos > self.order:
-            return Fraction(0)
-        return self.coeffs[int(pos)]
+        step = _rational_gcd(self.step, other.step, other.offset - self.offset)
+        offset = min(self.offset, other.offset)
+        n = (bound - offset) // step
+        return self._on_grid(offset, step, n) == other._on_grid(offset, step, n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -172,8 +172,7 @@ class QSeries:
 def eta_inverse_power(rank: int, order: int) -> QSeries:
     """(1/eta)^rank = t^{-rank/24} sum p_rank(n) t^n with rank-colored
     partition counts, exact through t^order."""
-    coeffs = [Fraction(0)] * (order + 1)
-    coeffs[0] = Fraction(1)
+    coeffs = [1] + [0] * order
     for _ in range(rank):
         for k in range(1, order + 1):
             for i in range(k, order + 1):
@@ -183,21 +182,14 @@ def eta_inverse_power(rank: int, order: int) -> QSeries:
 
 def euler_product(order: int, sign: int, half_shift: bool = False) -> QSeries:
     """prod_m (1 + sign * t^{m - 1/2 if half_shift else m}) through t^order."""
-    step = Fraction(1, 2) if half_shift else Fraction(1)
-    n = int(Fraction(order) / step)
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[0] = Fraction(1)
-    m = 1
-    while True:
-        e = Fraction(2 * m - 1, 2) if half_shift else Fraction(m)
-        k = int(e / step)
-        if k > n:
-            break
+    # on the grid of step 1/2 the factor t^{m - 1/2} sits at position 2m - 1
+    n, stride = (2 * order, 2) if half_shift else (order, 1)
+    coeffs = [1] + [0] * n
+    for k in range(1, n + 1, stride):
         for i in range(n, k - 1, -1):
             if coeffs[i - k]:
                 coeffs[i] += sign * coeffs[i - k]
-        m += 1
-    return QSeries(Fraction(0), tuple(coeffs), step)
+    return QSeries(Fraction(0), tuple(coeffs), Fraction(1, stride))
 
 
 # --- theta --------------------------------------------------------------
@@ -213,23 +205,15 @@ def theta_coset(sl: ScreeningLattices, coset: Coset, shift: Momentum, order: int
     base = min(space.norm(v) / 2 for v in probe)
     bound = 2 * (base + order)
     pts = points_within(space, rep, coset.basis, zero, bound)
-    exps = sorted(space.norm(v) / 2 for v in pts)
-    offset = exps[0]
-    diffs = [e - offset for e in exps if e != offset]
-    step = Fraction(1)
-    if diffs:
-        step = diffs[0]
-        for d in diffs[1:]:
-            step = Fraction(
-                gcd(step.numerator * d.denominator, d.numerator * step.denominator),
-                step.denominator * d.denominator,
-            )
+    counts = Counter(space.norm(v) / 2 for v in pts)
+    offset = min(counts)
+    step = _rational_gcd(*(e - offset for e in counts)) or Fraction(1)
     n = int(Fraction(order) / step)
-    coeffs = [Fraction(0)] * (n + 1)
-    for e in exps:
+    coeffs = [0] * (n + 1)
+    for e, count in counts.items():
         pos = (e - offset) / step
         if pos <= n:
-            coeffs[int(pos)] += 1
+            coeffs[int(pos)] += count
     return QSeries(offset, tuple(coeffs), step)
 
 
@@ -252,16 +236,15 @@ def sf_characters(n_pairs: int, order: int) -> dict[str, QSeries]:
     chi1..chi4 obtained by (anti)symmetrization."""
     if n_pairs < 1:
         raise ValueError("need at least one fermion pair")
-    ns_plus = euler_product(order, +1) ** (2 * n_pairs)
-    ns_minus = euler_product(order, -1) ** (2 * n_pairs)
-    r_plus = euler_product(order, +1, half_shift=True) ** (2 * n_pairs)
-    r_minus = euler_product(order, -1, half_shift=True) ** (2 * n_pairs)
-    off_ns = Fraction(2 * n_pairs, 24)
-    off_r = Fraction(-2 * n_pairs, 48)
-    ns_plus = QSeries(off_ns + ns_plus.offset, ns_plus.coeffs, ns_plus.step)
-    ns_minus = QSeries(off_ns + ns_minus.offset, ns_minus.coeffs, ns_minus.step)
-    r_plus = QSeries(off_r + r_plus.offset, r_plus.coeffs, r_plus.step)
-    r_minus = QSeries(off_r + r_minus.offset, r_minus.coeffs, r_minus.step)
+
+    def sector(sign, half_shift, offset):
+        power = euler_product(order, sign, half_shift) ** (2 * n_pairs)
+        return QSeries(offset + power.offset, power.coeffs, power.step)
+
+    ns_plus = sector(+1, False, Fraction(2 * n_pairs, 24))
+    ns_minus = sector(-1, False, Fraction(2 * n_pairs, 24))
+    r_plus = sector(+1, True, Fraction(-2 * n_pairs, 48))
+    r_minus = sector(-1, True, Fraction(-2 * n_pairs, 48))
     half = Fraction(1, 2)
     return {
         "ns+": ns_plus,
@@ -276,6 +259,16 @@ def sf_characters(n_pairs: int, order: int) -> dict[str, QSeries]:
 
 
 # --- matching kernels against characters -----------------------------------
+
+
+def matches_ns_character(sl: ScreeningLattices, coset: Coset, chars: dict, order: int) -> bool:
+    """Whether the graded dimension of the module on `coset` equals
+    2^{n-1} chi_{ns,+} through t^order above the character's offset, where
+    `chars` is sf_characters(n, order + 1).  On the blue (vacuum) module
+    this is the Jacobi triple product check."""
+    ns_plus = chars["ns+"]
+    dim = graded_dim_module(sl, coset, order + 1)
+    return dim.agrees_with(2 ** (sl.rs.rank - 1) * ns_plus, through=order + ns_plus.offset)
 
 
 @dataclass
@@ -309,19 +302,11 @@ def kernel_char_match(sl: ScreeningLattices, order: int = 12, kernel_levels: int
     report = KernelCharacterReport()
     chars = sf_characters(n, order + 1)
     cosets = sl.named_cosets()
-    weight = Fraction(2 ** (n - 1))
-    bound = Fraction(order) + chars["ns+"].offset
-
-    blue_dim = graded_dim_module(sl, cosets["blue"], order + 1)
-    green_dim = graded_dim_module(sl, cosets["green"], order + 1)
-    report.add(
-        "dim Blue = 2^{n-1} (chi1 + chi2)",
-        blue_dim.agrees_with(weight * chars["ns+"], through=bound),
-    )
-    report.add(
-        "dim Green = 2^{n-1} (chi1 + chi2)",
-        green_dim.agrees_with(weight * chars["ns+"], through=bound),
-    )
+    for color in ("blue", "green"):
+        report.add(
+            f"dim {color.capitalize()} = 2^{{n-1}} (chi1 + chi2)",
+            matches_ns_character(sl, cosets[color], chars, order),
+        )
     center_dim = graded_dim_module(sl, cosets["center"], order + 1)
     steinberg_dim = graded_dim_module(sl, cosets["steinberg"], order + 1)
     bound_r = Fraction(order) + chars["chi3"].offset
@@ -336,7 +321,7 @@ def kernel_char_match(sl: ScreeningLattices, order: int = 12, kernel_levels: int
         for lvl in range(kernel_levels + 1):
             lk = kernel_layer(sl, coset, screens, h0 + lvl)
             expected = chi.coefficient_at(Fraction(n, 12) + h0 + lvl)
-            ok = Fraction(lk.intersection_dim) == expected
+            ok = lk.intersection_dim == expected
             report.add(
                 f"{color} kernel level {lvl} = {chi_name} coefficient",
                 ok,

@@ -71,7 +71,7 @@ def _conventional_g0(rs: RootSystem) -> str:
     label = _CONVENTIONAL_G0[rs.series](rs.rank)
     computed = _canonical_component_label(rs)
     target = _G0_EQUIVALENT.get(label, label)
-    if computed != target and computed != label.replace("^", "^"):
+    if computed not in (target, label):
         raise AssertionError(
             f"short-root subsystem of {rs.label} classified as {computed}, "
             f"expected {label}"

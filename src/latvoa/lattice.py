@@ -478,11 +478,9 @@ def groundstates(sl: ScreeningLattices, coset: Coset):
     initial = coset.canonical_rep()
     bound = space.norm(initial - sl.Q)
     pts = points_within(space, coset.rep, coset.basis, sl.Q, bound)
-    best = min(space.norm(v - sl.Q) for v in pts)
-    minima = sorted(
-        (v for v in pts if space.norm(v - sl.Q) == best),
-        key=lambda v: v.coords,
-    )
+    norms = [space.norm(v - sl.Q) for v in pts]
+    best = min(norms)
+    minima = sorted((v for v, m in zip(pts, norms) if m == best), key=lambda v: v.coords)
     h = best / 2 - space.norm(sl.Q) / 2
     return minima, h
 

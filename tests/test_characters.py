@@ -1,8 +1,11 @@
 import json
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latvoa.characters import (
     QSeries,
@@ -73,7 +76,7 @@ def test_theta_2z_lattice():
     assert th.offset == 0
     expected = {F(0): 1, F(2): 2, F(8): 2}
     for e in range(13):
-        assert th._at_or_zero(F(e)) == expected.get(F(e), 0)
+        assert th.coefficient_at(F(e)) == expected.get(F(e), 0)
 
 
 def test_theta_brute_force_oracle():
@@ -267,3 +270,164 @@ def test_euler_product_values():
     # prod (1 + t^m) counts partitions into distinct parts
     ep = euler_product(10, +1)
     assert [int(c) for c in ep.coeffs] == [1, 1, 1, 2, 2, 3, 4, 5, 6, 8, 10]
+
+
+# --- a slow oracle for QSeries ---------------------------------------------
+#
+# A series is modelled as (terms, offset, end): {exponent: coefficient} over
+# the exponents it holds, its lowest exponent, and the last exponent through
+# which it is exact.
+
+STEPS = (F(1), F(1, 2), F(1, 3))
+
+
+def model_of(series):
+    terms = {series.offset + i * series.step: c for i, c in enumerate(series.coeffs)}
+    return terms, series.offset, series.end_exponent
+
+
+def at(terms, e):
+    return terms.get(e, 0)
+
+
+def naive_sum(a, b, sign=1):
+    (ta, oa, ea), (tb, ob, eb) = a, b
+    end = min(ea, eb)
+    terms = {e: at(ta, e) + sign * at(tb, e) for e in set(ta) | set(tb) if e <= end}
+    return terms, min(oa, ob), end
+
+
+def naive_product(a, b):
+    # each factor is exact through its own order, so the product is exact
+    # through the smaller of the two orders relative to its offset
+    (ta, oa, ea), (tb, ob, eb) = a, b
+    end = oa + ob + min(ea - oa, eb - ob)
+    terms = {}
+    for xa, ca in ta.items():
+        for xb, cb in tb.items():
+            if xa + xb <= end:
+                terms[xa + xb] = terms.get(xa + xb, 0) + ca * cb
+    return terms, oa + ob, end
+
+
+def assert_matches(series, model):
+    """series is exact through the model's end, no further, and equals the
+    model at every exponent; integral coefficients are ints."""
+    terms, _offset, end = model
+    got, _, got_end = model_of(series)
+    assert got_end == end
+    assert all(e <= end for e in terms)
+    for e in set(got) | set(terms):
+        assert at(got, e) == at(terms, e), e
+    assert all(type(c) is int or (type(c) is F and c.denominator != 1) for c in series.coeffs)
+
+
+def share_a_grid(a, b):
+    common = F(1, lcm(a.step.denominator, b.step.denominator))
+    return ((a.offset - b.offset) / common).denominator == 1
+
+
+coefficients = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=4)
+)
+
+
+@st.composite
+def qseries(draw, max_len=7):
+    step = draw(st.sampled_from(STEPS))
+    offset = F(draw(st.integers(-12, 12)), draw(st.sampled_from((1, 2, 3, 6))))
+    coeffs = draw(st.lists(coefficients, min_size=1, max_size=max_len))
+    return QSeries.make(offset, coeffs, step)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qseries(), qseries())
+def test_qseries_sum_and_difference_oracle(a, b):
+    if not share_a_grid(a, b):
+        with pytest.raises(ValueError):
+            a + b
+        with pytest.raises(ValueError):
+            a - b
+        return
+    assert_matches(a + b, naive_sum(model_of(a), model_of(b)))
+    assert_matches(a - b, naive_sum(model_of(a), model_of(b), sign=-1))
+
+
+def test_qseries_sum_rejects_incommensurable_offsets():
+    with pytest.raises(ValueError):
+        QSeries.make(0, [1, 2]) + QSeries.make(F(1, 2), [1, 2])
+    with pytest.raises(ValueError):
+        QSeries.make(0, [1, 2], F(1, 2)) + QSeries.make(F(1, 3), [1], F(1, 2))
+    # a finer second grid makes the offsets commensurable: t^0 + 2 t plus
+    # t^(1/2) + 2 t + 3 t^(3/2), exact through t^1
+    total = QSeries.make(0, [1, 2]) + QSeries.make(F(1, 2), [1, 2, 3], F(1, 2))
+    assert total.step == F(1, 2) and total.coeffs == (1, 1, 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qseries(), coefficients)
+def test_qseries_scalar_multiple_oracle(a, c):
+    terms, offset, end = model_of(a)
+    model = {e: c * x for e, x in terms.items()}, offset, end
+    assert_matches(c * a, model)
+    assert_matches(a * c, model)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qseries(), qseries())
+def test_qseries_product_oracle(a, b):
+    assert_matches(a * b, naive_product(model_of(a), model_of(b)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(qseries(max_len=5), st.integers(0, 4))
+def test_qseries_power_oracle(a, k):
+    power = a**k
+    if k == 0:
+        assert power.offset == 0 and power.coeffs[0] == 1 and not any(power.coeffs[1:])
+        return
+    model = model_of(a)
+    for _ in range(k - 1):
+        model = naive_product(model, model_of(a))
+    assert_matches(power, model)
+
+
+@settings(max_examples=300, deadline=None)
+@given(qseries(), qseries(), st.data())
+def test_qseries_agrees_with_oracle(a, b, data):
+    # often b is a itself, laid out on a finer grid with leading zeros, so
+    # that agreement is common; sometimes one coefficient is then changed
+    if data.draw(st.booleans()):
+        refine = data.draw(st.sampled_from((1, 2, 3)))
+        pad = data.draw(st.integers(0, 3))
+        step = a.step / refine
+        terms = model_of(a)[0]
+        offset = a.offset - pad * step
+        n = pad + a.order * refine
+        coeffs = [at(terms, offset + i * step) for i in range(n + 1)]
+        if data.draw(st.booleans()):
+            coeffs[data.draw(st.integers(0, n))] += 1
+        b = QSeries.make(offset, coeffs, step)
+    through = data.draw(st.sampled_from(sorted({
+        min(a.offset, b.offset) - 1,
+        (a.offset + b.offset) / 2,
+        min(a.end_exponent, b.end_exponent),
+        max(a.end_exponent, b.end_exponent),
+    })))
+    if a.end_exponent < through or b.end_exponent < through:
+        with pytest.raises(ValueError):
+            a.agrees_with(b, through=through)
+        return
+    ta, tb = model_of(a)[0], model_of(b)[0]
+    expected = all(at(ta, e) == at(tb, e) for e in set(ta) | set(tb) if e <= through)
+    assert a.agrees_with(b, through=through) == expected
+    assert b.agrees_with(a, through=through) == expected
+
+
+def test_qseries_agrees_with_on_grids_without_a_common_point():
+    # exponents 0, 1, 2 against 1/2, 3/2: none is shared, so the series
+    # agree exactly when every coefficient through the bound is zero
+    a = QSeries.make(0, [0, 0, 1])
+    assert a.agrees_with(QSeries.make(F(1, 2), [0, 0]), through=F(3, 2))
+    assert not a.agrees_with(QSeries.make(F(1, 2), [0, 1]), through=F(3, 2))
+    assert not QSeries.make(0, [1, 0]).agrees_with(QSeries.make(F(1, 2), [0, 0]), through=1)

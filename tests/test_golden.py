@@ -28,8 +28,11 @@ COMMANDS = {
     "kernel_B3_l4_green_lvl2": "kernel --algebra B3 --ell 4 --module green --max-level 2",
     "characters_B2_l4_o8": "characters --algebra B2 --ell 4 --order 8",
     "characters_A1_l4_o12": "characters --algebra A1 --ell 4 --order 12",
+    "characters_B2_l4_o30": "characters --algebra B2 --ell 4 --order 30",
+    "characters_B3_l4_o12": "characters --algebra B3 --ell 4 --order 12",
     "sf-characters_n2_o10": "sf-characters --pairs 2 --order 10",
     "sf-characters_n1_o12": "sf-characters --pairs 1 --order 12",
+    "sf-characters_n3_o20": "sf-characters --pairs 3 --order 20",
     "degeneracy_B2_l4": "degeneracy --algebra B2 --ell 4",
     "degeneracy_B3_l4": "degeneracy --algebra B3 --ell 4",
     "degeneracy_B4_l4": "degeneracy --algebra B4 --ell 4",
