@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .lattice import Coset, Momentum, ScreeningLattices, canonical_scalar, groundstates, points_within
 from .screening import kernel_layer, short_screening_set
@@ -197,24 +197,35 @@ def euler_product(order: int, sign: int, half_shift: bool = False) -> QSeries:
 
 def theta_coset(sl: ScreeningLattices, coset: Coset, shift: Momentum, order: int) -> QSeries:
     """Theta series of the shifted coset: sum over nu in (rep - shift) + L
-    of t^{(nu, nu)/2}, complete through offset + order."""
+    of t^{(nu, nu)/2}, complete through offset + order.
+
+    The coset is enumerated scaled by the common denominator s of its
+    coordinates, so that every point is integral and its norm is one
+    integer pairing: (nu, nu) / 2 = pair_num(s nu, s nu) / unit with
+    unit = 2 s^2 times the Gram denominator.  Only the distinct norms are
+    divided."""
     space = sl.space
     rep = coset.rep - shift
+    s = lcm(*(x.denominator for v in (rep, *coset.basis) for x in v.coords))
+    rep, basis = s * rep, [s * b for b in coset.basis]
+    unit = 2 * s * s * space._den
     zero = space.zero()
-    probe = points_within(space, rep, coset.basis, zero, space.norm(rep))
-    base = min(space.norm(v) / 2 for v in probe)
-    bound = 2 * (base + order)
-    pts = points_within(space, rep, coset.basis, zero, bound)
-    counts = Counter(space.norm(v) / 2 for v in pts)
-    offset = min(counts)
-    step = _rational_gcd(*(e - offset for e in counts)) or Fraction(1)
+
+    def norm_num(v: Momentum) -> int:
+        return space.pair_num(v.coords, v.coords)
+
+    probe = points_within(space, rep, basis, zero, space.norm(rep))
+    base = min(map(norm_num, probe))
+    bound = Fraction(base + unit * order, space._den)
+    counts = Counter(map(norm_num, points_within(space, rep, basis, zero, bound)))
+    # positions on the grid of the gcd of the exponent differences
+    g = gcd(*(k - base for k in counts))
+    step = Fraction(g, unit) if g else Fraction(1)
     n = int(Fraction(order) / step)
     coeffs = [0] * (n + 1)
-    for e, count in counts.items():
-        pos = (e - offset) / step
-        if pos <= n:
-            coeffs[int(pos)] += count
-    return QSeries(offset, tuple(coeffs), step)
+    for k, count in counts.items():
+        coeffs[(k - base) // (g or 1)] += count
+    return QSeries(Fraction(base, unit), tuple(coeffs), step)
 
 
 def graded_dim_module(sl: ScreeningLattices, coset: Coset, order: int) -> QSeries:
@@ -261,13 +272,16 @@ def sf_characters(n_pairs: int, order: int) -> dict[str, QSeries]:
 # --- matching kernels against characters -----------------------------------
 
 
-def matches_ns_character(sl: ScreeningLattices, coset: Coset, chars: dict, order: int) -> bool:
-    """Whether the graded dimension of the module on `coset` equals
-    2^{n-1} chi_{ns,+} through t^order above the character's offset, where
-    `chars` is sf_characters(n, order + 1).  On the blue (vacuum) module
-    this is the Jacobi triple product check."""
+def matches_ns_character(sl: ScreeningLattices, dim: QSeries, chars: dict, order: int) -> bool:
+    """Whether the graded dimension `dim` of a module equals 2^{n-1}
+    chi_{ns,+} through t^order above the character's offset, where `chars`
+    is sf_characters(n, order + 1).  dim's offset is its leading exponent,
+    and dim must be exact through order above it.  On the blue (vacuum)
+    module this is the Jacobi triple product check."""
     ns_plus = chars["ns+"]
-    dim = graded_dim_module(sl, coset, order + 1)
+    if dim.offset < ns_plus.offset:
+        # the character vanishes at dim's leading exponent
+        return False
     return dim.agrees_with(2 ** (sl.rs.rank - 1) * ns_plus, through=order + ns_plus.offset)
 
 
@@ -305,7 +319,7 @@ def kernel_char_match(sl: ScreeningLattices, order: int = 12, kernel_levels: int
     for color in ("blue", "green"):
         report.add(
             f"dim {color.capitalize()} = 2^{{n-1}} (chi1 + chi2)",
-            matches_ns_character(sl, cosets[color], chars, order),
+            matches_ns_character(sl, graded_dim_module(sl, cosets[color], order), chars, order),
         )
     center_dim = graded_dim_module(sl, cosets["center"], order + 1)
     steinberg_dim = graded_dim_module(sl, cosets["steinberg"], order + 1)
@@ -314,12 +328,13 @@ def kernel_char_match(sl: ScreeningLattices, order: int = 12, kernel_levels: int
     report.add("dim Steinberg = chi4", steinberg_dim.agrees_with(chars["chi4"], through=bound_r))
 
     screens = short_screening_set(sl)
+    images: dict = {}
     for color, chi_name in (("blue", "chi1"), ("green", "chi2")):
         coset = cosets[color]
         _gs, h0 = groundstates(sl, coset)
         chi = chars[chi_name]
         for lvl in range(kernel_levels + 1):
-            lk = kernel_layer(sl, coset, screens, h0 + lvl)
+            lk = kernel_layer(sl, coset, screens, h0 + lvl, images)
             expected = chi.coefficient_at(Fraction(n, 12) + h0 + lvl)
             ok = lk.intersection_dim == expected
             report.add(

@@ -6,21 +6,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from . import linalg
 from .expr import format_momentum
-from .freefield import FieldElement, _mono_degree, _over_den
+from .freefield import FieldElement, _over_den
 from .lattice import (
     Coset,
     Momentum,
     ScreeningLattices,
+    canonical,
+    canonical_quotient,
     canonical_scalar,
+    common_numerators,
     groundstates,
     points_within,
 )
 from .scalars import Scalar
-from .vertexop import residue_op
+from .vertexop import _numerators, residue_op
 from .virasoro import StressTensor, stress_tensor
 
 
@@ -48,21 +51,65 @@ def braiding_matrix(sl: ScreeningLattices, momenta=None) -> BraidingMatrix:
 # --- screenings ------------------------------------------------------------
 
 
-def apply_screening(alpha: Momentum, state: FieldElement) -> FieldElement:
+def _pairing(space, alpha: Momentum, mom) -> int:
+    """<alpha, mom> for a state momentum mom; a fractional pairing is
+    refused, since it needs the fractional residue with a truncation."""
+    pairing = _over_den(space, space.pair_num(alpha.coords, mom))
+    if pairing.denominator != 1:
+        raise ValueError(
+            f"screening momentum {format_momentum(alpha.coords)} pairs fractionally "
+            f"with state momentum {format_momentum(mom)}; use vertexop.residue_op in "
+            "fractional mode"
+        )
+    return pairing
+
+
+def _translated(space, alpha: Momentum, mu, mono, pairing: int, images: dict):
+    """Z_alpha(mono e^mu) as (alpha + mu, den, [(monomial, int numerator),
+    ...]): every term has momentum alpha + mu, and the coefficients depend
+    on mu only through pairing = <alpha, mu>, since the screening carries
+    no cocycle.  The relative image (den, numerators) is looked up in
+    `images` under (alpha.coords, mono, pairing); a miss runs `residue_op`
+    once, on this single term."""
+    key = (alpha.coords, mono, pairing)
+    hit = images.get(key)
+    if hit is None:
+        img = residue_op(FieldElement.exponential(space, alpha), FieldElement(space, {(mu, mono): 1}))
+        den, nums = common_numerators(img.terms.values())
+        hit = images[key] = (den, [(m, n) for (_mom, m), n in zip(img.terms, nums)])
+    return canonical(x + y for x, y in zip(alpha.coords, mu)), *hit
+
+
+def apply_screening(alpha: Momentum, state: FieldElement, images: dict | None = None) -> FieldElement:
     """Z_alpha state, the integer-case screening charge.
 
     Rejects states whose exponential momenta pair fractionally with alpha;
     those need the fractional residue with an explicit truncation.
+
+    Each term's image is translated from its relative image
+    (`_translated`), and the coefficients are summed as numerators
+    over one common denominator, divided once per output coefficient.
+    Calls that pass the same `images` dict share their relative images;
+    by default a call keeps its own.
     """
     space = state.space
-    for mom in state.momenta():
-        if _over_den(space, space.pair_num(alpha.coords, mom)).denominator != 1:
-            raise ValueError(
-                f"screening momentum {format_momentum(alpha.coords)} pairs fractionally "
-                f"with state momentum {format_momentum(mom)}; use vertexop.residue_op in "
-                "fractional mode"
-            )
-    return residue_op(FieldElement.exponential(space, alpha), state)
+    pairings = {mom: _pairing(space, alpha, mom) for mom in state.momenta()}
+    images = {} if images is None else images
+    d, terms = _numerators(state.terms)
+    per_term = []
+    for (mu, mono), c in terms:
+        mom, den, nums = _translated(space, alpha, mu, mono, pairings[mu], images)
+        if nums:
+            per_term.append((c, mom, den, nums))
+    top = lcm(*(den for _c, _mom, den, _nums in per_term))
+    acc: dict = {}
+    for c, mom, den, nums in per_term:
+        f = c * (top // den)
+        for mono, x in nums:
+            key = (mom, mono)
+            acc[key] = acc.get(key, 0) + f * x
+    den = d * top
+    return FieldElement(space, {key: canonical_quotient(x, den) for key, x in acc.items() if x})
 
 
 def short_screening_set(sl: ScreeningLattices) -> tuple[Momentum, ...]:
@@ -180,23 +227,34 @@ class KernelReport:
         return out
 
 
-def _screening_matrix(sl: ScreeningLattices, a: Momentum, layer: GradedLayer, target: GradedLayer):
+def _screening_matrix(
+    sl: ScreeningLattices, a: Momentum, layer: GradedLayer, target: GradedLayer, images: dict | None = None
+):
     """Matrix of Z_a from the layer basis to the target layer basis, as
-    sparse integer rows (`linalg.integer_row`): one {column: int} row per
-    target basis element that some image reaches, in target order, each
-    scaled to integers (which leaves the kernel unchanged).  Zero rows are
-    dropped."""
+    sparse integer rows: one {column: int} row per target basis element
+    that some image reaches, in target order.  Each row is the relative
+    images' numerators brought over their common denominator (which leaves
+    the kernel unchanged); `images` is the table of `apply_screening`."""
+    space = sl.space
     idx = target.term_index()
+    images = {} if images is None else images
     rows: dict[int, dict] = {}
+    dens = []
     for j, v in enumerate(layer.basis):
-        img = apply_screening(a, v)
-        for key, c in img.terms.items():
-            rows.setdefault(idx[key], {})[j] = c
-    scaled = (linalg.integer_row(rows[i].items()) for i in sorted(rows))
-    return [row for row in scaled if row]
+        ((mu, mono),) = v.terms  # coefficient 1
+        mom, den, nums = _translated(space, a, mu, mono, _pairing(space, a, mu), images)
+        dens.append(den)
+        for m, x in nums:
+            rows.setdefault(idx[(mom, m)], {})[j] = x
+    out = []
+    for i in sorted(rows):
+        row = rows[i]
+        top = lcm(*(dens[j] for j in row))
+        out.append({j: x * (top // dens[j]) for j, x in row.items()})
+    return out
 
 
-def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h) -> LayerKernel:
+def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h, images: dict | None = None) -> LayerKernel:
     """Exact kernels (per screening and intersected) on one layer.
 
     Integer-pairing modules use the screening matrices directly: each
@@ -205,7 +263,8 @@ def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h) -> LayerKer
     for basis vectors.  On fractional modules the Weyl power decides: k = 0
     leaves nothing (identity map), the nilpotent power keeps everything.
     Screenings that shift the module to the same coset share one target
-    layer basis.
+    layer basis, and the screening matrices share the relative-image table
+    `images` (see `apply_screening`).
     """
     h = Fraction(h)
     layer = layer_basis(sl, coset, h)
@@ -222,6 +281,7 @@ def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h) -> LayerKer
             h, layer.dim, [layer.dim] * len(ks), layer.dim, list(layer.basis)
         )
     targets: dict[Coset, GradedLayer] = {}
+    images = {} if images is None else images
     stacked: list[dict[int, int]] = []
     ker_dims = []
     for a in screenings:
@@ -229,7 +289,7 @@ def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h) -> LayerKer
         target = targets.get(shifted)
         if target is None:
             target = targets[shifted] = layer_basis(sl, shifted, h)
-        rows = _screening_matrix(sl, a, layer, target)
+        rows = _screening_matrix(sl, a, layer, target, images)
         ker_dims.append(linalg.nullity(rows, layer.dim))
         stacked.extend(rows)
     # dense rows for perfbench/tracer.py until it reads obs counters (ROADMAP item 1)
@@ -251,7 +311,8 @@ def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h) -> LayerKer
 
 def kernel_report(sl: ScreeningLattices, coset: Coset, screenings, h_values) -> KernelReport:
     powers = [weyl_power_exponent(sl, coset, a) for a in screenings]
-    layers = [kernel_layer(sl, coset, screenings, h) for h in h_values]
+    images: dict = {}
+    layers = [kernel_layer(sl, coset, screenings, h, images) for h in h_values]
     return KernelReport(coset=coset, weyl_powers=powers, layers=layers)
 
 
@@ -270,8 +331,10 @@ def nichols_check(sl: ScreeningLattices, screenings, cosets, max_level: int) -> 
     to max_level above the groundstate, checked state by state.
 
     Each Z_a v is computed once per state and shared by the relations that
-    need it; only one state's images are held at a time.  A relation stops
-    being checked at its first failing state, which it reports.
+    need it; only one state's images are held at a time.  All screenings
+    share one relative-image table (see `apply_screening`) for the whole
+    check.  A relation stops being checked at its first failing state,
+    which it reports.
     """
     states = []
     for coset in cosets:
@@ -283,19 +346,23 @@ def nichols_check(sl: ScreeningLattices, screenings, cosets, max_level: int) -> 
         (f"[Z{i + 1}, Z{j + 1}] = 0", i, j) for i in range(count) for j in range(i + 1, count)
     ]
     bad: list[FieldElement | None] = [None] * len(relations)
+    table: dict = {}
+
+    def Z(x: int, state: FieldElement) -> FieldElement:
+        return apply_screening(screenings[x], state, table)
+
     for v in states:
         pending = [r for r in range(len(relations)) if bad[r] is None]
         if not pending:
             break
         needed = {x for r in pending for x in relations[r][1:]}
-        images = {x: apply_screening(screenings[x], v) for x in sorted(needed)}
+        images = {x: Z(x, v) for x in sorted(needed)}
         for r in pending:
             _name, i, j = relations[r]
             if i == j:
-                failed = not apply_screening(screenings[i], images[i]).is_zero()
+                failed = not Z(i, images[i]).is_zero()
             else:
-                lhs = apply_screening(screenings[i], images[j])
-                failed = lhs != apply_screening(screenings[j], images[i])
+                failed = Z(i, images[j]) != Z(j, images[i])
             if failed:
                 bad[r] = v
     return [RelationReport(name, b is None, b) for (name, _i, _j), b in zip(relations, bad)]
@@ -314,14 +381,20 @@ def long_screening_suite(sl: ScreeningLattices, st: StressTensor | None = None) 
 
     Pairwise long-screening commutators on the first two vacuum layers are
     recorded as data (whether they vanish), without asserting any algebra
-    structure for them.
+    structure for them.  All screenings share one relative-image table
+    (see `apply_screening`).
     """
     if st is None:
         st = stress_tensor(sl)
     space = sl.space
+    table: dict = {}
+
+    def Z(a: Momentum, state: FieldElement) -> FieldElement:
+        return apply_screening(a, state, table)
+
     checks = []
     for i, a in enumerate(sl.basis_long):
-        img = apply_screening(a, st.element)
+        img = Z(a, st.element)
         checks.append(
             RelationReport(f"Z_long{i + 1}(T) = 0", img.is_zero(), None if img.is_zero() else img)
         )
@@ -331,19 +404,15 @@ def long_screening_suite(sl: ScreeningLattices, st: StressTensor | None = None) 
     for i in range(len(sl.basis_long)):
         for j in range(i + 1, len(sl.basis_long)):
             ai, aj = sl.basis_long[i], sl.basis_long[j]
-            vanishes = all(
-                apply_screening(ai, apply_screening(aj, v))
-                == apply_screening(aj, apply_screening(ai, v))
-                for v in low_states
-            )
+            vanishes = all(Z(ai, Z(aj, v)) == Z(aj, Z(ai, v)) for v in low_states)
             commutators[(i, j)] = vanishes
     triplet = None
     if sl.rs.rank == 1:
         a_long = sl.basis_long[0]
         w_minus = FieldElement.exponential(space, -a_long)
-        w_zero = apply_screening(a_long, w_minus)
-        w_plus = apply_screening(a_long, w_zero)
-        w_over = apply_screening(a_long, w_plus)
+        w_zero = Z(a_long, w_minus)
+        w_plus = Z(a_long, w_zero)
+        w_over = Z(a_long, w_plus)
         checks.append(RelationReport("W0 != 0", not w_zero.is_zero()))
         checks.append(RelationReport("W+ != 0", not w_plus.is_zero()))
         checks.append(

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latvoa import characters, cli
 from latvoa.characters import (
     QSeries,
+    _rational_gcd,
     eta_inverse_power,
     euler_product,
     graded_dim_module,
@@ -16,7 +18,7 @@ from latvoa.characters import (
     sf_characters,
     theta_coset,
 )
-from latvoa.lattice import Coset, ScreeningLattices, groundstates
+from latvoa.lattice import Coset, ScreeningLattices, groundstates, points_within
 from latvoa.rootdata import build_root_system
 from latvoa.screening import layer_basis
 
@@ -112,6 +114,75 @@ def test_theta_representative_independence():
             moved = Coset(SL_B2.space, coset.rep + shift, coset.basis)
             got = theta_coset(SL_B2, moved, SL_B2.Q, 8)
             assert got == ref
+
+
+def fraction_theta_coset(sl, coset, shift, order) -> QSeries:
+    """The theta series with one Fraction norm per point of the unscaled
+    coset: the earlier body of theta_coset."""
+    space = sl.space
+    rep = coset.rep - shift
+    zero = space.zero()
+    probe = points_within(space, rep, coset.basis, zero, space.norm(rep))
+    base = min(space.norm(v) / 2 for v in probe)
+    pts = points_within(space, rep, coset.basis, zero, 2 * (base + order))
+    counts = {}
+    for v in pts:
+        e = space.norm(v) / 2
+        counts[e] = counts.get(e, 0) + 1
+    offset = min(counts)
+    step = _rational_gcd(*(e - offset for e in counts)) or F(1)
+    n = int(F(order) / step)
+    coeffs = [0] * (n + 1)
+    for e, count in counts.items():
+        pos = (e - offset) / step
+        if pos <= n:
+            coeffs[int(pos)] += count
+    return QSeries(offset, tuple(coeffs), step)
+
+
+def _theta_cases():
+    """Every module coset of A1, B2, B3 and C2 at ell = 4 and G2 at ell = 6,
+    unshifted and shifted by Q."""
+    cases = []
+    for series, rank, ell in (("A", 1, 4), ("B", 2, 4), ("B", 3, 4), ("C", 2, 4), ("G", 2, 6)):
+        sl = ScreeningLattices(build_root_system(series, rank), ell)
+        for i, rep in enumerate(sl.module_cosets().coset_reps):
+            coset = sl.long_lattice_coset(rep)
+            for label, shift in (("0", sl.space.zero()), ("Q", sl.Q)):
+                cases.append(pytest.param(sl, coset, shift, id=f"{series}{rank}-{i}-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("sl, coset, shift", _theta_cases())
+def test_theta_coset_equals_fraction_norms(sl, coset, shift):
+    for order in (0, 1, 3, 8):
+        assert theta_coset(sl, coset, shift, order) == fraction_theta_coset(sl, coset, shift, order)
+
+
+def test_check_jtp_enumerates_each_theta_once(monkeypatch, capsys):
+    # one probe and one enumeration per module: the JTP check reuses the
+    # table's blue graded dimension
+    calls = []
+    real = characters.points_within
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(characters, "points_within", counted)
+    argv = ["characters", "--algebra", "B2", "--ell", "4", "--order", "30", "--check-jtp"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(calls) == 2 * 4
+
+
+def test_jtp_mismatch_below_the_character_offset(capsys):
+    # D4 at ell = 2: the vacuum series starts at -1/6, below the offset 1/3
+    # of chi_ns+, so the check reports a mismatch for every order
+    for order in (0, 3):
+        argv = ["characters", "--algebra", "D4", "--ell", "2", "--order", str(order), "--check-jtp"]
+        assert cli.main(argv) == 1
+        assert "JTP check: MISMATCH" in capsys.readouterr().err
 
 
 def test_jacobi_triple_product_order20():

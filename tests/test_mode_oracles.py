@@ -8,7 +8,9 @@ matrix with Fraction loop variables.  `fraction_dk_term` and
 `fraction_mode_terms` are the earlier vertex-operator engine, which divides
 by k! in every derivative term and sums Fractions in every bucket.
 `reference_commutator_check` and `reference_nichols_check` are the earlier
-checks, which apply one mode or one screening at a time.  The engine must
+checks, which apply one mode or one screening at a time; the screenings go
+through `untranslated_screening`, one residue of the whole state, and never
+through the relative-image table of `apply_screening`.  The engine must
 give exactly the same values, the same term keys and the same reports.
 """
 
@@ -41,7 +43,7 @@ from latvoa.screening import (
     nichols_check,
     short_screening_set,
 )
-from latvoa.vertexop import _accumulate, _mode_terms
+from latvoa.vertexop import _accumulate, _mode_terms, residue_op
 from latvoa.virasoro import (
     CommutatorReport,
     _creation_terms,
@@ -268,9 +270,16 @@ def reference_commutator_check(st_, states, max_mode: int = 3) -> CommutatorRepo
     return CommutatorReport(ok=True, pairs_checked=len(pairs), states_checked=checked_states)
 
 
+def untranslated_screening(a, v):
+    """Z_a v as the residue of Y(e^a) on the whole state v, with no table
+    of relative images."""
+    return residue_op(FieldElement.exponential(v.space, a), v)
+
+
 def reference_nichols_check(sl, screenings, cosets, max_level: int) -> list[RelationReport]:
     """The Nichols relations checked relation by relation, each screening
-    image computed afresh."""
+    image computed afresh by `untranslated_screening`."""
+    Z = untranslated_screening
     reports = []
     states = []
     for coset in cosets:
@@ -281,7 +290,7 @@ def reference_nichols_check(sl, screenings, cosets, max_level: int) -> list[Rela
         ok = True
         bad = None
         for v in states:
-            img = apply_screening(a, apply_screening(a, v))
+            img = Z(a, Z(a, v))
             if not img.is_zero():
                 ok, bad = False, v
                 break
@@ -291,8 +300,8 @@ def reference_nichols_check(sl, screenings, cosets, max_level: int) -> list[Rela
             ok = True
             bad = None
             for v in states:
-                lhs = apply_screening(screenings[i], apply_screening(screenings[j], v))
-                rhs = apply_screening(screenings[j], apply_screening(screenings[i], v))
+                lhs = Z(screenings[i], Z(screenings[j], v))
+                rhs = Z(screenings[j], Z(screenings[i], v))
                 if lhs != rhs:
                     ok, bad = False, v
                     break
@@ -508,3 +517,85 @@ def test_nichols_check_reports_equal_reference(sl, screenings, cosets):
     level = 2 if sl.rs.rank < 3 else 1
     got = nichols_check(sl, screenings, cosets, level)
     assert got == reference_nichols_check(sl, screenings, cosets, level)
+
+
+# --- translation-covariant screening images -----------------------------------
+
+COVARIANT = _lattices([("A", 1, 4), ("B", 2, 4), ("B", 3, 4), ("C", 2, 4), ("G", 2, 6)])
+
+
+@functools.cache
+def _screened_layer_terms(sl) -> tuple:
+    """(short screenings, term keys) of the first three layers of every
+    module on which all short screenings pair integrally."""
+    space = sl.space
+    screenings = short_screening_set(sl)
+    keys = []
+    for rep in sl.module_cosets().coset_reps:
+        coset = sl.long_lattice_coset(rep)
+        if any(
+            space.pair(a, v).denominator != 1 for a in screenings for v in (coset.rep, *coset.basis)
+        ):
+            continue
+        _gs, h0 = groundstates(sl, coset)
+        for lvl in range(3):
+            keys.extend(key for v in layer_basis(sl, coset, h0 + lvl).basis for key in v.terms)
+    return screenings, keys
+
+
+@st.composite
+def layer_states(draw, sl, keys, max_terms=4):
+    """A combination of layer terms with int or Fraction coefficients."""
+    terms = {}
+    for key in draw(st.lists(st.sampled_from(keys), min_size=1, max_size=max_terms)):
+        num = draw(st.sampled_from((-3, -1, 1, 2)))
+        terms[key] = canonical_scalar(Fraction(num, draw(st.sampled_from((1, 2, 3)))))
+    return FieldElement(sl.space, terms)
+
+
+def _integral(sl, a, elem) -> bool:
+    """Whether the screening a pairs integrally with every momentum of elem."""
+    return all(sl.space.pair_coords(a.coords, mom).denominator == 1 for mom in elem.momenta())
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_apply_screening_equals_untranslated_route(data):
+    sl = data.draw(st.sampled_from(COVARIANT), label="lattice")
+    screenings, keys = _screened_layer_terms(sl)
+    table: dict = {}
+    # term by term, then on combinations and on their images, one table throughout
+    for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=6)):
+        a = data.draw(st.sampled_from(screenings))
+        v = FieldElement(sl.space, {key: 1})
+        assert apply_screening(a, v, table) == untranslated_screening(a, v)
+    state = data.draw(layer_states(sl, keys))
+    a, b = data.draw(st.sampled_from(screenings)), data.draw(st.sampled_from(screenings))
+    image = apply_screening(a, state, table)
+    assert image == untranslated_screening(a, state)
+    if _integral(sl, b, image):
+        assert apply_screening(b, image, table) == untranslated_screening(b, image)
+    else:  # the image sits on a module that b pairs with fractionally
+        with pytest.raises(ValueError, match="fractional"):
+            apply_screening(b, image, table)
+        with pytest.raises(ValueError, match="fractional"):
+            untranslated_screening(b, image)
+    for coeff in image.terms.values():
+        assert type(coeff) is (int if coeff.denominator == 1 else Fraction)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_apply_screening_filled_table_equals_fresh(data):
+    sl = data.draw(st.sampled_from(COVARIANT), label="lattice")
+    screenings, keys = _screened_layer_terms(sl)
+    table: dict = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        earlier = data.draw(layer_states(sl, keys))
+        first = apply_screening(data.draw(st.sampled_from(screenings)), earlier, table)
+        second = data.draw(st.sampled_from(screenings))
+        if _integral(sl, second, first):
+            apply_screening(second, first, table)
+    state = data.draw(layer_states(sl, keys))
+    a = data.draw(st.sampled_from(screenings))
+    assert apply_screening(a, state, table) == apply_screening(a, state)

@@ -8,6 +8,7 @@ here were recomputed by hand from the pairing axioms and double-checked
 against conformal-dimension bookkeeping and linearity.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from latvoa.freefield import FieldElement
 from latvoa.lattice import Coset, Momentum, ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
 from latvoa.scalars import Scalar
+from latvoa.vertexop import residue_op
 from latvoa.screening import (
     apply_screening,
     braiding_matrix,
@@ -429,13 +431,20 @@ def test_nichols_check_applies_each_screening_image_once(monkeypatch):
     # per state: Z_a v for every screening a, Z_a Z_a v for every a, and
     # the two sides of each commutator built from those first images
     calls = []
+    residues = []
     real = screening.apply_screening
+    real_residue = screening.residue_op
 
-    def counted(alpha, state):
-        calls.append(alpha)
-        return real(alpha, state)
+    def counted(alpha, state, images=None):
+        calls.append((alpha, state))
+        return real(alpha, state, images)
+
+    def counted_residue(a, b, *args, **kwargs):
+        residues.append(b)
+        return real_residue(a, b, *args, **kwargs)
 
     monkeypatch.setattr(screening, "apply_screening", counted)
+    monkeypatch.setattr(screening, "residue_op", counted_residue)
     screens = short_screening_set(SL_B2)
     cosets = SL_B2.named_cosets()
     chosen = [cosets["blue"], cosets["green"]]
@@ -448,6 +457,43 @@ def test_nichols_check_applies_each_screening_image_once(monkeypatch):
     commutator_pairs = 1
     assert len(calls) == (2 * len(screens) + commutator_pairs * 2) * states
     assert len(calls) == 6 * states
+    # one residue per distinct (screening, monomial, pairing), on a single term
+    triples = {
+        (alpha.coords, mono, SL_B2.space.pair(alpha, Momentum(mu)))
+        for alpha, state in calls
+        for mu, mono in state.terms
+    }
+    assert len(residues) == len(triples)
+    assert all(len(b.terms) == 1 for b in residues)
+    terms_applied = sum(len(state.terms) for _alpha, state in calls)
+    assert len(residues) < terms_applied
+
+
+def test_screening_matrix_rows_equal_untranslated_images():
+    # each sparse row is the row of untranslated images times a positive
+    # scale, so the two have the same primitive part
+    def primitive(row):
+        den = math.lcm(*(F(x).denominator for x in row.values()))
+        scaled = {j: int(F(x) * den) for j, x in row.items()}
+        g = math.gcd(*scaled.values())
+        return {j: x // g for j, x in scaled.items()}
+
+    for sl, level in ((SL_B2, 3), (ScreeningLattices(build_root_system("B", 3), 4), 2)):
+        for color in ("blue", "green"):
+            coset = sl.named_cosets()[color]
+            _gs, h0 = groundstates(sl, coset)
+            layer = layer_basis(sl, coset, h0 + level)
+            images: dict = {}
+            for a in short_screening_set(sl):
+                target = layer_basis(sl, coset.shifted(a), h0 + level)
+                idx = target.term_index()
+                expected: dict = {}
+                for j, v in enumerate(layer.basis):
+                    img = residue_op(FieldElement.exponential(sl.space, a), v)
+                    for key, c in img.terms.items():
+                        expected.setdefault(idx[key], {})[j] = c
+                rows = screening._screening_matrix(sl, a, layer, target, images)
+                assert [primitive(r) for r in rows] == [primitive(expected[i]) for i in sorted(expected)]
 
 
 def test_nichols_relations_a1():
