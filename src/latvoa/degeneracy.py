@@ -85,7 +85,6 @@ class DegeneracyReport:
     ell: int
     g0: str
     gl: str
-    orders: list[int]
     num_simples: int
     dim_x: int
     dim_x_from_counts: int
@@ -161,7 +160,6 @@ def extension_report(rs: RootSystem, ell: int) -> DegeneracyReport:
         ell=ell,
         g0=g0,
         gl=gl,
-        orders=divided_power_orders(rs, ell),
         num_simples=n_simples,
         dim_x=dim_x,
         dim_x_from_counts=dim_x_counts,

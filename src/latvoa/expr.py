@@ -87,7 +87,9 @@ def _parse_rational(toks: _Tokens) -> Fraction:
     num = toks.expect("number")[1]
     if toks.peek()[:2] == ("op", "/"):
         toks.next()
-        den = toks.expect("number")[1]
+        _kind, den, pos = toks.expect("number")
+        if int(den) == 0:
+            raise ParseError("zero denominator", toks.text, pos)
         return Fraction(int(num), int(den))
     return Fraction(int(num))
 

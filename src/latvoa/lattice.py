@@ -157,22 +157,17 @@ class Coset:
         return sol is not None and all(x.denominator == 1 for x in sol)
 
     def canonical_rep(self) -> Momentum:
-        """Representative reduced into the fundamental cell of the Hermite
-        normal form of the lattice basis (deterministic equality testing).
+        """The representative reduced into the fundamental cell of the
+        basis: rep minus floor(x_i) b_i for its basis coordinates x_i.
 
-        Falls back to the construction basis when the lattice is not
-        integral in ambient coordinates.
+        The basis must be a Z-basis of the lattice (linearly independent).
+        Then every representative of the coset reduces to the same point,
+        which is what equality testing and hashing rely on.
         """
-        basis = self.basis
-        if all(c.denominator == 1 for b in self.basis for c in b.coords):
-            hnf = linalg.hnf_row([[int(c) for c in b.coords] for b in self.basis])
-            basis = tuple(
-                self.space.momentum(row) for row in hnf if any(row)
-            )
-        sol = _basis_coords(basis, self.rep)
+        sol = _basis_coords(self.basis, self.rep)
         assert sol is not None
         shift = self.space.zero()
-        for x, b in zip(sol, basis):
+        for x, b in zip(sol, self.basis):
             shift = shift + Fraction(math.floor(x)) * b
         return self.rep - shift
 

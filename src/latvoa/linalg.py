@@ -19,10 +19,10 @@ There is one elimination, the Bareiss fraction-free echelon (Bareiss,
 Math. Comp. 22, 1968) on sparse integer rows in `_echelon`, followed by
 integer back substitution over one denominator per vector.  `nullity`,
 `nullspace`, `det`, `solve` and `inverse` all run on it; the integer
-routines at the end (Hermite and Smith normal forms) are unimodular and
-separate.  `nullspace` keeps a dense signature, dense rows in and dense
-Fraction vectors out: the benchmark's tracer reads its dense argument,
-and the tests hold it to the dense whole-matrix elimination.
+Smith normal form at the end is unimodular and separate.  `nullspace`
+keeps a dense signature, dense rows in and dense Fraction vectors out:
+the benchmark's tracer reads its dense argument, and the tests hold it
+to the dense whole-matrix elimination.
 """
 
 from __future__ import annotations
@@ -310,47 +310,6 @@ def inverse(a: Matrix) -> Matrix:
 # --- integer lattice routines -------------------------------------------
 
 IMatrix = list[list[int]]
-
-
-def _swap_rows(m: IMatrix, i: int, j: int) -> None:
-    m[i], m[j] = m[j], m[i]
-
-
-def hnf_row(a: IMatrix) -> IMatrix:
-    """Row-style Hermite normal form of an integer matrix (copy).
-
-    Result is upper triangular with positive pivots and entries above each
-    pivot reduced into [0, pivot).  Zero rows sink to the bottom.
-    """
-    m = [row[:] for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        _swap_rows(m, r, piv)
-        # gcd out the column below the pivot
-        for i in range(r + 1, rows):
-            while m[i][c] != 0:
-                q = m[r][c] // m[i][c]
-                m[r] = [x - q * y for x, y in zip(m[r], m[i])]
-                _swap_rows(m, r, i)
-        if m[r][c] < 0:
-            m[r] = [-x for x in m[r]]
-        for i in range(r):
-            q = m[i][c] // m[r][c]
-            if q:
-                m[i] = [x - q * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return m
 
 
 def _exgcd(a: int, b: int) -> tuple[int, int, int]:

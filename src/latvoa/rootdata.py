@@ -38,14 +38,7 @@ class RootSystem:
 
     def pair_roots(self, x, y) -> Fraction:
         """Inner product of two vectors given in the simple-root basis."""
-        total = Fraction(0)
-        for i, xi in enumerate(x):
-            if xi:
-                row = self.gram[i]
-                for j, yj in enumerate(y):
-                    if yj:
-                        total += Fraction(xi) * row[j] * yj
-        return total
+        return Fraction(_gram_pair(self.gram, x, y))
 
     def norm(self, x) -> Fraction:
         return self.pair_roots(x, x)
@@ -53,6 +46,16 @@ class RootSystem:
     def coroot(self, x) -> tuple[Fraction, ...]:
         n = self.norm(x)
         return tuple(Fraction(2 * c, 1) / n for c in x)
+
+
+def _gram_pair(gram, x, y):
+    """sum x_i gram_ij y_j: the inner product of two vectors in the
+    simple-root basis, an int when both are integral."""
+    total = 0
+    for xi, row in zip(x, gram):
+        if xi:
+            total += xi * sum(g * yj for g, yj in zip(row, y))
+    return total
 
 
 def _gram_from_norms(rank: int, norms: list[int], links: dict[tuple[int, int], int]) -> list[list[int]]:
@@ -101,16 +104,13 @@ def _positive_roots(gram: list[list[int]]) -> list[tuple[int, ...]]:
     rank = len(gram)
     simples = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
 
-    def pair(x, y):
-        return sum(x[i] * gram[i][j] * y[j] for i in range(rank) for j in range(rank))
-
     roots = set(simples) | {tuple(-c for c in s) for s in simples}
     frontier = set(roots)
     while frontier:
         new = set()
         for r in frontier:
             for i, s in enumerate(simples):
-                coeff = 2 * pair(r, s) // gram[i][i]
+                coeff = 2 * _gram_pair(gram, r, s) // gram[i][i]
                 img = tuple(rc - coeff * sc for rc, sc in zip(r, s))
                 if img not in roots:
                     new.add(img)
@@ -162,12 +162,9 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     two_rho = [sum(r[i] for r in positive) for i in range(rank)]
     rho = tuple(Fraction(c, 2) for c in two_rho)
 
-    def pair(x, y):
-        return sum(Fraction(x[i]) * gram[i][j] * y[j] for i in range(rank) for j in range(rank))
-
     rho_dual_acc = [Fraction(0)] * rank
     for r in positive:
-        n = pair(r, r)
+        n = _gram_pair(gram, r, r)
         for i in range(rank):
             rho_dual_acc[i] += Fraction(2, 1) * r[i] / n
     rho_dual = tuple(x / 2 for x in rho_dual_acc)
@@ -220,10 +217,6 @@ def dual_root_system(rs: RootSystem) -> RootSystem:
     if rs.series in ("B", "C") and rs.rank < 2:
         dual_series = "A"
     return build_root_system(dual_series, rs.rank)
-
-
-def positive_roots(rs: RootSystem) -> tuple[tuple[int, ...], ...]:
-    return rs.positive_roots
 
 
 def short_root_norm(rs: RootSystem) -> int:

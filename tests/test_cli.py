@@ -109,6 +109,14 @@ def test_screen_apply_parse_error(capsys):
             "--momentum", momentum, "--state", state,
         )
         assert code == 2 and doc["errors"] and doc["ok"] is False
+    for momentum, state in (("1/0*a", "exp[a]"), ("a", "1/0*exp[a1]"), ("a", "exp[1/0*a1]")):
+        code, doc = run_json(
+            capsys, "screen-apply", "--algebra", "A1", "--ell", "4",
+            "--momentum", momentum, "--state", state,
+        )
+        assert code == 2 and doc["ok"] is False
+        (error,) = doc["errors"]
+        assert "zero denominator at position" in error
 
 
 def test_fractional_pairing_error_names_momenta(capsys):

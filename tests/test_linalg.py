@@ -453,23 +453,3 @@ def test_inverse_solve():
         b = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
         x = linalg.solve(a, b)
         assert linalg.mat_vec(a, x) == b
-
-
-def test_hnf_preserves_lattice():
-    rng = random.Random(2)
-    for _ in range(50):
-        n = rng.randint(1, 3)
-        a = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)]
-        if linalg.det(linalg.frac_matrix(a)) == 0:
-            continue
-        h = linalg.hnf_row(a)
-        # same row span over Z: each is an integer combination of the other
-        for src, dst in ((a, h), (h, a)):
-            mat = linalg.transpose(linalg.frac_matrix(dst))
-            for row in src:
-                sol = linalg.solve(mat, [Fraction(x) for x in row])
-                assert sol is not None and all(s.denominator == 1 for s in sol)
-        # upper triangular with nonnegative pivots
-        for i in range(n):
-            for j in range(i):
-                assert h[i][j] == 0

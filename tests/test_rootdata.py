@@ -7,7 +7,6 @@ from latvoa.rootdata import (
     classify_simply_laced,
     dual_root_system,
     parse_label,
-    positive_roots,
     short_simple_system,
 )
 
@@ -57,7 +56,7 @@ def test_positive_root_counts():
         ("G", 2): 6,
     }
     for (series, rank), n in counts.items():
-        assert len(positive_roots(build_root_system(series, rank))) == n
+        assert len(build_root_system(series, rank).positive_roots) == n
 
 
 def test_b2_positive_roots():
