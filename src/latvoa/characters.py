@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .lattice import Coset, Momentum, ScreeningLattices, canonical_scalar, groundstates, points_within
 from .screening import kernel_layer, short_screening_set
@@ -199,33 +199,21 @@ def theta_coset(sl: ScreeningLattices, coset: Coset, shift: Momentum, order: int
     """Theta series of the shifted coset: sum over nu in (rep - shift) + L
     of t^{(nu, nu)/2}, complete through offset + order.
 
-    The coset is enumerated scaled by the common denominator s of its
-    coordinates, so that every point is integral and its norm is one
-    integer pairing: (nu, nu) / 2 = pair_num(s nu, s nu) / unit with
-    unit = 2 s^2 times the Gram denominator.  Only the distinct norms are
-    divided."""
+    The points v of the coset are enumerated around `shift`, and the
+    enumerator's squared distance (v - shift, v - shift) is twice each
+    exponent.  The step is the rational gcd of the distinct exponents'
+    distances above the least one."""
     space = sl.space
-    rep = coset.rep - shift
-    s = lcm(*(x.denominator for v in (rep, *coset.basis) for x in v.coords))
-    rep, basis = s * rep, [s * b for b in coset.basis]
-    unit = 2 * s * s * space._den
-    zero = space.zero()
-
-    def norm_num(v: Momentum) -> int:
-        return space.pair_num(v.coords, v.coords)
-
-    probe = points_within(space, rep, basis, zero, space.norm(rep))
-    base = min(map(norm_num, probe))
-    bound = Fraction(base + unit * order, space._den)
-    counts = Counter(map(norm_num, points_within(space, rep, basis, zero, bound)))
-    # positions on the grid of the gcd of the exponent differences
-    g = gcd(*(k - base for k in counts))
-    step = Fraction(g, unit) if g else Fraction(1)
-    n = int(Fraction(order) / step)
+    rep, basis = coset.rep, coset.basis
+    probe = points_within(space, rep, basis, shift, space.norm(rep - shift))
+    base = min(d for _v, d in probe)
+    counts = Counter(d for _v, d in points_within(space, rep, basis, shift, base + 2 * order))
+    step = _rational_gcd(*((d - base) / 2 for d in counts)) or Fraction(1)
+    n = int(order / step)
     coeffs = [0] * (n + 1)
-    for k, count in counts.items():
-        coeffs[(k - base) // (g or 1)] += count
-    return QSeries(Fraction(base, unit), tuple(coeffs), step)
+    for d, count in counts.items():
+        coeffs[int((d - base) / 2 / step)] += count
+    return QSeries(base / 2, tuple(coeffs), step)
 
 
 def graded_dim_module(sl: ScreeningLattices, coset: Coset, order: int) -> QSeries:

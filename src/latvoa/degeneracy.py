@@ -135,8 +135,8 @@ def extension_report(rs: RootSystem, ell: int) -> DegeneracyReport:
     # in ambient coordinates (short roots have norm 2, so coroot = root)
     sub_basis = [[p * c for c in root] for root in shorts]
     parent_basis = [[int(x) for x in b.coords] for b in sl.basis_long]
-    det_sub = linalg.det(linalg.frac_matrix(sub_basis))
-    det_parent = linalg.det(linalg.frac_matrix(parent_basis))
+    det_sub = linalg.det(sub_basis)
+    det_parent = linalg.det(parent_basis)
     ratio = abs(det_sub / det_parent)
     if ratio.denominator != 1:
         raise AssertionError("g0 lattice is not a sublattice of the parent lattice")
@@ -147,7 +147,7 @@ def extension_report(rs: RootSystem, ell: int) -> DegeneracyReport:
     # its numeric simple counts match this rescaling)
     sub_gram = [[rs.pair_roots(x, y) for y in shorts] for x in shorts]
     # norm-2 roots have cartan = gram, so det(cartan) = det(gram)
-    g0_count = int(linalg.det(linalg.frac_matrix(sub_gram)))
+    g0_count = int(linalg.det(sub_gram))
     for _root in shorts:
         g0_count *= ell // 2  # ell / (root, root) with (root, root) = 2
     dim_x_counts = isqrt(g0_count // n_simples) if g0_count % n_simples == 0 else -1

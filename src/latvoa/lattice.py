@@ -325,7 +325,7 @@ def quotient_group(sl: ScreeningLattices, fine, coarse) -> QuotientGroup:
     diag = [d_mat[i][i] for i in range(len(d_mat))]
     if any(f == 0 for f in diag):
         raise ValueError("coarse lattice has lower rank than the fine lattice")
-    u_inv = linalg.inverse(linalg.frac_matrix(u))
+    u_inv = linalg.inverse(u)
     # columns of fine_mat @ u_inv generate the quotient with orders diag[i]
     fine_mat = linalg.transpose([list(b.coords) for b in fine])
     gen_mat = linalg.mat_mul(fine_mat, u_inv)
@@ -362,8 +362,9 @@ def points_within(
     basis,
     center: Momentum,
     max_norm2: Fraction,
-):
-    """All v in rep + span_Z(basis) with (v-center, v-center) <= max_norm2.
+) -> list[tuple[Momentum, Fraction]]:
+    """All v in rep + span_Z(basis) with (v-center, v-center) <= max_norm2,
+    each as the pair (v, (v-center, v-center)).
 
     Complete Fincke-Pohst enumeration (Math. Comp. 44, 1985).  With
     t = rep - center and v = rep + sum_k n_k b_k, the exact split
@@ -371,10 +372,11 @@ def points_within(
     |v - center|^2 = f_min + sum_k D_k (n_k - m_k)^2, where the centre m_k
     depends only on n_0 .. n_{k-1}.  Coordinates are fixed depth-first from
     the first to the last, and each interval is cut against the remaining
-    radius with integer square roots, so pruning loses no admissible point.
-    Every candidate is then tested directly in integers before a Momentum
-    is built: over one common denominator, |t|^2, 2(b_k, t), the Gram
-    matrix and max_norm2 are all integers.  No floating point is involved.
+    radius with integer square roots, so pruning loses no admissible point
+    and admits no other: the remaining radius, an integer over one common
+    denominator, never goes negative.  At a leaf it is exactly
+    max_norm2 - |v - center|^2 over that denominator, which gives each
+    point's squared distance.  No floating point is involved.
 
     Points come in lexicographic order of their coordinates n.
     """
@@ -382,7 +384,6 @@ def points_within(
     t = rep - center
     gram = [[space.pair(basis[i], basis[j]) for j in range(r)] for i in range(r)]
     lin = [space.pair(b, t) for b in basis]
-    t2 = space.norm(t)
     bound = Fraction(max_norm2)
 
     # Gram = L^T D L, then |t + B n|^2 = sum_k D_k (n_k - m_k)^2 + f_min
@@ -399,7 +400,7 @@ def points_within(
     h = [Fraction(0)] * r
     for k in reversed(range(r)):
         h[k] = lin[k] - sum(low[m][k] * h[m] for m in range(k + 1, r))
-    radius = bound - t2 + sum(h[k] ** 2 / diag[k] for k in range(r))
+    radius = bound - space.norm(t) + sum(h[k] ** 2 / diag[k] for k in range(r))
     if radius < 0:
         return []
 
@@ -410,19 +411,9 @@ def points_within(
     centre = [_scaled(x, scale) for x in mu]
     coef = [[_scaled(-low[k][j], scale) for j in range(k)] for k in range(r)]
     steps = [d / scale**2 for d in diag]
-    denom = math.lcm(radius.denominator, *(x.denominator for x in steps))
+    denom = math.lcm(radius.denominator, bound.denominator, *(x.denominator for x in steps))
     weight = [_scaled(x, denom) for x in steps]
-
-    # integer acceptance test: n^T quad n + beta . n <= top
-    common = math.lcm(
-        t2.denominator,
-        bound.denominator,
-        *(x.denominator for row in gram for x in row),
-        *((2 * x).denominator for x in lin),
-    )
-    quad = [[_scaled(x, common) for x in row] for row in gram]
-    beta = [_scaled(2 * x, common) for x in lin]
-    top = _scaled(bound - t2, common)
+    bound_num = _scaled(bound, denom)
 
     # point coordinates over one denominator, one column per ambient axis
     den = math.lcm(*(x.denominator for v in (rep, *basis) for x in v.coords))
@@ -441,18 +432,13 @@ def points_within(
                 off = scale * x - mid
                 descend(k + 1, rem - weight[k] * off * off)
             return
-        value = sum(
-            x * (sum(a * y for a, y in zip(row, n)) + b) for x, row, b in zip(n, quad, beta)
-        )
-        if value <= top:
-            found.append(
-                Momentum(
-                    canonical(
-                        Fraction(c + sum(x * y for x, y in zip(n, col)), den)
-                        for c, col in zip(rep_num, columns)
-                    )
-                )
+        point = Momentum(
+            canonical(
+                Fraction(c + sum(x * y for x, y in zip(n, col)), den)
+                for c, col in zip(rep_num, columns)
             )
+        )
+        found.append((point, Fraction(bound_num - rem, denom)))
 
     descend(0, _scaled(radius, denom))
     return found
@@ -467,15 +453,15 @@ def groundstates(sl: ScreeningLattices, coset: Coset):
     """All coset representatives of minimal conformal dimension, and that h.
 
     Minimizing h(v) = (v-Q,v-Q)/2 - (Q,Q)/2 is the closest-vector problem
-    for the point Q.
+    for the point Q: the enumeration around Q reports each (v-Q, v-Q), and
+    the least of them gives both the minima and h.
     """
     space = sl.space
     initial = coset.canonical_rep()
     bound = space.norm(initial - sl.Q)
     pts = points_within(space, coset.rep, coset.basis, sl.Q, bound)
-    norms = [space.norm(v - sl.Q) for v in pts]
-    best = min(norms)
-    minima = sorted((v for v, m in zip(pts, norms) if m == best), key=lambda v: v.coords)
+    best = min(d for _v, d in pts)
+    minima = sorted((v for v, d in pts if d == best), key=lambda v: v.coords)
     h = best / 2 - space.norm(sl.Q) / 2
     return minima, h
 

@@ -37,10 +37,6 @@ Matrix = list[Row]
 SparseRow = dict[int, int]
 
 
-def frac_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
     assert len(a[0]) == k

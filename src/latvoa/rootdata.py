@@ -169,12 +169,12 @@ def build_root_system(series: str, rank: int) -> RootSystem:
             rho_dual_acc[i] += Fraction(2, 1) * r[i] / n
     rho_dual = tuple(x / 2 for x in rho_dual_acc)
 
-    gram_inv = linalg.inverse(linalg.frac_matrix(gram))
+    gram_inv = linalg.inverse(gram)
     fund = tuple(
         tuple(d[i] * gram_inv[i][j] for j in range(rank)) for i in range(rank)
     )
 
-    cart_det = linalg.det(linalg.frac_matrix(cartan))
+    cart_det = linalg.det(cartan)
     assert cart_det.denominator == 1
 
     return RootSystem(

@@ -182,16 +182,19 @@ def _monomials_of_degree(rank: int, d: int):
 
 def layer_basis(sl: ScreeningLattices, coset: Coset, h) -> GradedLayer:
     """Basis of the conformal-dimension-h layer of the module V_[coset]:
-    states u e^{phi_mu} with mu in the coset and h(mu) + deg(u) = h."""
+    states u e^{phi_mu} with mu in the coset and h(mu) + deg(u) = h.
+
+    h(mu) = (d - |Q|^2)/2 with d = |mu - Q|^2, so the momenta are the
+    points with d <= 2h + |Q|^2 = bound, and the degree gap
+    h - h(mu) = (bound - d)/2 comes from the enumerator's own d."""
     h = Fraction(h)
     space = sl.space
-    # h(mu) = |mu - Q|^2/2 - |Q|^2/2 <= h bounds the exponential momenta
     bound = 2 * h + space.norm(sl.Q)
     pts = points_within(space, coset.rep, coset.basis, sl.Q, bound)
     basis: list[FieldElement] = []
-    for mu in sorted(pts, key=lambda v: v.coords):
-        gap = h - sl.conformal_dim(mu)
-        if gap < 0 or gap.denominator != 1:
+    for mu, d in sorted(pts, key=lambda pt: pt[0].coords):
+        gap = (bound - d) / 2
+        if gap.denominator != 1:
             continue
         for mono in _monomials_of_degree(space.rank, int(gap)):
             basis.append(FieldElement(space, {(mu.coords, mono): 1}))

@@ -117,16 +117,16 @@ def test_theta_representative_independence():
 
 
 def fraction_theta_coset(sl, coset, shift, order) -> QSeries:
-    """The theta series with one Fraction norm per point of the unscaled
-    coset: the earlier body of theta_coset."""
+    """The theta series with one Fraction norm per point, each computed by
+    the pairing itself rather than read from the enumerator's distances."""
     space = sl.space
     rep = coset.rep - shift
     zero = space.zero()
     probe = points_within(space, rep, coset.basis, zero, space.norm(rep))
-    base = min(space.norm(v) / 2 for v in probe)
+    base = min(space.norm(v) / 2 for v, _d in probe)
     pts = points_within(space, rep, coset.basis, zero, 2 * (base + order))
     counts = {}
-    for v in pts:
+    for v, _d in pts:
         e = space.norm(v) / 2
         counts[e] = counts.get(e, 0) + 1
     offset = min(counts)
@@ -301,12 +301,20 @@ def test_kernel_char_match_b4():
 
 
 def test_graded_dims_equal_layer_dims():
-    for sl in (SL_A1, SL_B2):
+    # A1 and B2 through level 6; B3 (rank 3) and C2 (long last root)
+    # through level 4
+    cases = [
+        (SL_A1, 6),
+        (SL_B2, 6),
+        (ScreeningLattices(build_root_system("B", 3), 4), 4),
+        (ScreeningLattices(build_root_system("C", 2), 4), 4),
+    ]
+    for sl, levels in cases:
         c24 = -sl.central_charge / 24
         for name, coset in sl.named_cosets().items():
-            series = graded_dim_module(sl, coset, 7)
+            series = graded_dim_module(sl, coset, levels + 1)
             _gs, h0 = groundstates(sl, coset)
-            for lvl in range(7):
+            for lvl in range(levels + 1):
                 assert series.coefficient_at(c24 + h0 + lvl) == layer_basis(
                     sl, coset, h0 + lvl
                 ).dim

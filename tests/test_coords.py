@@ -69,7 +69,7 @@ def test_half_momenta_sum_to_ints():
 def test_points_within_and_layer_bases_are_canonical(sl):
     space = sl.space
     for coset in sl.named_cosets().values():
-        for v in points_within(space, coset.rep, coset.basis, sl.Q, 8):
+        for v, _d in points_within(space, coset.rep, coset.basis, sl.Q, 8):
             assert is_canonical(v.coords)
         for h in range(3):
             for b in layer_basis(sl, coset, groundstates(sl, coset)[1] + h).basis:

@@ -453,10 +453,20 @@ def _sorted_coords(points):
     return sorted(v.coords for v in points)
 
 
+def _checked_points(space, center, pairs):
+    """The points of `points_within`'s (point, distance) pairs, once every
+    reported distance equals the pairing's own (v - center, v - center)."""
+    for v, d in pairs:
+        assert isinstance(d, Fraction) and d == space.norm(v - center)
+    return [v for v, _d in pairs]
+
+
 @settings(max_examples=150, deadline=None)
 @given(enumeration_requests())
 def test_points_within_matches_box_search(request):
-    assert _sorted_coords(points_within(*request)) == _sorted_coords(box_search(*request))
+    space, _rep, _basis, center, _bound = request
+    got = _checked_points(space, center, points_within(*request))
+    assert _sorted_coords(got) == _sorted_coords(box_search(*request))
 
 
 @pytest.mark.parametrize("name", ["blue", "steinberg"])
@@ -465,7 +475,9 @@ def test_points_within_bound_edges(sl_b3, name):
     coset = sl_b3.named_cosets()[name]
 
     def within(center, bound):
-        got = points_within(space, coset.rep, coset.basis, center, bound)
+        got = _checked_points(
+            space, center, points_within(space, coset.rep, coset.basis, center, bound)
+        )
         assert _sorted_coords(got) == _sorted_coords(
             box_search(space, coset.rep, coset.basis, center, bound)
         )

@@ -551,8 +551,6 @@ def test_long_screenings_kill_stress_tensor():
 def test_layer_dimension_formula():
     # dim = sum over coset points mu with h - h(mu) in Z>=0 of the
     # rank-colored partition count
-    from latvoa.lattice import points_within
-
     for sl, name, h, want in [
         (SL_B2, "blue", 0, 2),
         (SL_B2, "blue", 1, 8),
