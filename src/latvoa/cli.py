@@ -389,10 +389,10 @@ def cmd_virasoro_check(args) -> int:
     rs = _root_system(args)
     sl = ScreeningLattices(rs, args.ell)
     st = stress_tensor(sl)
-    blue = sl.named_cosets()["blue"]
+    vacuum = sl.long_lattice_coset(sl.space.zero())
     states = []
     for lvl in range(args.max_level + 1):
-        states.extend(layer_basis(sl, blue, lvl).basis)
+        states.extend(layer_basis(sl, vacuum, lvl).basis)
     rep = commutator_check(st, states, max_mode=args.max_mode)
     suite = long_screening_suite(sl, st)
     checks = [

@@ -86,16 +86,26 @@ def apply_screening(alpha: Momentum, state: FieldElement, images: dict | None = 
     Rejects states whose exponential momenta pair fractionally with alpha;
     those need the fractional residue with an explicit truncation.
 
-    Each term's image is translated from its relative image
-    (`_translated`), and the coefficients are summed as numerators
-    over one common denominator, divided once per output coefficient.
-    Calls that pass the same `images` dict share their relative images;
-    by default a call keeps its own.
+    The coefficients of state are brought over their common denominator,
+    `screening_numerators` does the work on ints, and each output
+    coefficient is divided once, here.  Calls that pass the same `images`
+    dict share their relative images; by default a call keeps its own.
     """
-    space = state.space
-    pairings = {mom: _pairing(space, alpha, mom) for mom in state.momenta()}
-    images = {} if images is None else images
     d, terms = _numerators(state.terms)
+    den, acc = screening_numerators(state.space, alpha, d, terms, {} if images is None else images)
+    return FieldElement(state.space, {key: canonical_quotient(x, den) for key, x in acc.items()})
+
+
+def screening_numerators(space, alpha: Momentum, d: int, terms, images: dict) -> tuple[int, dict]:
+    """(den, {term key: int}) with Z_alpha state = sum x/den key, where
+    state = sum c/d key over the (key, int c) pairs of terms.  den is
+    positive, no numerator is zero, and neither is reduced.
+
+    Each term's image is translated from its relative image (`_translated`,
+    which fills `images`), and the numerators are summed over one common
+    denominator.  A momentum that pairs fractionally with alpha is refused
+    (`_pairing`)."""
+    pairings = {mu: _pairing(space, alpha, mu) for mu in {mu for (mu, _mono), _c in terms}}
     per_term = []
     for (mu, mono), c in terms:
         mom, den, nums = _translated(space, alpha, mu, mono, pairings[mu], images)
@@ -108,8 +118,7 @@ def apply_screening(alpha: Momentum, state: FieldElement, images: dict | None = 
         for mono, x in nums:
             key = (mom, mono)
             acc[key] = acc.get(key, 0) + f * x
-    den = d * top
-    return FieldElement(space, {key: canonical_quotient(x, den) for key, x in acc.items() if x})
+    return d * top, {key: x for key, x in acc.items() if x}
 
 
 def short_screening_set(sl: ScreeningLattices) -> tuple[Momentum, ...]:
@@ -336,8 +345,11 @@ def nichols_check(sl: ScreeningLattices, screenings, cosets, max_level: int) -> 
     Each Z_a v is computed once per state and shared by the relations that
     need it; only one state's images are held at a time.  All screenings
     share one relative-image table (see `apply_screening`) for the whole
-    check.  A relation stops being checked at its first failing state,
-    which it reports.
+    check.  The images stay integer numerators over one denominator
+    (`screening_numerators`): Z_i^2 v = 0 exactly when its numerators are
+    empty, and Z_i Z_j v = Z_j Z_i v is cross-multiplied over the two
+    positive denominators, so no coefficient is divided.  A relation stops
+    being checked at its first failing state, which it reports.
     """
     states = []
     for coset in cosets:
@@ -349,23 +361,32 @@ def nichols_check(sl: ScreeningLattices, screenings, cosets, max_level: int) -> 
         (f"[Z{i + 1}, Z{j + 1}] = 0", i, j) for i in range(count) for j in range(i + 1, count)
     ]
     bad: list[FieldElement | None] = [None] * len(relations)
+    space = sl.space
     table: dict = {}
 
-    def Z(x: int, state: FieldElement) -> FieldElement:
-        return apply_screening(screenings[x], state, table)
+    def Z(x: int, image: tuple[int, dict]) -> tuple[int, dict]:
+        den, nums = image
+        return screening_numerators(space, screenings[x], den, nums.items(), table)
 
     for v in states:
         pending = [r for r in range(len(relations)) if bad[r] is None]
         if not pending:
             break
         needed = {x for r in pending for x in relations[r][1:]}
-        images = {x: Z(x, v) for x in sorted(needed)}
+        d, terms = _numerators(v.terms)
+        images = {x: screening_numerators(space, screenings[x], d, terms, table) for x in sorted(needed)}
         for r in pending:
             _name, i, j = relations[r]
             if i == j:
-                failed = not Z(i, images[i]).is_zero()
+                failed = bool(Z(i, images[i])[1])
             else:
-                failed = Z(i, images[j]) != Z(j, images[i])
+                # Z_i Z_j v = Z_j Z_i v, cross-multiplied over the two
+                # positive denominators
+                den_ij, ij = Z(i, images[j])
+                den_ji, ji = Z(j, images[i])
+                failed = ij.keys() != ji.keys() or any(
+                    x * den_ji != ji[key] * den_ij for key, x in ij.items()
+                )
             if failed:
                 bad[r] = v
     return [RelationReport(name, b is None, b) for (name, _i, _j), b in zip(relations, bad)]

@@ -71,11 +71,23 @@ def apply_modes(space, Q: Momentum, ns: tuple, creation: dict, elem: FieldElemen
 
     ns and creation (the `_creation_terms` of space, Q and ns) name the
     table that `_fast_term_modes` builds per term; want is a subset of ns.
-    The coefficients of elem are brought over their common denominator, so
-    each output coefficient is a sum of int products divided once.
+    The coefficients of elem are brought over their common denominator and
+    `mode_numerators` does the work on ints; each output coefficient is
+    divided once, here.
     """
-    want = ns if want is None else want
     d, terms = _numerators(elem.terms)
+    return {
+        n: FieldElement(space, {key: canonical_quotient(x, den) for key, x in nums.items()})
+        for n, (den, nums) in mode_numerators(space, Q, ns, creation, d, terms, want).items()
+    }
+
+
+def mode_numerators(space, Q: Momentum, ns: tuple, creation: dict, d: int, terms, want=None) -> dict:
+    """{n: (den, {term key: int})} with L_n elem = sum x/den key, for every
+    n in want (all of ns by default), where elem = sum c/d key over the
+    (key, int c) pairs of terms.  Every den is positive and no numerator is
+    zero; numerator and den are not reduced to lowest terms."""
+    want = ns if want is None else want
     per_term = [(c, _fast_term_modes(space, Q, key, ns, creation, want)) for key, c in terms]
     out = {}
     for n in want:
@@ -86,8 +98,7 @@ def apply_modes(space, Q: Momentum, ns: tuple, creation: dict, elem: FieldElemen
             f = c * (top // den)
             for k2, x in nums.items():
                 acc[k2] = acc.get(k2, 0) + f * x
-        den = d * top
-        out[n] = FieldElement(space, {k2: canonical_quotient(x, den) for k2, x in acc.items() if x})
+        out[n] = (d * top, {k2: x for k2, x in acc.items() if x})
     return out
 
 
@@ -252,7 +263,11 @@ def commutator_check(st: StressTensor, states, max_mode: int = 3) -> CommutatorR
 
     Per state, every L_k v is computed in one pass over v, and L_m L_n v
     for all m != n in one pass over each L_n v.  Since m < n, the sum
-    m + n stays within 2 max_mode - 1 of zero.
+    m + n stays within 2 max_mode - 1 of zero.  The images stay integer
+    numerators over one denominator each (`mode_numerators`); per pair,
+    lhs - rhs is summed over their common denominator, the central term
+    as the numerator and denominator of c (m^3 - m)/12, and the identity
+    holds exactly when every sum is zero.  No coefficient is divided.
     """
     space, Q = st.element.space, st.Q
     reach = max(2 * max_mode - 1, max_mode)
@@ -260,20 +275,29 @@ def commutator_check(st: StressTensor, states, max_mode: int = 3) -> CommutatorR
     creation = _creation_terms(space, Q, all_ns)
     modes = range(-max_mode, max_mode + 1)
     pairs = [(m, n) for m in modes for n in modes if m < n]
+    central = {m: st.c * Fraction(m**3 - m, 12) for m in modes}
     checked_states = 0
     for v in states:
         checked_states += 1
-        images = apply_modes(space, Q, all_ns, creation, v)
-        twice = {
-            n: apply_modes(space, Q, all_ns, creation, images[n], [m for m in modes if m != n])
-            for n in modes
-        }
+        d, terms = _numerators(v.terms)
+        images = mode_numerators(space, Q, all_ns, creation, d, terms)
+        twice = {}
+        for n in modes:
+            den, nums = images[n]
+            twice[n] = mode_numerators(space, Q, all_ns, creation, den, nums.items(), [m for m in modes if m != n])
         for m, n in pairs:
-            lhs = twice[n][m] - twice[m][n]
-            rhs = (m - n) * images[m + n]
-            if m + n == 0:
-                rhs = rhs + (st.c * Fraction(m**3 - m, 12)) * v
-            if lhs != rhs:
+            # (sign, den, numerators) of L_m L_n v, -L_n L_m v, -(m - n) L_{m+n} v
+            # and -c/12 (m^3 - m) v
+            parts = [(1, *twice[n][m]), (-1, *twice[m][n]), (n - m, *images[m + n])]
+            if m + n == 0 and central[m]:
+                parts.append((-central[m].numerator, central[m].denominator * d, dict(terms)))
+            top = lcm(*(den for _s, den, _nums in parts))
+            acc: dict = {}
+            for s, den, nums in parts:
+                f = s * (top // den)
+                for key, x in nums.items():
+                    acc[key] = acc.get(key, 0) + f * x
+            if any(acc.values()):
                 return CommutatorReport(
                     ok=False,
                     pairs_checked=len(pairs),

@@ -5,6 +5,8 @@ import pytest
 
 from latvoa import cli
 from latvoa.cli import main
+from latvoa.lattice import ScreeningLattices
+from latvoa.rootdata import build_root_system
 from latvoa.scalars import TierError
 
 
@@ -432,6 +434,20 @@ def test_virasoro_check_small(capsys):
         "--max-mode", "2", "--max-level", "3",
     )
     assert code == 0
+    assert all(c["ok"] for c in doc["checks"])
+
+
+@pytest.mark.parametrize("algebra, ell, modules", [("G2", "6", 3), ("A2", "4", 12)])
+def test_virasoro_check_without_four_modules(capsys, algebra, ell, modules):
+    # the check runs on the vacuum module, which every theory has
+    sl = ScreeningLattices(build_root_system(algebra[0], int(algebra[1])), int(ell))
+    assert sl.module_cosets().order == modules
+    code, doc = run_json(
+        capsys, "virasoro-check", "--algebra", algebra, "--ell", ell,
+        "--max-mode", "2", "--max-level", "1",
+    )
+    assert code == 0 and doc["ok"]
+    assert doc["states_checked"] > 0
     assert all(c["ok"] for c in doc["checks"])
 
 

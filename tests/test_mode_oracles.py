@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latvoa import linalg, virasoro
+from latvoa import linalg, screening, virasoro
 from latvoa.freefield import (
     FieldElement,
     _canonical_terms,
@@ -517,6 +517,31 @@ def test_nichols_check_reports_equal_reference(sl, screenings, cosets):
     level = 2 if sl.rs.rank < 3 else 1
     got = nichols_check(sl, screenings, cosets, level)
     assert got == reference_nichols_check(sl, screenings, cosets, level)
+
+
+@pytest.mark.parametrize("sl", INTEGRAL[:2], ids=lambda sl: sl.rs.label)
+def test_checks_divide_no_coefficient(monkeypatch, sl):
+    # a passing commutator or Nichols check decides on integer numerators:
+    # neither wrapper's division is reached
+    def refuse(num, den):
+        raise AssertionError(f"divided {num} by {den}")
+
+    monkeypatch.setattr(virasoro, "canonical_quotient", refuse)
+    monkeypatch.setattr(screening, "canonical_quotient", refuse)
+    cosets = sl.named_cosets()
+    pair = [cosets["blue"], cosets["green"]]
+    states = []
+    for coset in pair:
+        _gs, h0 = groundstates(sl, coset)
+        states.extend(v for lvl in range(3) for v in layer_basis(sl, coset, h0 + lvl).basis)
+    st_ = _stress(sl)
+    got = commutator_check(st_, states, max_mode=2)
+    assert got.ok and got.states_checked == len(states)
+    assert got == reference_commutator_check(st_, states, max_mode=2)
+    screenings = short_screening_set(sl)
+    reports = nichols_check(sl, screenings, pair, 2)
+    assert all(r.ok for r in reports)
+    assert reports == reference_nichols_check(sl, screenings, pair, 2)
 
 
 # --- translation-covariant screening images -----------------------------------

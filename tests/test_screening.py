@@ -432,18 +432,19 @@ def test_nichols_check_applies_each_screening_image_once(monkeypatch):
     # the two sides of each commutator built from those first images
     calls = []
     residues = []
-    real = screening.apply_screening
+    real = screening.screening_numerators
     real_residue = screening.residue_op
 
-    def counted(alpha, state, images=None):
-        calls.append((alpha, state))
-        return real(alpha, state, images)
+    def counted(space, alpha, d, terms, images):
+        terms = list(terms)
+        calls.append((alpha, [key for key, _c in terms]))
+        return real(space, alpha, d, terms, images)
 
     def counted_residue(a, b, *args, **kwargs):
         residues.append(b)
         return real_residue(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(screening, "apply_screening", counted)
+    monkeypatch.setattr(screening, "screening_numerators", counted)
     monkeypatch.setattr(screening, "residue_op", counted_residue)
     screens = short_screening_set(SL_B2)
     cosets = SL_B2.named_cosets()
@@ -460,12 +461,12 @@ def test_nichols_check_applies_each_screening_image_once(monkeypatch):
     # one residue per distinct (screening, monomial, pairing), on a single term
     triples = {
         (alpha.coords, mono, SL_B2.space.pair(alpha, Momentum(mu)))
-        for alpha, state in calls
-        for mu, mono in state.terms
+        for alpha, keys in calls
+        for mu, mono in keys
     }
     assert len(residues) == len(triples)
     assert all(len(b.terms) == 1 for b in residues)
-    terms_applied = sum(len(state.terms) for _alpha, state in calls)
+    terms_applied = sum(len(keys) for _alpha, keys in calls)
     assert len(residues) < terms_applied
 
 
