@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -527,8 +528,10 @@ def main(argv=None) -> int:
     IndexError, TierError, TypeError, ZeroDivisionError, RecursionError,
     MemoryError, ...), which points at a fault of the program or of its
     resources rather than of the input.  Codes 2 and 3 print the JSON
-    document {"ok": false, "errors": [...]}.  Only --help exits through
-    SystemExit (code 0), after printing the usage.
+    document {"ok": false, "errors": [...]}, except when stdout is closed:
+    a BrokenPipeError from any write to stdout, the error document's
+    included, returns 3 and writes nothing more.  Only --help exits
+    through SystemExit (code 0), after printing the usage.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -545,14 +548,27 @@ def main(argv=None) -> int:
             glued.append(tok)
             i += 1
     try:
-        args = _parser().parse_args(glued)
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
-    except (ValueError, KeyError) as exc:
-        print(json.dumps({"ok": False, "errors": [str(exc)]}, indent=2))
-        return 2
-    except Exception as exc:
-        error = f"internal error: {type(exc).__name__}: {exc}"
-        print(json.dumps({"ok": False, "errors": [error]}, indent=2))
+        try:
+            args = _parser().parse_args(glued)
+            code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        except (ValueError, KeyError) as exc:
+            print(json.dumps({"ok": False, "errors": [str(exc)]}, indent=2))
+            code = 2
+        except BrokenPipeError:
+            raise
+        except Exception as exc:
+            error = f"internal error: {type(exc).__name__}: {exc}"
+            print(json.dumps({"ok": False, "errors": [error]}, indent=2))
+            code = 3
+        # a closed stdout shows here at the latest, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point fd 1 at devnull so that the flush
+        # at exit cannot raise again (the SIGPIPE note of the Python docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 3
 
 

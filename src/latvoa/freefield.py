@@ -27,6 +27,20 @@ Mono = tuple[tuple[int, int], ...]  # sorted ((order, index), ...)
 TermKey = tuple[tuple[int | Fraction, ...], Mono]
 
 
+def _accumulate(out: dict, key, val) -> None:
+    """out[key] += val, dropping the entry when it cancels."""
+    old = out.get(key)
+    if old is None:
+        if val:
+            out[key] = val
+        return
+    new = old + val
+    if new:
+        out[key] = new
+    else:
+        del out[key]
+
+
 class FracLaurent:
     """Finite Laurent polynomial with rational exponents."""
 
@@ -47,11 +61,7 @@ class FracLaurent:
     def __add__(self, other: "FracLaurent") -> "FracLaurent":
         out = dict(self.data)
         for e, c in other.data.items():
-            new = out.get(e, 0) + c
-            if new:
-                out[e] = new
-            elif e in out:
-                del out[e]
+            _accumulate(out, e, c)
         return FracLaurent(out)
 
     def __neg__(self) -> "FracLaurent":
@@ -65,12 +75,7 @@ class FracLaurent:
             out: dict[Fraction, object] = {}
             for e1, c1 in self.data.items():
                 for e2, c2 in other.data.items():
-                    e = e1 + e2
-                    new = out.get(e, 0) + c1 * c2
-                    if new:
-                        out[e] = new
-                    elif e in out:
-                        del out[e]
+                    _accumulate(out, e1 + e2, c1 * c2)
             return FracLaurent(out)
         return FracLaurent({e: c * other for e, c in self.data.items()})
 
@@ -188,11 +193,7 @@ class FieldElement:
         self._check_space(other)
         out = dict(self.terms)
         for k, c in other.terms.items():
-            new = out.get(k, 0) + c
-            if new:
-                out[k] = new
-            elif k in out:
-                del out[k]
+            _accumulate(out, k, c)
         return FieldElement(self.space, out)
 
     def __neg__(self) -> "FieldElement":
@@ -211,11 +212,7 @@ class FieldElement:
                         canonical(x + y for x, y in zip(ma, mb)),
                         _merge_mono(ua, ub),
                     )
-                    new = out.get(key, 0) + ca * cb
-                    if new:
-                        out[key] = new
-                    elif key in out:
-                        del out[key]
+                    _accumulate(out, key, ca * cb)
             return FieldElement(self.space, out)
         if not other:
             return FieldElement.zero(self.space)
@@ -240,14 +237,6 @@ class FieldElement:
     def derive(self) -> "FieldElement":
         """Hopf derivation: Leibniz on factors plus the exponential rule."""
         out: dict[TermKey, object] = {}
-
-        def add(key, c):
-            new = out.get(key, 0) + c
-            if new:
-                out[key] = new
-            elif key in out:
-                del out[key]
-
         for (mom, mono), c in self.terms.items():
             seen = set()
             for pos, (m, i) in enumerate(mono):
@@ -257,10 +246,10 @@ class FieldElement:
                 mult = sum(1 for f in mono if f == (m, i))
                 rest = list(mono)
                 rest.remove((m, i))
-                add((mom, tuple(sorted(rest + [(m + 1, i)]))), c * mult)
+                _accumulate(out, (mom, tuple(sorted(rest + [(m + 1, i)]))), c * mult)
             for i, x in enumerate(mom):
                 if x:
-                    add((mom, _merge_mono(mono, ((1, i),))), c * x)
+                    _accumulate(out, (mom, _merge_mono(mono, ((1, i),))), c * x)
         return FieldElement(self.space, _canonical_terms(out))
 
     def coproduct(self) -> dict[tuple[TermKey, TermKey], object]:

@@ -20,9 +20,10 @@ Math. Comp. 22, 1968) on sparse integer rows in `_echelon`, followed by
 integer back substitution over one denominator per vector.  `nullity`,
 `nullspace`, `det`, `solve` and `inverse` all run on it; the integer
 Smith normal form at the end is unimodular and separate.  `nullspace`
-keeps a dense signature, dense rows in and dense Fraction vectors out:
-the benchmark's tracer reads its dense argument, and the tests hold it
-to the dense whole-matrix elimination.
+takes dense rows, because the benchmark's tracer reads its dense
+argument, and returns each kernel vector as the sparse {column: Fraction}
+dict of its nonzero entries; the tests hold it to the dense whole-matrix
+elimination.
 """
 
 from __future__ import annotations
@@ -163,7 +164,8 @@ def _kernel_vector(red: Sequence[SparseRow], pivots: Sequence[int], f: int) -> d
     the last pivot.  Up to sign, D is the determinant of the input rows
     that became pivot rows, at the pivot columns, so by Cramer's rule every
     D * v[c] is an integer and each step divides exactly; the vector is
-    divided by D once at the end.
+    divided by D once at the end.  The entries come in ascending column
+    order.
     """
     d = red[-1][pivots[-1]] if red else 1
     w = {f: d}
@@ -173,15 +175,7 @@ def _kernel_vector(red: Sequence[SparseRow], pivots: Sequence[int], f: int) -> d
         if total:
             c = pivots[r]
             w[c] = -total // row[c]
-    return {j: Fraction(x, d) for j, x in w.items()}
-
-
-def _dense(vec: dict[int, Fraction], cols: int) -> Row:
-    """The full-width vector with the given nonzero entries."""
-    v = [Fraction(0)] * cols
-    for j, x in vec.items():
-        v[j] = x
-    return v
+    return {j: Fraction(w[j], d) for j in sorted(w)}
 
 
 def _blocks(rows: Sequence[SparseRow], cols: int) -> list[tuple[list[int], list[SparseRow]]]:
@@ -223,15 +217,16 @@ def nullity(rows: Sequence[SparseRow], ncols: int) -> int:
     return ncols - rank
 
 
-def nullspace(a: Matrix, ncols: int | None = None) -> list[Row]:
+def nullspace(a: Matrix, ncols: int | None = None) -> list[dict[int, Fraction]]:
     """Basis of the right nullspace of the dense matrix a, one vector per
-    free column.
+    free column, each as the {column: Fraction} dict of its nonzero
+    entries in ascending column order.
 
     The rows become sparse integer rows and the columns are split into
     blocks (`_blocks`).  Each block is eliminated on its own rows, with its
-    columns in ascending order, and its vectors are padded back to full
-    width; zero rows are dropped and a column no row touches gives a unit
-    vector.
+    columns in ascending order, and its vectors stay on the block's
+    columns; zero rows are dropped and a column no row touches gives a
+    unit vector.
 
     The output equals that of eliminating the whole matrix at once, order
     included.  Blocks share no rows, so a column is a pivot of a exactly
@@ -248,7 +243,7 @@ def nullspace(a: Matrix, ncols: int | None = None) -> list[Row]:
         pivot_set = set(pivots)
         for f in members:
             if f not in pivot_set:
-                basis.append((f, _dense(_kernel_vector(red, pivots, f), cols)))
+                basis.append((f, _kernel_vector(red, pivots, f)))
     basis.sort(key=lambda item: item[0])
     return [v for _f, v in basis]
 
@@ -285,7 +280,8 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Row | None:
     red, pivots, _sign = _echelon(rows, range(cols))
     if pivots and pivots[-1] == cols - 1:
         return None
-    return _dense(_kernel_vector(red, pivots, cols - 1), cols)[:-1]
+    x = _kernel_vector(red, pivots, cols - 1)
+    return [x.get(j, Fraction(0)) for j in range(cols - 1)]
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -299,8 +295,8 @@ def inverse(a: Matrix) -> Matrix:
     red, pivots, _sign = _echelon(rows, range(2 * n))
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    columns = [_dense(_kernel_vector(red, pivots, n + j), 2 * n) for j in range(n)]
-    return [[col[i] for col in columns] for i in range(n)]
+    columns = [_kernel_vector(red, pivots, n + j) for j in range(n)]
+    return [[col.get(i, Fraction(0)) for col in columns] for i in range(n)]
 
 
 # --- integer lattice routines -------------------------------------------

@@ -172,21 +172,24 @@ class GradedLayer:
 
 def _monomials_of_degree(rank: int, d: int):
     """All monomials (sorted factor tuples) of total degree d in `rank`
-    colors; count is the rank-colored partition number of d."""
+    colors, in sorted order; count is the rank-colored partition number
+    of d.  Factors are picked in ascending order, each from the last one
+    picked on, so every multiset comes out once and already sorted."""
+    factors = [(order, idx) for order in range(1, d + 1) for idx in range(rank)]
     out: list[tuple] = []
 
-    def rec(remaining: int, max_order: int, acc: list):
+    def rec(remaining: int, start: int, acc: tuple):
         if remaining == 0:
-            out.append(tuple(sorted(acc)))
+            out.append(acc)
             return
-        for order in range(min(remaining, max_order), 0, -1):
-            for idx in range(rank):
-                rec(remaining - order, order, acc + [(order, idx)])
+        for i in range(start, len(factors)):
+            factor = factors[i]
+            if factor[0] > remaining:
+                break
+            rec(remaining - factor[0], i, acc + (factor,))
 
-    rec(d, d, [])
-    # deduplicate color arrangements produced in different orders
-    uniq = sorted(set(out))
-    return uniq
+    rec(d, 0, ())
+    return out
 
 
 def layer_basis(sl: ScreeningLattices, coset: Coset, h) -> GradedLayer:
@@ -315,7 +318,7 @@ def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h, images: dic
     # each layer basis element is one term with coefficient 1
     keys = list(layer.term_index())
     basis = [
-        FieldElement(sl.space, {key: canonical_scalar(c) for key, c in zip(keys, vec) if c})
+        FieldElement(sl.space, {keys[j]: canonical_scalar(c) for j, c in vec.items()})
         for vec in null
     ]
     return LayerKernel(h, layer.dim, ker_dims, len(null), basis)

@@ -20,6 +20,7 @@ from math import factorial
 from .expr import format_momentum
 from .freefield import (
     FieldElement,
+    _accumulate,
     _match_coefficient,
     _merge_mono,
     _mono_degree,
@@ -52,20 +53,6 @@ def _dk_term(space: MomentumSpace, mom, mono, k: int):
         result = FieldElement(space, _dk_term(space, mom, mono, k - 1)).derive().terms
     _DK_CACHE[key] = result
     return result
-
-
-def _accumulate(out: dict, key, val) -> None:
-    """out[key] += val, dropping the entry when it cancels."""
-    old = out.get(key)
-    if old is None:
-        if val:
-            out[key] = val
-        return
-    new = old + val
-    if new:
-        out[key] = new
-    else:
-        del out[key]
 
 
 def _numerators(terms: dict):

@@ -54,31 +54,23 @@ def virasoro_mode(st: StressTensor, n: int, b: FieldElement) -> FieldElement:
 
 
 def virasoro_modes(st: StressTensor, ns, b: FieldElement) -> dict[int, FieldElement]:
-    """L_n b for every n in ns; a repeated n is computed once.
+    """L_n b for every n in ns, in one pass over the terms of b; a
+    repeated n is computed once.
 
     Evaluates the closed-form free-field action of the stress-tensor modes
     on basis terms; it agrees with the generic vertex-operator route
-    (multi_mode_op) and that agreement is pinned by tests.
-    """
-    space = b.space
-    ns = tuple(dict.fromkeys(ns))
-    return apply_modes(space, st.Q, ns, _creation_terms(space, st.Q, ns), b)
-
-
-def apply_modes(space, Q: Momentum, ns: tuple, creation: dict, elem: FieldElement, want=None):
-    """{n: L_n elem} for every n in want (all of ns by default), in one
-    pass over the terms of elem.
-
-    ns and creation (the `_creation_terms` of space, Q and ns) name the
-    table that `_fast_term_modes` builds per term; want is a subset of ns.
-    The coefficients of elem are brought over their common denominator and
+    (multi_mode_op) and that agreement is pinned by tests.  The
+    coefficients of b are brought over their common denominator and
     `mode_numerators` does the work on ints; each output coefficient is
     divided once, here.
     """
-    d, terms = _numerators(elem.terms)
+    space = b.space
+    ns = tuple(dict.fromkeys(ns))
+    creation = _creation_terms(space, st.Q, ns)
+    d, terms = _numerators(b.terms)
     return {
         n: FieldElement(space, {key: canonical_quotient(x, den) for key, x in nums.items()})
-        for n, (den, nums) in mode_numerators(space, Q, ns, creation, d, terms, want).items()
+        for n, (den, nums) in mode_numerators(space, st.Q, ns, creation, d, terms).items()
     }
 
 

@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import latvoa
 from latvoa import cli
 from latvoa.cli import main
 from latvoa.lattice import ScreeningLattices
@@ -697,3 +702,28 @@ def test_cli_surface():
     }
     assert surface == CLI_SURFACE
     assert sum(len(options) for options in surface.values()) == 56
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kernel", "--algebra", "B2", "--ell", "4", "--max-level", "3"],
+        ["virasoro-check", "--algebra", "A1", "--ell", "4", "--max-mode", "2", "--max-level", "1"],
+    ],
+)
+def test_closed_stdout_exits_3_silently(argv):
+    # the read end is closed before the child writes a byte
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ, PYTHONPATH=str(Path(latvoa.__file__).parents[1]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "latvoa.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (3, b"")

@@ -55,13 +55,13 @@ def test_snf_random():
 
 def test_nullspace_and_rank():
     a = fraction_matrix([[1, 2, 3], [2, 4, 6]])
-    basis = linalg.nullspace(a)
+    basis = dense_vectors(linalg.nullspace(a), 3)
     assert len(basis) == 2
     for v in basis:
         for row in a:
             assert sum(x * y for x, y in zip(row, v)) == 0
     assert gj_rank(a) == 1
-    assert linalg.nullspace([], ncols=3) == identity(3)
+    assert dense_vectors(linalg.nullspace([], ncols=3), 3) == identity(3)
 
 
 # --- dense Bareiss reference ----------------------------------------------
@@ -131,6 +131,12 @@ def dense_nullspace(a, ncols=None):
     cols = len(a[0])
     red, pivots, _sign, _scale = dense_echelon(a)
     return [dense_kernel_vector(red, pivots, cols, f) for f in range(cols) if f not in pivots]
+
+
+def dense_vectors(vectors, ncols):
+    """Full-width Fraction vectors of nullspace's sparse {column: Fraction}
+    vectors."""
+    return [[vec.get(j, Fraction(0)) for j in range(ncols)] for vec in vectors]
 
 
 def densify(rows, ncols):
@@ -387,7 +393,12 @@ def block_matrices(draw):
 @given(block_matrices())
 def test_nullspace_equals_dense_elimination(case):
     a, ncols = case
-    assert linalg.nullspace(a, ncols) == dense_nullspace(a, ncols)
+    cols = len(a[0]) if a else ncols
+    basis = linalg.nullspace(a, ncols)
+    assert dense_vectors(basis, cols) == dense_nullspace(a, ncols)
+    for vec in basis:
+        assert all(vec.values())
+        assert list(vec) == sorted(vec)
 
 
 @settings(max_examples=300, deadline=None)
@@ -420,7 +431,7 @@ def test_sparse_rows_scale_to_integers_and_drop_zero_rows():
 
 def test_nullspace_equals_dense_on_screening_matrix():
     a, ncols = stacked_screening_matrix(3, "blue", 3)
-    basis = linalg.nullspace(a, ncols)
+    basis = dense_vectors(linalg.nullspace(a, ncols), ncols)
     assert len(basis) == 36
     assert basis == dense_nullspace(a, ncols)
 

@@ -11,6 +11,7 @@ against conformal-dimension bookkeeping and linearity.
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -21,6 +22,7 @@ from latvoa.rootdata import build_root_system
 from latvoa.scalars import Scalar
 from latvoa.vertexop import residue_op
 from latvoa.screening import (
+    _monomials_of_degree,
     apply_screening,
     braiding_matrix,
     kernel_layer,
@@ -69,6 +71,24 @@ def D(sl, coords, order=1):
 
 def Z(sl, coords, state):
     return apply_screening(sl.space.momentum(coords), state)
+
+
+def brute_monomials(rank, d):
+    """Every multiset of at most d factors (order, idx) with orders summing
+    to d, as sorted tuples in sorted order."""
+    factors = [(order, idx) for order in range(1, d + 1) for idx in range(rank)]
+    return sorted(
+        combo
+        for k in range(d + 1)
+        for combo in combinations_with_replacement(factors, k)
+        if sum(order for order, _idx in combo) == d
+    )
+
+
+@pytest.mark.parametrize("rank", range(5))
+def test_monomials_of_degree_equal_brute_force(rank):
+    for d in range(7):
+        assert _monomials_of_degree(rank, d) == brute_monomials(rank, d)
 
 
 # --- rank one (short screening -a/sqrt2, long screening a sqrt2) ---------
