@@ -248,8 +248,12 @@ def _screening_matrix(
     """Matrix of Z_a from the layer basis to the target layer basis, as
     sparse integer rows: one {column: int} row per target basis element
     that some image reaches, in target order.  Each row is the relative
-    images' numerators brought over their common denominator (which leaves
-    the kernel unchanged); `images` is the table of `apply_screening`."""
+    images' numerators brought over their common denominator and then
+    divided by the row's content, the gcd of its entries, so that every
+    row is primitive.  Neither step changes the kernel; the division keeps
+    the Bareiss minors of `linalg.nullspace` from carrying the content as
+    an extra factor at every depth.  `images` is the table of
+    `apply_screening`."""
     space = sl.space
     idx = target.term_index()
     images = {} if images is None else images
@@ -265,7 +269,9 @@ def _screening_matrix(
     for i in sorted(rows):
         row = rows[i]
         top = lcm(*(dens[j] for j in row))
-        out.append({j: x * (top // dens[j]) for j, x in row.items()})
+        scaled = {j: x * (top // dens[j]) for j, x in row.items()}
+        content = gcd(*scaled.values())
+        out.append({j: x // content for j, x in scaled.items()} if content > 1 else scaled)
     return out
 
 

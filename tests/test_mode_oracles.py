@@ -43,14 +43,8 @@ from latvoa.screening import (
     nichols_check,
     short_screening_set,
 )
-from latvoa.vertexop import _accumulate, _mode_terms, residue_op
-from latvoa.virasoro import (
-    CommutatorReport,
-    _creation_terms,
-    _fast_term_modes,
-    commutator_check,
-    stress_tensor,
-)
+from latvoa.vertexop import _accumulate, _mode_terms, multi_mode_op, residue_op
+from latvoa.virasoro import CommutatorReport, _TermRows, commutator_check, stress_tensor
 
 
 def fraction_pp_coeff(space, f_left, f_right) -> Fraction:
@@ -374,16 +368,81 @@ def test_fast_term_modes_equal_fraction_loops(data):
     beta = data.draw(momentum_coords(sl))
     mono = tuple(sorted(data.draw(st.lists(factors(space.rank), max_size=3))))
     key = (beta, mono)
-    # compute afresh rather than read an entry another test left behind
-    virasoro._FAST_CACHE.pop((space, sl.Q.coords, key, NS), None)
-    got = _fast_term_modes(space, sl.Q, key, NS, _creation_terms(space, sl.Q, NS))
+    rows = _TermRows(space, sl.Q)
+    # compute afresh rather than read a momentum-free part another test left behind
+    virasoro._FAST_CACHE.pop((space, rows.qden, rows.qnum, mono), None)
+    got = rows.rows(key, NS)
     want = fraction_fast_term_modes(space, sl.Q, key, NS)
     # each bucket holds int numerators over one int denominator
     for n in NS:
         den, nums = got[n]
         assert type(den) is int and den > 0
         assert all(type(x) is int for x in nums.values())
-    assert {n: {k: Fraction(x, den) for k, x in nums.items()} for n, (den, nums) in got.items()} == want
+    assert {
+        n: {(beta, m): Fraction(x, den) for m, x in nums.items()} for n, (den, nums) in got.items()
+    } == want
+
+
+# A1, B2 and B3 at ell = 4 (with center and steinberg momenta) and G2 at ell = 6
+ROW_LATTICES = INTEGRAL[:3] + FRACTIONAL[1:2]
+ROW_NS = tuple(range(-5, 6))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_term_rows_equal_fraction_loops_and_generic_route(data):
+    # terms that share a monomial share its momentum-free part; each row
+    # is built in two steps, the second gaining the missing n
+    sl = data.draw(st.sampled_from(ROW_LATTICES), label="lattice")
+    space = sl.space
+    mono = tuple(sorted(data.draw(st.lists(factors(space.rank, 3), max_size=3), label="mono")))
+    betas = data.draw(st.lists(momentum_coords(sl), min_size=1, max_size=3, unique=True), label="betas")
+    first = tuple(data.draw(st.lists(st.sampled_from(ROW_NS), unique=True), label="first ns"))
+    rows = _TermRows(space, sl.Q)
+    if data.draw(st.booleans(), label="fresh momentum-free part"):
+        virasoro._FAST_CACHE.pop((space, rows.qden, rows.qnum, mono), None)
+    got = {}
+    for beta in betas:
+        rows.rows((beta, mono), first)
+    for beta in betas:
+        got[beta] = rows.rows((beta, mono), ROW_NS)
+        assert rows.table[(beta, mono)] is got[beta]
+    T = _stress(sl).element
+    for beta, row in got.items():
+        key = (beta, mono)
+        oracle = fraction_fast_term_modes(space, sl.Q, key, ROW_NS)
+        generic = multi_mode_op(T, [-2 - n for n in ROW_NS], FieldElement(space, {key: 1}))
+        for n in ROW_NS:
+            den, nums = row[n]
+            assert type(den) is int and den > 0
+            assert all(type(x) is int and x for x in nums.values())
+            values = {(beta, m): Fraction(x, den) for m, x in nums.items()}
+            assert values == oracle[n]
+            assert values == generic[-2 - n].terms
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_commutator_check_equal_with_fresh_tables(data):
+    # the term rows live for one call and the momentum-free parts are
+    # keyed by Q: a second call, a call after another Q, and a call after
+    # the parts are cleared all give the first call's report
+    sl = data.draw(st.sampled_from(INTEGRAL + FRACTIONAL))
+    st_ = _stress(sl)
+    other = virasoro.StressTensor(st_.element, st_.Q + sl.space.basis_vector(0), st_.c)
+    if data.draw(st.booleans()):
+        st_, other = other, st_
+    if data.draw(st.booleans()):
+        st_ = virasoro.StressTensor(st_.element, st_.Q, st_.c + 1)
+    states = data.draw(st.lists(elements(sl, max_terms=2), min_size=1, max_size=3))
+    max_mode = data.draw(st.integers(1, 2))
+    first = commutator_check(st_, states, max_mode)
+    assert commutator_check(st_, states, max_mode) == first
+    commutator_check(other, states, max_mode)
+    assert commutator_check(st_, states, max_mode) == first
+    virasoro._FAST_CACHE.clear()
+    assert commutator_check(st_, states, max_mode) == first
+    assert first == reference_commutator_check(st_, states, max_mode)
 
 
 @st.composite

@@ -517,6 +517,32 @@ def test_screening_matrix_rows_equal_untranslated_images():
                 assert [primitive(r) for r in rows] == [primitive(expected[i]) for i in sorted(expected)]
 
 
+@pytest.mark.parametrize(
+    "series, rank, ell, level", [("B", 2, 4, 4), ("B", 3, 4, 2), ("G", 2, 6, 4)], ids=["B2", "B3", "G2"]
+)
+def test_screening_matrix_rows_are_primitive(series, rank, ell, level):
+    # every row is divided by its content: the gcd of its entries is 1, so
+    # the Bareiss minors of nullspace carry no common factor of a row
+    sl = ScreeningLattices(build_root_system(series, rank), ell)
+    if series == "B":
+        cosets = [sl.named_cosets()[color] for color in ("blue", "green")]
+    else:  # G2 has no four named modules; the vacuum coset has integer pairings
+        cosets = [sl.long_lattice_coset(sl.space.zero())]
+    rows = 0
+    for coset in cosets:
+        _gs, h0 = groundstates(sl, coset)
+        images: dict = {}
+        for lvl in range(level + 1):
+            layer = layer_basis(sl, coset, h0 + lvl)
+            for a in short_screening_set(sl):
+                assert sl.space.pair(a, coset.rep).denominator == 1
+                target = layer_basis(sl, coset.shifted(a), h0 + lvl)
+                for row in screening._screening_matrix(sl, a, layer, target, images):
+                    assert math.gcd(*row.values()) == 1
+                    rows += 1
+    assert rows > 0
+
+
 def test_nichols_relations_a1():
     screens = short_screening_set(SL_A1)
     cosets = SL_A1.named_cosets()
