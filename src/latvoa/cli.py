@@ -391,9 +391,11 @@ def cmd_virasoro_check(args) -> int:
     sl = ScreeningLattices(rs, args.ell)
     st = stress_tensor(sl)
     vacuum = sl.long_lattice_coset(sl.space.zero())
+    # levels count from the module's groundstate weight h0, as in kernel and nichols
+    _gs, h0 = groundstates(sl, vacuum)
     states = []
     for lvl in range(args.max_level + 1):
-        states.extend(layer_basis(sl, vacuum, lvl).basis)
+        states.extend(layer_basis(sl, vacuum, h0 + lvl).basis)
     rep = commutator_check(st, states, max_mode=args.max_mode)
     suite = long_screening_suite(sl, st)
     checks = [

@@ -18,12 +18,11 @@ from .lattice import (
     canonical,
     canonical_quotient,
     canonical_scalar,
-    common_numerators,
     groundstates,
     points_within,
 )
 from .scalars import Scalar
-from .vertexop import _numerators, residue_op
+from .vertexop import _mode_numerators, _numerators
 from .virasoro import StressTensor, stress_tensor
 
 
@@ -64,19 +63,53 @@ def _pairing(space, alpha: Momentum, mom) -> int:
     return pairing
 
 
+def _fill_images(space, alpha: Momentum, keys, images: dict) -> None:
+    """Put into `images` the relative image of Z_alpha on every (mu, mono,
+    pairing) of keys that it lacks, under (alpha.coords, mono, pairing).
+
+    Y(e^alpha, z)(u e^mu) is z^<alpha, mu> times a series that never reads
+    mu: the screening carries no cocycle, and with no left factor the
+    match coefficients read alpha alone.  So the image at pairing p is the
+    z^(-1 - p + p0) coefficient at any one mu0 of pairing p0, and one
+    engine pass per monomial, on the single term mono e^mu0, covers every
+    pairing that the misses ask for.  Each image is stored as (den,
+    [(monomial, int numerator), ...]) over the least common denominator,
+    straight from the engine's numerators."""
+    misses: dict = {}  # mono -> (mu0, p0, {pairing, ...})
+    for mu, mono, pairing in keys:
+        if (alpha.coords, mono, pairing) in images:
+            continue
+        hit = misses.get(mono)
+        if hit is None:
+            misses[mono] = (mu, pairing, {pairing})
+        else:
+            hit[2].add(pairing)
+    screen = FieldElement.exponential(space, alpha)
+    for mono, (mu0, p0, pairings) in misses.items():
+        targets = {-1 - p + p0: p for p in pairings}
+
+        def want(e_pair):
+            return tuple(t - e_pair for t in targets if t >= e_pair)
+
+        buckets = _mode_numerators(screen, FieldElement(space, {(mu0, mono): 1}), want)
+        for t, p in targets.items():
+            den, nums = buckets.get(t, (1, {}))
+            g = gcd(den, *nums.values())
+            images[(alpha.coords, mono, p)] = (den // g, [(m, n // g) for (_mom, m), n in nums.items()])
+
+
 def _translated(space, alpha: Momentum, mu, mono, pairing: int, images: dict):
     """Z_alpha(mono e^mu) as (alpha + mu, den, [(monomial, int numerator),
     ...]): every term has momentum alpha + mu, and the coefficients depend
     on mu only through pairing = <alpha, mu>, since the screening carries
     no cocycle.  The relative image (den, numerators) is looked up in
-    `images` under (alpha.coords, mono, pairing); a miss runs `residue_op`
-    once, on this single term."""
+    `images` under (alpha.coords, mono, pairing); a miss fills it with
+    `_fill_images` on this one key, one engine pass on this single term."""
     key = (alpha.coords, mono, pairing)
     hit = images.get(key)
     if hit is None:
-        img = residue_op(FieldElement.exponential(space, alpha), FieldElement(space, {(mu, mono): 1}))
-        den, nums = common_numerators(img.terms.values())
-        hit = images[key] = (den, [(m, n) for (_mom, m), n in zip(img.terms, nums)])
+        _fill_images(space, alpha, ((mu, mono, pairing),), images)
+        hit = images[key]
     return canonical(x + y for x, y in zip(alpha.coords, mu)), *hit
 
 
@@ -89,7 +122,8 @@ def apply_screening(alpha: Momentum, state: FieldElement, images: dict | None = 
     The coefficients of state are brought over their common denominator,
     `screening_numerators` does the work on ints, and each output
     coefficient is divided once, here.  Calls that pass the same `images`
-    dict share their relative images; by default a call keeps its own.
+    dict share their relative images, each filled by one engine pass
+    (`_fill_images`) on its first miss; by default a call keeps its own.
     """
     d, terms = _numerators(state.terms)
     den, acc = screening_numerators(state.space, alpha, d, terms, {} if images is None else images)
@@ -102,9 +136,9 @@ def screening_numerators(space, alpha: Momentum, d: int, terms, images: dict) ->
     positive, no numerator is zero, and neither is reduced.
 
     Each term's image is translated from its relative image (`_translated`,
-    which fills `images`), and the numerators are summed over one common
-    denominator.  A momentum that pairs fractionally with alpha is refused
-    (`_pairing`)."""
+    which fills a miss in `images` with one engine pass on that single
+    term), and the numerators are summed over one common denominator.  A
+    momentum that pairs fractionally with alpha is refused (`_pairing`)."""
     pairings = {mu: _pairing(space, alpha, mu) for mu in {mu for (mu, _mono), _c in terms}}
     per_term = []
     for (mu, mono), c in terms:
@@ -204,11 +238,15 @@ def layer_basis(sl: ScreeningLattices, coset: Coset, h) -> GradedLayer:
     bound = 2 * h + space.norm(sl.Q)
     pts = points_within(space, coset.rep, coset.basis, sl.Q, bound)
     basis: list[FieldElement] = []
+    monomials: dict[int, list] = {}  # per degree gap, shared by its momenta
     for mu, d in sorted(pts, key=lambda pt: pt[0].coords):
         gap = (bound - d) / 2
         if gap.denominator != 1:
             continue
-        for mono in _monomials_of_degree(space.rank, int(gap)):
+        monos = monomials.get(gap.numerator)
+        if monos is None:
+            monos = monomials[gap.numerator] = _monomials_of_degree(space.rank, gap.numerator)
+        for mono in monos:
             basis.append(FieldElement(space, {(mu.coords, mono): 1}))
     return GradedLayer(coset=coset, h=h, basis=basis)
 
@@ -247,21 +285,25 @@ def _screening_matrix(
 ):
     """Matrix of Z_a from the layer basis to the target layer basis, as
     sparse integer rows: one {column: int} row per target basis element
-    that some image reaches, in target order.  Each row is the relative
-    images' numerators brought over their common denominator and then
-    divided by the row's content, the gcd of its entries, so that every
-    row is primitive.  Neither step changes the kernel; the division keeps
-    the Bareiss minors of `linalg.nullspace` from carrying the content as
-    an extra factor at every depth.  `images` is the table of
-    `apply_screening`."""
+    that some image reaches, in target order.  `images` is the table of
+    `apply_screening`; one `_fill_images` call over the whole layer basis
+    fills what it lacks, one engine pass per monomial.  Each row is the
+    relative images' numerators brought over their common denominator and
+    then divided by the row's content, the gcd of its entries, so that
+    every row is primitive.  Neither step changes the kernel; the division
+    keeps the Bareiss minors of `linalg.nullspace` from carrying the
+    content as an extra factor at every depth."""
     space = sl.space
     idx = target.term_index()
     images = {} if images is None else images
+    terms = list(layer.term_index())  # each basis element is one term with coefficient 1
+    pairings = {mu: _pairing(space, a, mu) for mu, _mono in terms}
+    keys = [(mu, mono, pairings[mu]) for mu, mono in terms]
+    _fill_images(space, a, keys, images)
     rows: dict[int, dict] = {}
     dens = []
-    for j, v in enumerate(layer.basis):
-        ((mu, mono),) = v.terms  # coefficient 1
-        mom, den, nums = _translated(space, a, mu, mono, _pairing(space, a, mu), images)
+    for j, (mu, mono, p) in enumerate(keys):
+        mom, den, nums = _translated(space, a, mu, mono, p, images)
         dens.append(den)
         for m, x in nums:
             rows.setdefault(idx[(mom, m)], {})[j] = x

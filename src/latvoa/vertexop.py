@@ -5,9 +5,12 @@ Y(a)b = sum_k <a2, b2> * b1 * z^k/k! * d^k.a1 over the coproduct legs.
 Every z-coefficient is a finite sum: for a fixed output exponent the
 derivative index k is pinned by the pairing exponent, and pairing
 exponents lie in a bounded window computed per term pair.  The engine
-sums integer numerators: the coefficients of a and b are brought over
-their common denominators, d^k is kept without its 1/k!, and each output
-coefficient is divided once.
+(`_mode_numerators`) sums integer numerators and returns them: the
+coefficients of a and b are brought over their common denominators, d^k
+is kept without its 1/k!, and each exponent comes out as one denominator
+with an int numerator per term.  Its callers divide: `mode_op`,
+`multi_mode_op`, `vertex_op` and `residue_op` divide each coefficient
+once (`_mode_terms`), and the screening table keeps the numerators.
 """
 
 from __future__ import annotations
@@ -62,10 +65,13 @@ def _numerators(terms: dict):
     return d, list(zip(terms, nums))
 
 
-def _divided(per_k: dict, scale: int) -> dict:
+def _merged(per_k: dict, scale: int) -> tuple[int, dict]:
     """One exponent bucket from its numerators per derivative index k: each
-    {term key: n} of index k stands for n / (scale * k!).  The indices are
-    brought over the largest k! and every coefficient is divided once."""
+    {term key: n} of index k stands for n / (scale * k!).  Returns (den,
+    {term key: int}) over one positive denominator, zeros dropped and
+    nothing reduced.  The indices are brought over the largest k!; where a
+    numerator is a Fraction (the Gram matrix has a denominator), the
+    bucket is brought over its common denominator."""
     top = max(per_k)
     if len(per_k) == 1:
         (merged,) = per_k.values()
@@ -76,18 +82,29 @@ def _divided(per_k: dict, scale: int) -> dict:
             for key, n in bucket.items():
                 merged[key] = merged.get(key, 0) + f * n
     den = scale * factorial(top)
-    return {key: canonical_quotient(n, den) for key, n in merged.items() if n}
+    merged = {key: n for key, n in merged.items() if n}
+    if any(type(n) is not int for n in merged.values()):
+        d, nums = common_numerators(merged.values())
+        return den * d, dict(zip(merged, nums))
+    return den, merged
+
+
+def _divided(bucket: tuple[int, dict]) -> dict:
+    """The term dict of one (den, {term key: int}) bucket, each coefficient
+    divided once, in canonical form."""
+    den, nums = bucket
+    return {key: canonical_quotient(n, den) for key, n in nums.items()}
 
 
 _MATCH_CACHE: dict = {}
 
 
-def _mode_terms(a: FieldElement, b: FieldElement, want):
+def _mode_numerators(a: FieldElement, b: FieldElement, want):
     """Core engine: want(E) returns the iterable of derivative indices k to
     keep for a combination with pairing exponent E.  Returns the map
-    {exponent E + k: accumulated term dict}, exponents in the order they
-    are first met.  Exponents and coefficients are in canonical form: ints
-    when integral, Fractions otherwise.
+    {exponent E + k: (den, {term key: int})}, exponents in the order they
+    are first met and in canonical form (an int when integral).  den is
+    positive, no numerator is zero, and neither is reduced (`_merged`).
 
     Contributions are summed as numerators, one accumulator per (exponent,
     k): with da and db the common denominators of the coefficients of a
@@ -143,7 +160,14 @@ def _mode_terms(a: FieldElement, b: FieldElement, want):
                         for (_mom, dmono), dc in _dk_term(space, alpha, a_left, k).items():
                             term_key = (mom, _merge_mono(b_left, dmono) if b_left else dmono)
                             bucket[term_key] = bucket.get(term_key, 0) + scale * dc
-    return {e: _divided(per_k, da * db) for e, per_k in out.items()}
+    return {e: _merged(per_k, da * db) for e, per_k in out.items()}
+
+
+def _mode_terms(a: FieldElement, b: FieldElement, want) -> dict:
+    """{exponent: term dict} of `_mode_numerators`, every coefficient
+    divided once and in canonical form: an int when integral, a Fraction
+    otherwise."""
+    return {e: _divided(bucket) for e, bucket in _mode_numerators(a, b, want).items()}
 
 
 def multi_mode_op(a: FieldElement, ms, b: FieldElement) -> dict:

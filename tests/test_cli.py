@@ -10,9 +10,10 @@ import pytest
 import latvoa
 from latvoa import cli
 from latvoa.cli import main
-from latvoa.lattice import ScreeningLattices
+from latvoa.lattice import ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
 from latvoa.scalars import TierError
+from latvoa.screening import layer_basis
 
 
 def run_cli(capsys, *argv):
@@ -454,6 +455,23 @@ def test_virasoro_check_without_four_modules(capsys, algebra, ell, modules):
     assert code == 0 and doc["ok"]
     assert doc["states_checked"] > 0
     assert all(c["ok"] for c in doc["checks"])
+
+
+def test_virasoro_check_levels_count_from_the_groundstate(capsys):
+    # G2 at ell = 6 has a vacuum groundstate below h = 0; --max-level counts
+    # from that weight h0, as kernel and nichols do
+    sl = ScreeningLattices(build_root_system("G", 2), 6)
+    vacuum = sl.long_lattice_coset(sl.space.zero())
+    _gs, h0 = groundstates(sl, vacuum)
+    assert h0 == -1
+    max_level = 2
+    dims = [layer_basis(sl, vacuum, h0 + lvl).dim for lvl in range(max_level + 1)]
+    code, doc = run_json(
+        capsys, "virasoro-check", "--algebra", "G2", "--ell", "6",
+        "--max-mode", "1", "--max-level", str(max_level),
+    )
+    assert code == 0 and doc["ok"]
+    assert doc["states_checked"] == sum(dims)
 
 
 def test_nichols_command(capsys):

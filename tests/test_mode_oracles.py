@@ -14,6 +14,7 @@ through the relative-image table of `apply_screening`.  The engine must
 give exactly the same values, the same term keys and the same reports.
 """
 
+import math
 from fractions import Fraction
 from math import factorial
 
@@ -683,3 +684,47 @@ def test_apply_screening_filled_table_equals_fresh(data):
     state = data.draw(layer_states(sl, keys))
     a = data.draw(st.sampled_from(screenings))
     assert apply_screening(a, state, table) == apply_screening(a, state)
+
+
+# --- relative images filled from one engine pass per monomial -----------------
+
+# (lattice, modules on which every short screening pairs integrally)
+FILLED = [
+    (sl, [sl.named_cosets()[color] for color in ("blue", "green")])
+    for sl in _lattices([("B", 2, 4), ("B", 3, 4)])
+] + [
+    (sl, [sl.long_lattice_coset(sl.space.zero())])  # G2 vacuum; A1 at p = 3 has den 3
+    for sl in _lattices([("G", 2, 6), ("A", 1, 6)])
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_filled_images_equal_residue_of_each_key(data):
+    sl, cosets = data.draw(st.sampled_from(FILLED), label="lattice")
+    space = sl.space
+    coset = data.draw(st.sampled_from(cosets))
+    a = data.draw(st.sampled_from(short_screening_set(sl)))
+    shifts = st.lists(st.integers(-2, 2), min_size=len(coset.basis), max_size=len(coset.basis))
+    keys = []
+    # each monomial at several momenta, so that one pass serves several pairings
+    for _ in range(data.draw(st.integers(1, 3))):
+        degree = data.draw(st.integers(0, 4))
+        mono = data.draw(st.sampled_from(screening._monomials_of_degree(space.rank, degree)))
+        for _ in range(data.draw(st.integers(1, 4))):
+            mu = coset.rep
+            for c, b in zip(data.draw(shifts), coset.basis):
+                mu = mu + c * b
+            pairing = space.pair(a, mu)
+            assert pairing.denominator == 1
+            keys.append((mu.coords, mono, pairing.numerator))
+    images: dict = {}
+    screening._fill_images(space, a, keys, images)
+    assert images.keys() == {(a.coords, mono, p) for _mu, mono, p in keys}
+    for mu, mono, p in keys:
+        den, nums = images[(a.coords, mono, p)]
+        assert den > 0 and all(nums) and math.gcd(den, *(n for _m, n in nums)) == 1
+        mom = canonical(x + y for x, y in zip(a.coords, mu))
+        got = {(mom, m): Fraction(n, den) for m, n in nums}
+        want = residue_op(FieldElement.exponential(space, a), FieldElement(space, {(mu, mono): 1}))
+        assert got == {key: Fraction(c) for key, c in want.terms.items()}

@@ -451,21 +451,21 @@ def test_nichols_check_applies_each_screening_image_once(monkeypatch):
     # per state: Z_a v for every screening a, Z_a Z_a v for every a, and
     # the two sides of each commutator built from those first images
     calls = []
-    residues = []
+    passes = []
     real = screening.screening_numerators
-    real_residue = screening.residue_op
+    real_engine = screening._mode_numerators
 
     def counted(space, alpha, d, terms, images):
         terms = list(terms)
         calls.append((alpha, [key for key, _c in terms]))
         return real(space, alpha, d, terms, images)
 
-    def counted_residue(a, b, *args, **kwargs):
-        residues.append(b)
-        return real_residue(a, b, *args, **kwargs)
+    def counted_engine(a, b, want):
+        passes.append(b)
+        return real_engine(a, b, want)
 
     monkeypatch.setattr(screening, "screening_numerators", counted)
-    monkeypatch.setattr(screening, "residue_op", counted_residue)
+    monkeypatch.setattr(screening, "_mode_numerators", counted_engine)
     screens = short_screening_set(SL_B2)
     cosets = SL_B2.named_cosets()
     chosen = [cosets["blue"], cosets["green"]]
@@ -478,16 +478,59 @@ def test_nichols_check_applies_each_screening_image_once(monkeypatch):
     commutator_pairs = 1
     assert len(calls) == (2 * len(screens) + commutator_pairs * 2) * states
     assert len(calls) == 6 * states
-    # one residue per distinct (screening, monomial, pairing), on a single term
+    # one engine pass per distinct (screening, monomial, pairing), on a single term
     triples = {
         (alpha.coords, mono, SL_B2.space.pair(alpha, Momentum(mu)))
         for alpha, keys in calls
         for mu, mono in keys
     }
-    assert len(residues) == len(triples)
-    assert all(len(b.terms) == 1 for b in residues)
+    assert len(passes) == len(triples)
+    assert all(len(b.terms) == 1 for b in passes)
     terms_applied = sum(len(keys) for _alpha, keys in calls)
-    assert len(residues) < terms_applied
+    assert len(passes) < terms_applied
+
+
+@pytest.mark.parametrize(
+    "series, rank, ell, level", [("B", 2, 4, 4), ("B", 3, 4, 2), ("G", 2, 6, 3)], ids=["B2", "B3", "G2"]
+)
+def test_screening_matrix_makes_one_engine_pass_per_monomial(monkeypatch, series, rank, ell, level):
+    # a fresh table per matrix: every pairing of a monomial comes from one pass
+    passes = []
+    real_engine = screening._mode_numerators
+
+    def counted_engine(a, b, want):
+        passes.append(b)
+        return real_engine(a, b, want)
+
+    monkeypatch.setattr(screening, "_mode_numerators", counted_engine)
+    sl = ScreeningLattices(build_root_system(series, rank), ell)
+    if series == "B":
+        cosets = [sl.named_cosets()[color] for color in ("blue", "green")]
+    else:  # G2 has no four named modules; the vacuum coset has integer pairings
+        cosets = [sl.long_lattice_coset(sl.space.zero())]
+    total_passes = total_keys = 0
+    for coset in cosets:
+        _gs, h0 = groundstates(sl, coset)
+        for lvl in range(level + 1):
+            layer = layer_basis(sl, coset, h0 + lvl)
+            monos = {mono for v in layer.basis for (_mu, mono) in v.terms}
+            for a in short_screening_set(sl):
+                keys = {
+                    (a.coords, mono, sl.space.pair_coords(a.coords, mu))
+                    for v in layer.basis
+                    for (mu, mono) in v.terms
+                }
+                target = layer_basis(sl, coset.shifted(a), h0 + lvl)
+                images: dict = {}
+                passes.clear()
+                screening._screening_matrix(sl, a, layer, target, images)
+                assert len(passes) <= len(monos)
+                assert all(len(b.terms) == 1 for b in passes)
+                assert len({mono for b in passes for (_mu, mono) in b.terms}) == len(passes)
+                assert images.keys() == keys
+                total_passes += len(passes)
+                total_keys += len(keys)
+    assert total_passes < total_keys  # some monomial occurs at several pairings
 
 
 def test_screening_matrix_rows_equal_untranslated_images():
