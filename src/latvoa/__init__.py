@@ -24,6 +24,7 @@ from .screening import (
     kernel_report,
     layer_basis,
     long_screening_suite,
+    module_layers,
     nichols_check,
     short_screening_set,
     weyl_power_exponent,
@@ -54,6 +55,7 @@ __all__ = [
     "layer_basis",
     "long_screening_suite",
     "mode_op",
+    "module_layers",
     "nichols_check",
     "num_simples",
     "quadratic_form_F",

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .lattice import Coset, Momentum, ScreeningLattices, canonical_scalar, groundstates, points_within
-from .screening import kernel_layer, short_screening_set
+from .lattice import Coset, Momentum, ScreeningLattices, canonical_scalar, points_within
+from .screening import kernel_report, short_screening_set
 
 
 def _rational_gcd(*xs) -> Fraction:
@@ -316,14 +316,10 @@ def kernel_char_match(sl: ScreeningLattices, order: int = 12, kernel_levels: int
     report.add("dim Steinberg = chi4", steinberg_dim.agrees_with(chars["chi4"], through=bound_r))
 
     screens = short_screening_set(sl)
-    images: dict = {}
     for color, chi_name in (("blue", "chi1"), ("green", "chi2")):
-        coset = cosets[color]
-        _gs, h0 = groundstates(sl, coset)
         chi = chars[chi_name]
-        for lvl in range(kernel_levels + 1):
-            lk = kernel_layer(sl, coset, screens, h0 + lvl, images)
-            expected = chi.coefficient_at(Fraction(n, 12) + h0 + lvl)
+        for lvl, lk in enumerate(kernel_report(sl, cosets[color], screens, kernel_levels).layers):
+            expected = chi.coefficient_at(Fraction(n, 12) + lk.h)
             ok = lk.intersection_dim == expected
             report.add(
                 f"{color} kernel level {lvl} = {chi_name} coefficient",

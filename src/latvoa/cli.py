@@ -30,8 +30,8 @@ from .scalars import Scalar
 from .screening import (
     braiding_matrix,
     kernel_report,
-    layer_basis,
     long_screening_suite,
+    module_layers,
     nichols_check,
     short_screening_set,
 )
@@ -101,16 +101,16 @@ def _emit(report: dict, args) -> int:
 
 
 def _golden_compare(report: dict, args) -> dict | None:
+    """The check of the report against its golden file in --golden-dir:
+    the command's JSON document without `checks` and `ok`.  A missing
+    golden fails; nothing is ever written."""
     if not args.golden_dir:
         return None
     path = Path(args.golden_dir) / (report["golden_key"] + ".json")
+    if not path.exists():
+        return {"name": f"golden missing {path.name}", "ok": False}
     payload = {k: v for k, v in report.items() if k not in ("checks", "ok")}
-    if path.exists():
-        stored = json.loads(path.read_text())
-        return {"name": f"golden match {path.name}", "ok": stored == payload}
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
-    return {"name": f"golden recorded {path.name}", "ok": True}
+    return {"name": f"golden match {path.name}", "ok": json.loads(path.read_text()) == payload}
 
 
 def _check(name: str, ok: bool, detail: str = "") -> dict:
@@ -199,9 +199,7 @@ def cmd_kernel(args) -> int:
     sl = ScreeningLattices(rs, args.ell)
     coset = sl.named_cosets()[args.module]
     screens = short_screening_set(sl)
-    _gs, h0 = groundstates(sl, coset)
-    hs = [h0 + lvl for lvl in range(args.max_level + 1)]
-    rep = kernel_report(sl, coset, screens, hs)
+    rep = kernel_report(sl, coset, screens, args.max_level)
     layers = [
         {
             "h": str(lay.h),
@@ -243,7 +241,7 @@ def cmd_screen_apply(args) -> int:
         "screen-apply", rs, args.ell, momentum=args.momentum, state=args.state, checks=[]
     )
     if args.fractional:
-        res = residue_op(screen_exp, state, fractional=True, truncate=args.truncate)
+        res = residue_op(screen_exp, state, truncate=args.truncate)
         report["banner"] = "APPROXIMATE: fractional residue truncated; coefficients are complex floats"
         report["approximate_result"] = {
             "truncation": res.truncation,
@@ -391,11 +389,7 @@ def cmd_virasoro_check(args) -> int:
     sl = ScreeningLattices(rs, args.ell)
     st = stress_tensor(sl)
     vacuum = sl.long_lattice_coset(sl.space.zero())
-    # levels count from the module's groundstate weight h0, as in kernel and nichols
-    _gs, h0 = groundstates(sl, vacuum)
-    states = []
-    for lvl in range(args.max_level + 1):
-        states.extend(layer_basis(sl, vacuum, h0 + lvl).basis)
+    states = [v for layer in module_layers(sl, vacuum, args.max_level) for v in layer.basis]
     rep = commutator_check(st, states, max_mode=args.max_mode)
     suite = long_screening_suite(sl, st)
     checks = [

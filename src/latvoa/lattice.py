@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .rootdata import RootSystem, build_root_system, short_simple_system
+from .rootdata import RootSystem, build_root_system
 
 
 def canonical(coords) -> tuple[int | Fraction, ...]:
@@ -286,22 +286,6 @@ class ScreeningLattices:
             "green": self.long_lattice_coset(short),
             "steinberg": self.long_lattice_coset(self.Q + short),
         }
-
-    def short_screening_momenta(self) -> tuple[Momentum, ...]:
-        """Screening momenta actually used for kernels.
-
-        Non-degenerate data: -a_i/sqrt(p).  If some simple root is
-        degenerate ((a_i short momentum, itself) even), the simple system
-        of the subsystem of short roots is used instead.
-        """
-        degenerate = any(
-            self.space.norm(a).denominator == 1 and self.space.norm(a) % 2 == 0
-            for a in self.basis_short
-        )
-        if not degenerate:
-            return self.basis_short
-        shorts = short_simple_system(self.rs)
-        return tuple(self.space.momentum([-c for c in root]) for root in shorts)
 
 
 def build_screening_lattices(rs: RootSystem, ell: int) -> ScreeningLattices:

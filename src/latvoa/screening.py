@@ -21,6 +21,7 @@ from .lattice import (
     groundstates,
     points_within,
 )
+from .rootdata import short_simple_system
 from .scalars import Scalar
 from .vertexop import _mode_numerators, _numerators
 from .virasoro import StressTensor, stress_tensor
@@ -39,8 +40,8 @@ class BraidingMatrix:
         return Scalar.phase(1, self.q_exponents[i][j])
 
 
-def braiding_matrix(sl: ScreeningLattices, momenta=None) -> BraidingMatrix:
-    moms = momenta if momenta is not None else sl.basis_short
+def braiding_matrix(sl: ScreeningLattices) -> BraidingMatrix:
+    moms = sl.basis_short
     rows = tuple(
         tuple(sl.space.pair(x, y) for y in moms) for x in moms
     )
@@ -157,8 +158,16 @@ def screening_numerators(space, alpha: Momentum, d: int, terms, images: dict) ->
 
 def short_screening_set(sl: ScreeningLattices) -> tuple[Momentum, ...]:
     """Screening momenta used for the kernel algebra, ordered by descending
-    root height (for B_n these are -(a_k + ... + a_n)/sqrt2, k = 1..n)."""
-    moms = list(sl.short_screening_momenta())
+    root height (for B_n these are -(a_k + ... + a_n)/sqrt2, k = 1..n).
+
+    Non-degenerate data: the short momenta -a_i/sqrt(p).  If some simple
+    root is degenerate ((a_i short momentum, itself) even), the negated
+    simple system of the subsystem of short roots is used instead."""
+    space = sl.space
+    if any(space.norm(a).denominator == 1 and space.norm(a) % 2 == 0 for a in sl.basis_short):
+        moms = [space.momentum([-c for c in root]) for root in short_simple_system(sl.rs)]
+    else:
+        moms = list(sl.basis_short)
     moms.sort(key=lambda m: sum(m.coords))
     return tuple(moms)
 
@@ -251,6 +260,19 @@ def layer_basis(sl: ScreeningLattices, coset: Coset, h) -> GradedLayer:
     return GradedLayer(coset=coset, h=h, basis=basis)
 
 
+def module_layers(sl: ScreeningLattices, coset: Coset, max_level: int) -> list[GradedLayer]:
+    """The layers h0, h0 + 1, ..., h0 + max_level of the module V_[coset],
+    with h0 its groundstate weight.  Every level of the library and of the
+    command line counts from h0, through this walk.
+
+    The h0 layer is the groundstates themselves, each exponential with the
+    empty monomial, in coordinate order: what `layer_basis(sl, coset, h0)`
+    would build, without enumerating those points a second time."""
+    gs, h0 = groundstates(sl, coset)
+    first = GradedLayer(coset=coset, h=h0, basis=[FieldElement(sl.space, {(g.coords, ()): 1}) for g in gs])
+    return [first, *(layer_basis(sl, coset, h0 + lvl) for lvl in range(1, max_level + 1))]
+
+
 # --- kernels ----------------------------------------------------------------
 
 
@@ -317,8 +339,9 @@ def _screening_matrix(
     return out
 
 
-def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h, images: dict | None = None) -> LayerKernel:
-    """Exact kernels (per screening and intersected) on one layer.
+def kernel_layer(sl: ScreeningLattices, layer: GradedLayer, screenings, images: dict | None = None) -> LayerKernel:
+    """Exact kernels (per screening and intersected) on one built layer of
+    the module V_[layer.coset].
 
     Integer-pairing modules use the screening matrices directly: each
     per-screening kernel dimension is a `linalg.nullity` of its sparse rows,
@@ -326,11 +349,11 @@ def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h, images: dic
     for basis vectors.  On fractional modules the Weyl power decides: k = 0
     leaves nothing (identity map), the nilpotent power keeps everything.
     Screenings that shift the module to the same coset share one target
-    layer basis, and the screening matrices share the relative-image table
-    `images` (see `apply_screening`).
+    layer basis, built with `layer_basis` at layer.h, and the screening
+    matrices share the relative-image table `images` (see
+    `apply_screening`).
     """
-    h = Fraction(h)
-    layer = layer_basis(sl, coset, h)
+    coset, h = layer.coset, layer.h
     fractional = any(
         sl.space.pair(a, coset.rep).denominator != 1 for a in screenings
     )
@@ -372,10 +395,12 @@ def kernel_layer(sl: ScreeningLattices, coset: Coset, screenings, h, images: dic
     return LayerKernel(h, layer.dim, ker_dims, len(null), basis)
 
 
-def kernel_report(sl: ScreeningLattices, coset: Coset, screenings, h_values) -> KernelReport:
+def kernel_report(sl: ScreeningLattices, coset: Coset, screenings, max_level: int) -> KernelReport:
+    """Kernels on the layers h0 .. h0 + max_level of V_[coset] (see
+    `module_layers`), with one relative-image table for the whole walk."""
     powers = [weyl_power_exponent(sl, coset, a) for a in screenings]
     images: dict = {}
-    layers = [kernel_layer(sl, coset, screenings, h, images) for h in h_values]
+    layers = [kernel_layer(sl, layer, screenings, images) for layer in module_layers(sl, coset, max_level)]
     return KernelReport(coset=coset, weyl_powers=powers, layers=layers)
 
 
@@ -390,8 +415,8 @@ class RelationReport:
 
 
 def nichols_check(sl: ScreeningLattices, screenings, cosets, max_level: int) -> list[RelationReport]:
-    """Z_i^2 = 0 and [Z_i, Z_j] = 0 on every layer of the given cosets up
-    to max_level above the groundstate, checked state by state.
+    """Z_i^2 = 0 and [Z_i, Z_j] = 0 on the layers h0 .. h0 + max_level of
+    each given coset (see `module_layers`), checked state by state.
 
     Each Z_a v is computed once per state and shared by the relations that
     need it; only one state's images are held at a time.  All screenings
@@ -402,11 +427,7 @@ def nichols_check(sl: ScreeningLattices, screenings, cosets, max_level: int) -> 
     positive denominators, so no coefficient is divided.  A relation stops
     being checked at its first failing state, which it reports.
     """
-    states = []
-    for coset in cosets:
-        _gs, h0 = groundstates(sl, coset)
-        for lvl in range(max_level + 1):
-            states.extend((layer_basis(sl, coset, h0 + lvl).basis))
+    states = [v for coset in cosets for layer in module_layers(sl, coset, max_level) for v in layer.basis]
     count = len(screenings)
     relations = [(f"Z{i + 1}^2 = 0", i, i) for i in range(count)] + [
         (f"[Z{i + 1}, Z{j + 1}] = 0", i, j) for i in range(count) for j in range(i + 1, count)

@@ -260,16 +260,17 @@ class FractionalResidue:
         return complex(self.element_terms.get(term_key, 0))
 
 
-def residue_op(a: FieldElement, b: FieldElement, fractional: bool = False, truncate: int | None = None):
+def residue_op(a: FieldElement, b: FieldElement, truncate: int | None = None):
     """resY(a) b.
 
-    Integer case: requires every exponential pairing integral; equals the
-    exact z^{-1} coefficient.  Fractional case: the first `truncate` terms
-    of each k-sum, with residue weights (e^{2 i pi m} - 1)/(2 i pi (m+1))
-    kept as exact phases until the final complex conversion.
+    Integer case (no `truncate`): requires every exponential pairing
+    integral; equals the exact z^{-1} coefficient.  Fractional case (a
+    `truncate` is given): the first `truncate` terms of each k-sum, with
+    residue weights (e^{2 i pi m} - 1)/(2 i pi (m+1)) kept as exact phases
+    until the final complex conversion.
     """
     a._check_space(b)
-    if not fractional:
+    if truncate is None:
         for (ma, _u) in a.terms:
             for (mb, _v) in b.terms:
                 val = _over_den(a.space, a.space.pair_num(ma, mb))
@@ -281,7 +282,7 @@ def residue_op(a: FieldElement, b: FieldElement, fractional: bool = False, trunc
                     )
         return mode_op(a, -1, b)
 
-    if truncate is None or truncate < 1:
+    if truncate < 1:
         raise ValueError("fractional residues require a truncation bound >= 1")
     K = truncate
 

@@ -223,14 +223,13 @@ def test_criterion_06_kernel_tables():
         "steinberg": ([4, 8], [4, 8], [4, 8]),
     }
     for name, coset in SL["B2"].named_cosets().items():
-        _gs, h0 = groundstates(SL["B2"], coset)
-        rep = kernel_report(SL["B2"], coset, screens, [h0, h0 + 1])
+        rep = kernel_report(SL["B2"], coset, screens, 1)
         dims, kers, inters = expected[name]
         assert [l.dim for l in rep.layers] == dims, name
         assert [l.ker_dims[0] for l in rep.layers] == kers, name
         assert [l.intersection_dim for l in rep.layers] == inters, name
     blue_a1 = SL["A1"].named_cosets()["blue"]
-    rep = kernel_report(SL["A1"], blue_a1, short_screening_set(SL["A1"]), [0, 1, 2, 3])
+    rep = kernel_report(SL["A1"], blue_a1, short_screening_set(SL["A1"]), 3)
     assert [l.intersection_dim for l in rep.layers] == [1, 0, 1, 4]
     st = stress_tensor(SL["A1"])
     (kernel_t,) = rep.layers[2].intersection_basis
@@ -288,10 +287,7 @@ def test_criterion_09b_b2_module_series():
     screens = short_screening_set(sl)
     cosets = sl.named_cosets()
     for name, want in (("blue", [1, 0]), ("green", [0, 4])):
-        dims = [
-            kernel_layer(sl, cosets[name], screens, lvl).intersection_dim
-            for lvl in range(2)
-        ]
+        dims = [lk.intersection_dim for lk in kernel_report(sl, cosets[name], screens, 1).layers]
         assert dims == want
     center = graded_dim_module(sl, cosets["center"], 4).normalized()
     assert center.offset == F(1, 6) - F(1, 4)
@@ -436,8 +432,8 @@ def test_criterion_12_property_suites():
         assert h_ref == h_new
         assert {g.coords for g in gs_ref} == {g.coords for g in gs_new}
         assert theta_coset(b2, moved, b2.Q, 4) == theta_coset(b2, coset, b2.Q, 4)
-        lk_ref = kernel_layer(b2, coset, screens, h_ref)
-        lk_new = kernel_layer(b2, moved, screens, h_new)
+        lk_ref = kernel_layer(b2, layer_basis(b2, coset, h_ref), screens)
+        lk_new = kernel_layer(b2, layer_basis(b2, moved, h_new), screens)
         assert (lk_ref.dim, lk_ref.ker_dims, lk_ref.intersection_dim) == (
             lk_new.dim,
             lk_new.ker_dims,

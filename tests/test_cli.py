@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import latvoa
-from latvoa import cli
+from latvoa import cli, lattice, screening
 from latvoa.cli import main
 from latvoa.lattice import ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
@@ -497,24 +497,60 @@ def test_tsv_and_md_formats(capsys):
     assert out.startswith("| module |")
 
 
+KERNEL_B2 = ["kernel", "--algebra", "B2", "--ell", "4", "--module", "blue", "--max-level", "1"]
+
+
 def test_golden_dir_cycle(tmp_path, capsys):
-    args = [
-        "kernel", "--algebra", "B2", "--ell", "4", "--module", "blue",
-        "--max-level", "1", "--golden-dir", str(tmp_path),
-    ]
-    code, doc = run_json(capsys, *args)
+    # a golden file is the command's document without checks and ok
+    code, doc = run_json(capsys, *KERNEL_B2)
     assert code == 0
-    assert any("golden recorded" in c["name"] for c in doc["checks"])
+    payload = {k: v for k, v in doc.items() if k not in ("checks", "ok")}
+    golden_file = tmp_path / (doc["golden_key"] + ".json")
+    golden_file.write_text(json.dumps(payload))
+    args = [*KERNEL_B2, "--golden-dir", str(tmp_path)]
     code, doc = run_json(capsys, *args)
     assert code == 0
     assert any("golden match" in c["name"] and c["ok"] for c in doc["checks"])
     # a corrupted golden file must fail the run
-    golden_file = next(tmp_path.glob("*.json"))
     data = json.loads(golden_file.read_text())
     data["rows"] = [[0, 0, 0]]
     golden_file.write_text(json.dumps(data))
     code, doc = run_json(capsys, *args)
     assert code == 1
+
+
+def test_golden_dir_missing_golden_fails_and_writes_nothing(tmp_path, capsys):
+    code, doc = run_json(capsys, *KERNEL_B2, "--golden-dir", str(tmp_path))
+    assert code == 1 and not doc["ok"]
+    assert {"name": "golden missing kernel_B2_l4_blue_lvl1.json", "ok": False} in doc["checks"]
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (("kernel", "--module", "blue", "--max-level", "4"), 10),
+        (("nichols", "--max-level", "4"), 10),
+        (("virasoro-check", "--max-mode", "3", "--max-level", "3"), 4),
+    ],
+)
+def test_levels_walk_enumerates_each_groundstate_layer_once(monkeypatch, capsys, argv, calls):
+    # groundstates enumerates the h0 points, and module_layers builds the h0
+    # layer from them: kernel B2 --max-level 4 is 1 groundstate enumeration,
+    # 4 source layers above h0 and 5 target layers; nichols walks blue and
+    # green; virasoro-check walks the vacuum
+    seen = []
+    real = lattice.points_within
+
+    def counted(*args):
+        seen.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(lattice, "points_within", counted)
+    monkeypatch.setattr(screening, "points_within", counted)
+    code, _doc = run_json(capsys, argv[0], "--algebra", "B2", "--ell", "4", *argv[1:])
+    assert code == 0
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from latvoa.expr import parse_state
 from latvoa.freefield import FieldElement
 from latvoa.lattice import ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
-from latvoa.screening import apply_screening, kernel_layer, layer_basis, short_screening_set
+from latvoa.screening import apply_screening, kernel_report, layer_basis, short_screening_set
 from latvoa.vertexop import _dk_term, mode_op, multi_mode_op, residue_op
 from latvoa.virasoro import stress_tensor, virasoro_modes
 
@@ -85,10 +85,8 @@ def test_kernel_intersection_bases(sl):
     screens = short_screening_set(sl)
     seen = 0
     for name in ("blue", "green"):
-        coset = sl.named_cosets()[name]
-        _gs, h0 = groundstates(sl, coset)
-        for lvl in range(3):
-            for v in kernel_layer(sl, coset, screens, h0 + lvl).intersection_basis:
+        for lk in kernel_report(sl, sl.named_cosets()[name], screens, 2).layers:
+            for v in lk.intersection_basis:
                 assert coeffs_canonical(v.terms)
                 seen += 1
     assert seen

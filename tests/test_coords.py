@@ -113,7 +113,7 @@ def test_products_and_modes_of_fractional_momenta_are_canonical(sl, a_text, b_te
     for e in series.support():
         assert keys_canonical(series.coefficient(e))
         assert keys_canonical(mode_op(a, e, b))
-    res = residue_op(a, b, fractional=True, truncate=3)
+    res = residue_op(a, b, truncate=3)
     assert all(is_canonical(mom) for mom, _mono in res.element_terms)
 
 
@@ -130,7 +130,7 @@ def test_random_products_and_modes_are_canonical(rng):
     lo = support_min(a, b)
     for elem in vertex_op(a, b, (lo, lo + 2)).coeffs.values():
         assert keys_canonical(elem)
-    res = residue_op(a, b, fractional=True, truncate=2)
+    res = residue_op(a, b, truncate=2)
     assert all(is_canonical(mom) for mom, _mono in res.element_terms)
 
 

@@ -34,7 +34,7 @@ def test_a1_p3_vacuum_kernel():
     assert sl.space.norm(screens[0]) == F(2, 3)
     st = stress_tensor(sl)
     assert apply_screening(screens[0], st.element).is_zero()
-    rep = kernel_report(sl, vac, screens, [0, 1, 2, 3, 4])
+    rep = kernel_report(sl, vac, screens, 4)
     assert [r[2] for r in rep.rows()] == [1, 0, 1, 1, 2]
     # the level-2 kernel is the stress tensor again
     (kernel_t,) = rep.layers[2].intersection_basis

@@ -29,6 +29,7 @@ from latvoa.screening import (
     kernel_report,
     layer_basis,
     long_screening_suite,
+    module_layers,
     nichols_check,
     short_screening_set,
     weyl_power_exponent,
@@ -134,7 +135,7 @@ def test_a1_triplet_orbit():
         assert w.conformal_weights(SL_A1) == {F(3)}
     # the h = 3 kernel layer is spanned by W-, W0, dT, W+
     blue = SL_A1.named_cosets()["blue"]
-    lk = kernel_layer(SL_A1, blue, short_screening_set(SL_A1), 3)
+    lk = kernel_layer(SL_A1, layer_basis(SL_A1, blue, 3), short_screening_set(SL_A1))
     assert lk.intersection_dim == 4
     span = [list(v.terms.items()) for v in lk.intersection_basis]
     keys = sorted({k for v in lk.intersection_basis for k in v.terms})
@@ -148,7 +149,7 @@ def test_a1_triplet_orbit():
 def test_a1_kernel_tower():
     # W = <e0> + 0 + <T> + <W-, W0, dT, W+> + ...
     blue = SL_A1.named_cosets()["blue"]
-    rep = kernel_report(SL_A1, blue, short_screening_set(SL_A1), [0, 1, 2, 3])
+    rep = kernel_report(SL_A1, blue, short_screening_set(SL_A1), 3)
     assert [r[2] for r in rep.rows()] == [1, 0, 1, 4]
     assert [l.dim for l in rep.layers] == [1, 2, 3, 6]
     st = stress_tensor(SL_A1)
@@ -253,8 +254,7 @@ def test_b2_kernel_table():
         "steinberg": ([4, 8], [4, 8], [4, 8], 2),
     }
     for name, coset in SL_B2.named_cosets().items():
-        gs, h0 = groundstates(SL_B2, coset)
-        rep = kernel_report(SL_B2, coset, screens, [h0, h0 + 1])
+        rep = kernel_report(SL_B2, coset, screens, 1)
         dims, kers, inters, power = expected[name]
         assert [l.dim for l in rep.layers] == dims
         for l, want in zip(rep.layers, kers):
@@ -284,9 +284,9 @@ def test_kernel_composition_series_bookkeeping():
     green = SL_B2.named_cosets()["green"]
     lam1 = [1, 0]  # Lambda(1) layer dims
     pi1 = [0, 4]  # Pi(1) layer dims
-    for lvl in (0, 1):
-        lb = kernel_layer(SL_B2, blue, screens, lvl)
-        lg = kernel_layer(SL_B2, green, screens, lvl)
+    blue_layers = kernel_report(SL_B2, blue, screens, 1).layers
+    green_layers = kernel_report(SL_B2, green, screens, 1).layers
+    for lvl, lb, lg in zip((0, 1), blue_layers, green_layers):
         k1, k2 = lb.ker_dims
         ksum = k1 + k2 - lb.intersection_dim
         assert lb.dim - ksum == lam1[lvl]
@@ -302,7 +302,8 @@ def test_kernel_composition_series_bookkeeping():
 @pytest.mark.parametrize("rank", [2, 3, 4])
 def test_kernel_layer_builds_each_target_coset_once(monkeypatch, rank):
     # at ell = 4 every short screening shifts the blue (green) module of
-    # B_n to one and the same coset, so a layer needs two bases, not n + 1
+    # B_n to one and the same coset, so a built layer needs one target
+    # basis, not n
     sl = ScreeningLattices(build_root_system("B", rank), 4)
     screens = short_screening_set(sl)
     assert len(screens) == rank
@@ -316,10 +317,10 @@ def test_kernel_layer_builds_each_target_coset_once(monkeypatch, rank):
     monkeypatch.setattr(screening, "layer_basis", counted)
     for name in ("blue", "green"):
         coset = sl.named_cosets()[name]
-        _gs, h0 = groundstates(sl, coset)
+        layer = module_layers(sl, coset, 1)[1]
         built.clear()
-        lk = kernel_layer(sl, coset, screens, h0 + 1)
-        assert len(built) == 2 and built[0] == coset and built[1] != coset
+        lk = kernel_layer(sl, layer, screens)
+        assert len(built) == 1 and built[0] != coset
         assert len(lk.ker_dims) == rank
 
 
@@ -338,11 +339,9 @@ def test_kernel_layer_asks_for_vectors_once(monkeypatch, rank, level):
 
     monkeypatch.setattr(linalg, "nullspace", counted)
     for name in ("blue", "green"):
-        coset = sl.named_cosets()[name]
-        _gs, h0 = groundstates(sl, coset)
-        for lvl in range(level + 1):
+        for layer in module_layers(sl, sl.named_cosets()[name], level):
             calls.clear()
-            lk = kernel_layer(sl, coset, screens, h0 + lvl)
+            lk = kernel_layer(sl, layer, screens)
             assert calls == [lk.dim]
             assert len(lk.ker_dims) == rank
 
@@ -353,7 +352,7 @@ def test_kernel_representative_independence():
     base = SL_B2.named_cosets()["green"]
     ref = [
         (l.dim, tuple(l.ker_dims), l.intersection_dim)
-        for l in kernel_report(SL_B2, base, screens, [0, 1]).layers
+        for l in kernel_report(SL_B2, base, screens, 1).layers
     ]
     for _ in range(8):
         shift = SL_B2.space.zero()
@@ -362,7 +361,7 @@ def test_kernel_representative_independence():
         moved = Coset(SL_B2.space, base.rep + shift, base.basis)
         got = [
             (l.dim, tuple(l.ker_dims), l.intersection_dim)
-            for l in kernel_report(SL_B2, moved, screens, [0, 1]).layers
+            for l in kernel_report(SL_B2, moved, screens, 1).layers
         ]
         assert got == ref
 
@@ -658,6 +657,24 @@ def test_layer_basis_below_minimum_is_empty():
     blue = SL_B2.named_cosets()["blue"]
     assert layer_basis(SL_B2, blue, -1).dim == 0
     assert layer_basis(SL_B2, blue, F(1, 2)).dim == 0  # off the integer grid
+
+
+@pytest.mark.parametrize(
+    "series, rank, ell, vacuum_only",
+    [("A", 1, 4, False), ("B", 2, 4, False), ("B", 3, 4, False), ("C", 2, 4, False),
+     ("G", 2, 6, False), ("D", 4, 6, True)],
+)
+def test_module_layers_equal_layer_bases_from_the_groundstate(series, rank, ell, vacuum_only):
+    # the walk's h0 layer is built from the groundstates, not enumerated
+    # again; it must equal layer_basis at h0 (weights, bases and order),
+    # and so must the layers above it.  D4 at ell = 6 has h0 = -9.
+    sl = ScreeningLattices(build_root_system(series, rank), ell)
+    reps = [sl.space.zero()] if vacuum_only else sl.module_cosets().coset_reps
+    for rep in reps:
+        coset = sl.long_lattice_coset(rep)
+        layers = module_layers(sl, coset, 2)
+        _gs, h0 = groundstates(sl, coset)
+        assert layers == [layer_basis(sl, coset, h0 + lvl) for lvl in range(3)]
 
 
 # --- grading operators -------------------------------------------------------

@@ -148,7 +148,7 @@ def test_fractional_residue_matches_display_formula():
     a = exp_state(SL_A1, [-1])
     b = exp_state(SL_A1, [F(1, 2)])
     K = 5
-    res = residue_op(a, b, fractional=True, truncate=K)
+    res = residue_op(a, b, truncate=K)
     assert isinstance(res, FractionalResidue)
     assert res.approximate and res.truncation == K
     expect: dict = {}
@@ -167,8 +167,8 @@ def test_fractional_residue_matches_display_formula():
 def test_fractional_residue_requires_truncation():
     a = exp_state(SL_A1, [-1])
     b = exp_state(SL_A1, [F(1, 2)])
-    with pytest.raises(ValueError):
-        residue_op(a, b, fractional=True)
+    with pytest.raises(ValueError, match="truncation bound >= 1"):
+        residue_op(a, b, truncate=0)
 
 
 def test_state_series_window():
