@@ -9,8 +9,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import linalg
-from .expr import format_momentum
-from .freefield import FieldElement, _over_den
+from .freefield import FieldElement
 from .lattice import (
     Coset,
     Momentum,
@@ -23,7 +22,7 @@ from .lattice import (
 )
 from .rootdata import short_simple_system
 from .scalars import Scalar
-from .vertexop import _mode_numerators, _numerators
+from .vertexop import _integral_pairing, _mode_numerators, _numerators
 from .virasoro import StressTensor, stress_tensor
 
 
@@ -51,40 +50,48 @@ def braiding_matrix(sl: ScreeningLattices) -> BraidingMatrix:
 # --- screenings ------------------------------------------------------------
 
 
-def _pairing(space, alpha: Momentum, mom) -> int:
-    """<alpha, mom> for a state momentum mom; a fractional pairing is
-    refused, since it needs the fractional residue with a truncation."""
-    pairing = _over_den(space, space.pair_num(alpha.coords, mom))
-    if pairing.denominator != 1:
-        raise ValueError(
-            f"screening momentum {format_momentum(alpha.coords)} pairs fractionally "
-            f"with state momentum {format_momentum(mom)}; use vertexop.residue_op in "
-            "fractional mode"
-        )
-    return pairing
+def _keys(space, alpha: Momentum, terms) -> tuple[list, dict]:
+    """(keys, shifted) for the (mu, mono) of terms: keys holds (mu, mono,
+    <alpha, mu>) per term, the keys of `_relative_images`, and shifted maps
+    each distinct mu to alpha + mu, the momentum of its image.  Each mu is
+    paired and shifted once, in term order, and the first that pairs
+    fractionally with alpha is refused (`vertexop._integral_pairing`)."""
+    coords = alpha.coords
+    pairings: dict = {}
+    shifted: dict = {}
+    keys = []
+    for mu, mono in terms:
+        pairing = pairings.get(mu)
+        if pairing is None:
+            pairing = pairings[mu] = _integral_pairing(space, coords, mu)
+            shifted[mu] = canonical(x + y for x, y in zip(coords, mu))
+        keys.append((mu, mono, pairing))
+    return keys, shifted
 
 
-def _fill_images(space, alpha: Momentum, keys, images: dict) -> None:
-    """Put into `images` the relative image of Z_alpha on every (mu, mono,
-    pairing) of keys that it lacks, under (alpha.coords, mono, pairing).
+def _relative_images(space, alpha: Momentum, keys, images: dict) -> list:
+    """The relative image of Z_alpha on every (mu, mono, pairing) of keys,
+    in key order: the entry of `images` under (alpha.coords, mono,
+    pairing), as (den, [(monomial, int numerator), ...]) over the least
+    common denominator.  This is the one reader of the table, and it first
+    fills the keys that the table lacks.
 
     Y(e^alpha, z)(u e^mu) is z^<alpha, mu> times a series that never reads
     mu: the screening carries no cocycle, and with no left factor the
-    match coefficients read alpha alone.  So the image at pairing p is the
-    z^(-1 - p + p0) coefficient at any one mu0 of pairing p0, and one
-    engine pass per monomial, on the single term mono e^mu0, covers every
-    pairing that the misses ask for.  Each image is stored as (den,
-    [(monomial, int numerator), ...]) over the least common denominator,
-    straight from the engine's numerators."""
+    match coefficients read alpha alone.  So Z_alpha(mono e^mu) has every
+    term at momentum alpha + mu, and its coefficients depend on mu only
+    through the pairing: the image at pairing p is the z^(-1 - p + p0)
+    coefficient at any one mu0 of pairing p0.  One engine pass per
+    monomial, on the single term mono e^mu0, covers every pairing that the
+    missing keys ask for, and its numerators are stored as they come."""
+    coords = alpha.coords
+    found = [images.get((coords, mono, pairing)) for _mu, mono, pairing in keys]
+    if None not in found:
+        return found
     misses: dict = {}  # mono -> (mu0, p0, {pairing, ...})
-    for mu, mono, pairing in keys:
-        if (alpha.coords, mono, pairing) in images:
-            continue
-        hit = misses.get(mono)
+    for (mu, mono, pairing), hit in zip(keys, found):
         if hit is None:
-            misses[mono] = (mu, pairing, {pairing})
-        else:
-            hit[2].add(pairing)
+            misses.setdefault(mono, (mu, pairing, set()))[2].add(pairing)
     screen = FieldElement.exponential(space, alpha)
     for mono, (mu0, p0, pairings) in misses.items():
         targets = {-1 - p + p0: p for p in pairings}
@@ -96,35 +103,22 @@ def _fill_images(space, alpha: Momentum, keys, images: dict) -> None:
         for t, p in targets.items():
             den, nums = buckets.get(t, (1, {}))
             g = gcd(den, *nums.values())
-            images[(alpha.coords, mono, p)] = (den // g, [(m, n // g) for (_mom, m), n in nums.items()])
-
-
-def _translated(space, alpha: Momentum, mu, mono, pairing: int, images: dict):
-    """Z_alpha(mono e^mu) as (alpha + mu, den, [(monomial, int numerator),
-    ...]): every term has momentum alpha + mu, and the coefficients depend
-    on mu only through pairing = <alpha, mu>, since the screening carries
-    no cocycle.  The relative image (den, numerators) is looked up in
-    `images` under (alpha.coords, mono, pairing); a miss fills it with
-    `_fill_images` on this one key, one engine pass on this single term."""
-    key = (alpha.coords, mono, pairing)
-    hit = images.get(key)
-    if hit is None:
-        _fill_images(space, alpha, ((mu, mono, pairing),), images)
-        hit = images[key]
-    return canonical(x + y for x, y in zip(alpha.coords, mu)), *hit
+            images[(coords, mono, p)] = (den // g, [(m, n // g) for (_mom, m), n in nums.items()])
+    return [images[(coords, mono, pairing)] for _mu, mono, pairing in keys]
 
 
 def apply_screening(alpha: Momentum, state: FieldElement, images: dict | None = None) -> FieldElement:
     """Z_alpha state, the integer-case screening charge.
 
-    Rejects states whose exponential momenta pair fractionally with alpha;
-    those need the fractional residue with an explicit truncation.
+    Rejects states whose exponential momenta pair fractionally with alpha,
+    with the message of `residue_op`; those need the fractional residue
+    with an explicit truncation.
 
     The coefficients of state are brought over their common denominator,
     `screening_numerators` does the work on ints, and each output
     coefficient is divided once, here.  Calls that pass the same `images`
-    dict share their relative images, each filled by one engine pass
-    (`_fill_images`) on its first miss; by default a call keeps its own.
+    dict share their relative images (`_relative_images`); by default a
+    call keeps its own.
     """
     d, terms = _numerators(state.terms)
     den, acc = screening_numerators(state.space, alpha, d, terms, {} if images is None else images)
@@ -136,16 +130,15 @@ def screening_numerators(space, alpha: Momentum, d: int, terms, images: dict) ->
     state = sum c/d key over the (key, int c) pairs of terms.  den is
     positive, no numerator is zero, and neither is reduced.
 
-    Each term's image is translated from its relative image (`_translated`,
-    which fills a miss in `images` with one engine pass on that single
-    term), and the numerators are summed over one common denominator.  A
-    momentum that pairs fractionally with alpha is refused (`_pairing`)."""
-    pairings = {mu: _pairing(space, alpha, mu) for mu in {mu for (mu, _mono), _c in terms}}
+    Each distinct momentum mu is paired with alpha and shifted to alpha + mu
+    once (`_keys`, which refuses the first fractional pairing), the
+    relative images of all terms come from one `_relative_images` call,
+    and the numerators are summed over one common denominator."""
+    keys, shifted = _keys(space, alpha, [key for key, _c in terms])
     per_term = []
-    for (mu, mono), c in terms:
-        mom, den, nums = _translated(space, alpha, mu, mono, pairings[mu], images)
+    for ((mu, _mono), c), (den, nums) in zip(terms, _relative_images(space, alpha, keys, images)):
         if nums:
-            per_term.append((c, mom, den, nums))
+            per_term.append((c, shifted[mu], den, nums))
     top = lcm(*(den for _c, _mom, den, _nums in per_term))
     acc: dict = {}
     for c, mom, den, nums in per_term:
@@ -308,24 +301,24 @@ def _screening_matrix(
     """Matrix of Z_a from the layer basis to the target layer basis, as
     sparse integer rows: one {column: int} row per target basis element
     that some image reaches, in target order.  `images` is the table of
-    `apply_screening`; one `_fill_images` call over the whole layer basis
-    fills what it lacks, one engine pass per monomial.  Each row is the
-    relative images' numerators brought over their common denominator and
-    then divided by the row's content, the gcd of its entries, so that
-    every row is primitive.  Neither step changes the kernel; the division
-    keeps the Bareiss minors of `linalg.nullspace` from carrying the
-    content as an extra factor at every depth."""
+    `apply_screening`; one `_relative_images` call reads the images of the
+    whole layer basis and fills what the table lacks, one engine pass per
+    monomial.  A momentum that pairs fractionally with a is refused
+    (`_keys`).  Each row is the relative images' numerators brought over
+    their common denominator and then divided by the row's content, the
+    gcd of its entries, so that every row is primitive.  Neither step
+    changes the kernel; the division keeps the Bareiss minors of
+    `linalg.nullspace` from carrying the content as an extra factor at
+    every depth."""
     space = sl.space
     idx = target.term_index()
-    images = {} if images is None else images
     terms = list(layer.term_index())  # each basis element is one term with coefficient 1
-    pairings = {mu: _pairing(space, a, mu) for mu, _mono in terms}
-    keys = [(mu, mono, pairings[mu]) for mu, mono in terms]
-    _fill_images(space, a, keys, images)
+    keys, shifted = _keys(space, a, terms)
+    relative = _relative_images(space, a, keys, {} if images is None else images)
     rows: dict[int, dict] = {}
     dens = []
-    for j, (mu, mono, p) in enumerate(keys):
-        mom, den, nums = _translated(space, a, mu, mono, p, images)
+    for j, ((mu, _mono), (den, nums)) in enumerate(zip(terms, relative)):
+        mom = shifted[mu]
         dens.append(den)
         for m, x in nums:
             rows.setdefault(idx[(mom, m)], {})[j] = x
@@ -343,22 +336,21 @@ def kernel_layer(sl: ScreeningLattices, layer: GradedLayer, screenings, images: 
     """Exact kernels (per screening and intersected) on one built layer of
     the module V_[layer.coset].
 
-    Integer-pairing modules use the screening matrices directly: each
-    per-screening kernel dimension is a `linalg.nullity` of its sparse rows,
-    and only the stacked matrix, whose kernel is the intersection, is asked
-    for basis vectors.  On fractional modules the Weyl power decides: k = 0
-    leaves nothing (identity map), the nilpotent power keeps everything.
+    The Weyl powers (`weyl_power_exponent`) pick the route: k = 1 exactly
+    when a screening pairs integrally with the module.  Integer-pairing
+    modules use the screening matrices directly: each per-screening kernel
+    dimension is a `linalg.nullity` of its sparse rows, and only the
+    stacked matrix, whose kernel is the intersection, is asked for basis
+    vectors.  On fractional modules the Weyl power decides: k = 0 leaves
+    nothing (identity map), the nilpotent power keeps everything.
     Screenings that shift the module to the same coset share one target
     layer basis, built with `layer_basis` at layer.h, and the screening
     matrices share the relative-image table `images` (see
     `apply_screening`).
     """
     coset, h = layer.coset, layer.h
-    fractional = any(
-        sl.space.pair(a, coset.rep).denominator != 1 for a in screenings
-    )
-    if fractional:
-        ks = [weyl_power_exponent(sl, coset, a) for a in screenings]
+    ks = [weyl_power_exponent(sl, coset, a) for a in screenings]
+    if any(k != 1 for k in ks):
         if any(k == 1 for k in ks):
             raise ValueError("mixed integer/fractional screening set")
         if all(k == 0 for k in ks):

@@ -8,9 +8,14 @@ exponents lie in a bounded window computed per term pair.  The engine
 (`_mode_numerators`) sums integer numerators and returns them: the
 coefficients of a and b are brought over their common denominators, d^k
 is kept without its 1/k!, and each exponent comes out as one denominator
-with an int numerator per term.  Its callers divide: `mode_op`,
-`multi_mode_op`, `vertex_op` and `residue_op` divide each coefficient
-once (`_mode_terms`), and the screening table keeps the numerators.
+with an int numerator per term.  Its callers divide: `multi_mode_op`
+(with `mode_op` as its one-target case), `vertex_op` and `residue_op`
+divide each coefficient once (`_mode_terms`), and the screening table
+keeps the numerators.
+
+An integer residue needs every exponential pairing integral.  One rule,
+`_integral_pairing`, checks that for `residue_op` and for the screening
+images, and refuses a fractional pairing with one message.
 """
 
 from __future__ import annotations
@@ -190,18 +195,8 @@ def multi_mode_op(a: FieldElement, ms, b: FieldElement) -> dict:
 
 def mode_op(a: FieldElement, m, b: FieldElement) -> FieldElement:
     """The z^m coefficient of Y(a)b; exact for every rational m."""
-    a._check_space(b)
-    m = canonical_scalar(Fraction(m))
-
-    def want(e_pair):
-        k = m - e_pair
-        if k >= 0 and k.denominator == 1:
-            return (k.numerator,)
-        return ()
-
-    buckets = _mode_terms(a, b, want)
-    terms = buckets.get(m, {})
-    return FieldElement(a.space, terms)
+    (coefficient,) = multi_mode_op(a, (m,), b).values()
+    return coefficient
 
 
 @dataclass
@@ -260,6 +255,20 @@ class FractionalResidue:
         return complex(self.element_terms.get(term_key, 0))
 
 
+def _integral_pairing(space: MomentumSpace, ma, mb) -> int:
+    """<ma, mb> for two momenta given as coordinate tuples.  This is the one
+    integrality rule of the integer residue: a fractional pairing is
+    refused, since its residue needs the fractional mode."""
+    val = _over_den(space, space.pair_num(ma, mb))
+    if val.denominator != 1:
+        raise ValueError(
+            f"pairing {val} of momenta {format_momentum(ma)} and "
+            f"{format_momentum(mb)} is fractional; "
+            "use fractional mode with a truncation bound"
+        )
+    return val
+
+
 def residue_op(a: FieldElement, b: FieldElement, truncate: int | None = None):
     """resY(a) b.
 
@@ -273,13 +282,7 @@ def residue_op(a: FieldElement, b: FieldElement, truncate: int | None = None):
     if truncate is None:
         for (ma, _u) in a.terms:
             for (mb, _v) in b.terms:
-                val = _over_den(a.space, a.space.pair_num(ma, mb))
-                if val.denominator != 1:
-                    raise ValueError(
-                        f"pairing {val} of momenta {format_momentum(ma)} and "
-                        f"{format_momentum(mb)} is fractional; "
-                        "use fractional mode with a truncation bound"
-                    )
+                _integral_pairing(a.space, ma, mb)
         return mode_op(a, -1, b)
 
     if truncate < 1:

@@ -719,12 +719,18 @@ def test_filled_images_equal_residue_of_each_key(data):
             assert pairing.denominator == 1
             keys.append((mu.coords, mono, pairing.numerator))
     images: dict = {}
-    screening._fill_images(space, a, keys, images)
+    got_images = screening._relative_images(space, a, keys, images)
     assert images.keys() == {(a.coords, mono, p) for _mu, mono, p in keys}
-    for mu, mono, p in keys:
-        den, nums = images[(a.coords, mono, p)]
+    assert got_images == [images[(a.coords, mono, p)] for _mu, mono, p in keys]
+    for (mu, mono, p), (den, nums) in zip(keys, got_images):
         assert den > 0 and all(nums) and math.gcd(den, *(n for _m, n in nums)) == 1
         mom = canonical(x + y for x, y in zip(a.coords, mu))
         got = {(mom, m): Fraction(n, den) for m, n in nums}
         want = residue_op(FieldElement.exponential(space, a), FieldElement(space, {(mu, mono): 1}))
         assert got == {key: Fraction(c) for key, c in want.terms.items()}
+    # a second call finds every key in the table and makes no engine pass
+    passes = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(screening, "_mode_numerators", lambda *args: passes.append(args))
+        assert screening._relative_images(space, a, keys, images) == got_images
+    assert not passes

@@ -8,6 +8,7 @@ here were recomputed by hand from the pairing axioms and double-checked
 against conformal-dimension bookkeeping and linearity.
 """
 
+import json
 import math
 import random
 from fractions import Fraction
@@ -16,11 +17,12 @@ from itertools import combinations_with_replacement
 import pytest
 
 from latvoa import linalg, screening
+from latvoa.cli import main
 from latvoa.freefield import FieldElement
 from latvoa.lattice import Coset, Momentum, ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
 from latvoa.scalars import Scalar
-from latvoa.vertexop import residue_op
+from latvoa.vertexop import _numerators, residue_op
 from latvoa.screening import (
     _monomials_of_degree,
     apply_screening,
@@ -402,8 +404,41 @@ def test_apply_screening_error_names_momenta():
     with pytest.raises(ValueError) as info:
         apply_screening(SL_B2.space.momentum([0, -1]), state)
     message = str(info.value)
-    assert "screening momentum -a2 pairs fractionally with state momentum 1/2*a1 + a2" in message
+    assert "pairing -1/2 of momenta -a2 and 1/2*a1 + a2 is fractional" in message
     assert "Fraction(" not in message
+
+
+def test_fractional_pairing_is_refused_with_one_message(capsys):
+    # alpha = -a2 on the center coset of B2, whose one groundstate is Q:
+    # every integer route refuses this pairing with residue_op's text
+    space = SL_B2.space
+    a = space.momentum([0, -1])
+    center = SL_B2.named_cosets()["center"]
+    (layer,) = module_layers(SL_B2, center, 0)
+    (state,) = layer.basis
+    assert state == FieldElement.exponential(space, SL_B2.Q)
+    d, terms = _numerators(state.terms)
+    target = layer_basis(SL_B2, center.shifted(a), layer.h)
+    routes = [
+        lambda: residue_op(FieldElement.exponential(space, a), state),
+        lambda: apply_screening(a, state),
+        lambda: screening.screening_numerators(space, a, d, terms, {}),
+        lambda: screening._screening_matrix(SL_B2, a, layer, target),
+    ]
+    messages = []
+    for route in routes:
+        with pytest.raises(ValueError) as info:
+            route()
+        messages.append(str(info.value))
+    text = (
+        "pairing -1/2 of momenta -a2 and 1/2*a1 + a2 is fractional; "
+        "use fractional mode with a truncation bound"
+    )
+    assert messages == [text] * len(routes)
+    code = main(["screen-apply", "--algebra", "B2", "--ell", "4", "--momentum", "-a2", "--state", "exp[Q]"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 2 and doc["ok"] is False
+    assert doc["errors"] == [f"{text}; rerun with --fractional --truncate K"]
 
 
 # --- braiding, Nichols, Weyl powers ---------------------------------------
