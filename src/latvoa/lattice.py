@@ -171,9 +171,6 @@ class Coset:
             shift = shift + Fraction(math.floor(x)) * b
         return self.rep - shift
 
-    def shifted(self, v: Momentum) -> "Coset":
-        return Coset(self.space, self.rep + v, self.basis)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Coset)
@@ -271,11 +268,14 @@ class ScreeningLattices:
         return quotient_group(self, self.basis_dual, self.basis_long)
 
     def named_cosets(self) -> dict[str, Coset]:
-        """The Blue/Center/Green/Steinberg labels of the four-module theories."""
-        qg = self.module_cosets()
-        if qg.order != 4:
+        """The Blue/Center/Green/Steinberg labels of the four-module theories.
+
+        The module count is `num_simples`, the order of `module_cosets()`
+        (which `lattice-info` checks), read without building the quotient."""
+        count = num_simples(self.rs, self.ell)
+        if count != 4:
             raise ValueError(
-                f"named modules exist only for four-module data; this theory has {qg.order}"
+                f"named modules exist only for four-module data; this theory has {count}"
             )
         short = self.space.momentum(
             [int(j == self.rs.rank - 1) for j in range(self.rs.rank)]

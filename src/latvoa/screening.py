@@ -295,15 +295,16 @@ class KernelReport:
         return out
 
 
-def _screening_matrix(
-    sl: ScreeningLattices, a: Momentum, layer: GradedLayer, target: GradedLayer, images: dict | None = None
-):
-    """Matrix of Z_a from the layer basis to the target layer basis, as
-    sparse integer rows: one {column: int} row per target basis element
-    that some image reaches, in target order.  `images` is the table of
-    `apply_screening`; one `_relative_images` call reads the images of the
-    whole layer basis and fills what the table lacks, one engine pass per
-    monomial.  A momentum that pairs fractionally with a is refused
+def _screening_matrix(sl: ScreeningLattices, a: Momentum, layer: GradedLayer, images: dict):
+    """Matrix of Z_a on the layer basis, as sparse integer rows: one
+    {column: int} row per image term (alpha + mu, monomial) that some image
+    reaches, in sorted term order.  That is the order of the target layer's
+    basis (`layer_basis` lists momenta in coordinate order and each
+    momentum's monomials in sorted order), so the rows come out as if
+    numbered by the target layer, which is never built.  `images` is the
+    table of `apply_screening`; one `_relative_images` call reads the images
+    of the whole layer basis and fills what the table lacks, one engine pass
+    per monomial.  A momentum that pairs fractionally with a is refused
     (`_keys`).  Each row is the relative images' numerators brought over
     their common denominator and then divided by the row's content, the
     gcd of its entries, so that every row is primitive.  Neither step
@@ -311,20 +312,19 @@ def _screening_matrix(
     `linalg.nullspace` from carrying the content as an extra factor at
     every depth."""
     space = sl.space
-    idx = target.term_index()
     terms = list(layer.term_index())  # each basis element is one term with coefficient 1
     keys, shifted = _keys(space, a, terms)
-    relative = _relative_images(space, a, keys, {} if images is None else images)
-    rows: dict[int, dict] = {}
+    relative = _relative_images(space, a, keys, images)
+    rows: dict[tuple, dict] = {}
     dens = []
     for j, ((mu, _mono), (den, nums)) in enumerate(zip(terms, relative)):
         mom = shifted[mu]
         dens.append(den)
         for m, x in nums:
-            rows.setdefault(idx[(mom, m)], {})[j] = x
+            rows.setdefault((mom, m), {})[j] = x
     out = []
-    for i in sorted(rows):
-        row = rows[i]
+    for key in sorted(rows):
+        row = rows[key]
         top = lcm(*(dens[j] for j in row))
         scaled = {j: x * (top // dens[j]) for j, x in row.items()}
         content = gcd(*scaled.values())
@@ -342,10 +342,9 @@ def kernel_layer(sl: ScreeningLattices, layer: GradedLayer, screenings, images: 
     dimension is a `linalg.nullity` of its sparse rows, and only the
     stacked matrix, whose kernel is the intersection, is asked for basis
     vectors.  On fractional modules the Weyl power decides: k = 0 leaves
-    nothing (identity map), the nilpotent power keeps everything.
-    Screenings that shift the module to the same coset share one target
-    layer basis, built with `layer_basis` at layer.h, and the screening
-    matrices share the relative-image table `images` (see
+    nothing (identity map), the nilpotent power keeps everything.  The
+    screening matrices number their rows by image terms, so no target layer
+    is built, and they share the relative-image table `images` (see
     `apply_screening`).
     """
     coset, h = layer.coset, layer.h
@@ -358,16 +357,11 @@ def kernel_layer(sl: ScreeningLattices, layer: GradedLayer, screenings, images: 
         return LayerKernel(
             h, layer.dim, [layer.dim] * len(ks), layer.dim, list(layer.basis)
         )
-    targets: dict[Coset, GradedLayer] = {}
     images = {} if images is None else images
     stacked: list[dict[int, int]] = []
     ker_dims = []
     for a in screenings:
-        shifted = coset.shifted(a)
-        target = targets.get(shifted)
-        if target is None:
-            target = targets[shifted] = layer_basis(sl, shifted, h)
-        rows = _screening_matrix(sl, a, layer, target, images)
+        rows = _screening_matrix(sl, a, layer, images)
         ker_dims.append(linalg.nullity(rows, layer.dim))
         stacked.extend(rows)
     # dense rows for perfbench/tracer.py until it reads obs counters (ROADMAP item 1)

@@ -457,6 +457,12 @@ def test_virasoro_check_without_four_modules(capsys, algebra, ell, modules):
     assert all(c["ok"] for c in doc["checks"])
 
 
+def test_kernel_refuses_named_module_off_four_modules(capsys):
+    code, doc = run_json(capsys, "kernel", "--algebra", "G2", "--ell", "6")
+    assert code == 2 and doc["ok"] is False
+    assert doc["errors"] == ["named modules exist only for four-module data; this theory has 3"]
+
+
 def test_virasoro_check_levels_count_from_the_groundstate(capsys):
     # G2 at ell = 6 has a vacuum groundstate below h = 0; --max-level counts
     # from that weight h0, as kernel and nichols do
@@ -529,16 +535,16 @@ def test_golden_dir_missing_golden_fails_and_writes_nothing(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, calls",
     [
-        (("kernel", "--module", "blue", "--max-level", "4"), 10),
+        (("kernel", "--module", "blue", "--max-level", "4"), 5),
         (("nichols", "--max-level", "4"), 10),
         (("virasoro-check", "--max-mode", "3", "--max-level", "3"), 4),
     ],
 )
 def test_levels_walk_enumerates_each_groundstate_layer_once(monkeypatch, capsys, argv, calls):
     # groundstates enumerates the h0 points, and module_layers builds the h0
-    # layer from them: kernel B2 --max-level 4 is 1 groundstate enumeration,
-    # 4 source layers above h0 and 5 target layers; nichols walks blue and
-    # green; virasoro-check walks the vacuum
+    # layer from them: kernel B2 --max-level 4 is 1 groundstate enumeration
+    # and 4 source layers above h0, and builds no target layer; nichols
+    # walks blue and green; virasoro-check walks the vacuum
     seen = []
     real = lattice.points_within
 

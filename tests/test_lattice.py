@@ -336,6 +336,25 @@ def test_module_cosets_pairwise_unequal(label):
         assert a != b
 
 
+@pytest.mark.parametrize(
+    "series, rank, ell",
+    [("A", 1, 4), ("B", 2, 4), ("B", 3, 4), ("C", 2, 4), ("A", 2, 4), ("G", 2, 6), ("A", 1, 6)],
+)
+def test_named_cosets_refused_exactly_off_four_modules(series, rank, ell):
+    # named_cosets reads the module count from num_simples; the quotient
+    # order is the oracle of when it refuses and of the count it names
+    sl = ScreeningLattices(build_root_system(series, rank), ell)
+    order = sl.module_cosets().order
+    if order == 4:
+        assert sorted(sl.named_cosets()) == ["blue", "center", "green", "steinberg"]
+    else:
+        with pytest.raises(ValueError) as info:
+            sl.named_cosets()
+        assert str(info.value) == (
+            f"named modules exist only for four-module data; this theory has {order}"
+        )
+
+
 def test_conformal_dim_integer_gap_on_lattice_shifts(sl_b2):
     # lam - mu in the short lattice with integer pairings gives an integer
     # conformal-dimension gap (layer alignment)

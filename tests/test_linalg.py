@@ -330,8 +330,7 @@ def screening_matrices(rank, color, level):
     layer = layer_basis(sl, coset, h0 + level)
     matrices = []
     for a in short_screening_set(sl):
-        target = layer_basis(sl, coset.shifted(a), h0 + level)
-        matrices.append(_screening_matrix(sl, a, layer, target))
+        matrices.append(_screening_matrix(sl, a, layer, {}))
     return matrices, layer.dim
 
 

@@ -302,28 +302,30 @@ def test_kernel_composition_series_bookkeeping():
 
 
 @pytest.mark.parametrize("rank", [2, 3, 4])
-def test_kernel_layer_builds_each_target_coset_once(monkeypatch, rank):
-    # at ell = 4 every short screening shifts the blue (green) module of
-    # B_n to one and the same coset, so a built layer needs one target
-    # basis, not n
+def test_kernel_layer_builds_no_layer_basis(monkeypatch, rank):
+    # the screening matrices number their rows by image terms, so a built
+    # layer needs no target layer basis and hashes no coset
     sl = ScreeningLattices(build_root_system("B", rank), 4)
     screens = short_screening_set(sl)
     assert len(screens) == rank
-    built = []
-    real = screening.layer_basis
+    layers = [module_layers(sl, sl.named_cosets()[name], 1)[1] for name in ("blue", "green")]
+    calls = []
+    real_basis, real_hash = screening.layer_basis, Coset.__hash__
 
     def counted(sl_, coset, h):
-        built.append(coset)
-        return real(sl_, coset, h)
+        calls.append("layer_basis")
+        return real_basis(sl_, coset, h)
+
+    def hashed(coset):
+        calls.append("hash")
+        return real_hash(coset)
 
     monkeypatch.setattr(screening, "layer_basis", counted)
-    for name in ("blue", "green"):
-        coset = sl.named_cosets()[name]
-        layer = module_layers(sl, coset, 1)[1]
-        built.clear()
+    monkeypatch.setattr(Coset, "__hash__", hashed)
+    for layer in layers:
         lk = kernel_layer(sl, layer, screens)
-        assert len(built) == 1 and built[0] != coset
         assert len(lk.ker_dims) == rank
+    assert calls == []
 
 
 @pytest.mark.parametrize("rank, level", [(2, 2), (3, 1)])
@@ -418,12 +420,11 @@ def test_fractional_pairing_is_refused_with_one_message(capsys):
     (state,) = layer.basis
     assert state == FieldElement.exponential(space, SL_B2.Q)
     d, terms = _numerators(state.terms)
-    target = layer_basis(SL_B2, center.shifted(a), layer.h)
     routes = [
         lambda: residue_op(FieldElement.exponential(space, a), state),
         lambda: apply_screening(a, state),
         lambda: screening.screening_numerators(space, a, d, terms, {}),
-        lambda: screening._screening_matrix(SL_B2, a, layer, target),
+        lambda: screening._screening_matrix(SL_B2, a, layer, {}),
     ]
     messages = []
     for route in routes:
@@ -554,10 +555,9 @@ def test_screening_matrix_makes_one_engine_pass_per_monomial(monkeypatch, series
                     for v in layer.basis
                     for (mu, mono) in v.terms
                 }
-                target = layer_basis(sl, coset.shifted(a), h0 + lvl)
                 images: dict = {}
                 passes.clear()
-                screening._screening_matrix(sl, a, layer, target, images)
+                screening._screening_matrix(sl, a, layer, images)
                 assert len(passes) <= len(monos)
                 assert all(len(b.terms) == 1 for b in passes)
                 assert len({mono for b in passes for (_mu, mono) in b.terms}) == len(passes)
@@ -569,29 +569,39 @@ def test_screening_matrix_makes_one_engine_pass_per_monomial(monkeypatch, series
 
 def test_screening_matrix_rows_equal_untranslated_images():
     # each sparse row is the row of untranslated images times a positive
-    # scale, so the two have the same primitive part
+    # scale, so the two have the same primitive part; the rows are numbered
+    # by the target layer, built here as the oracle of their order, and
+    # every image term lies in that layer (the screening keeps the weight)
     def primitive(row):
         den = math.lcm(*(F(x).denominator for x in row.values()))
         scaled = {j: int(F(x) * den) for j, x in row.items()}
         g = math.gcd(*scaled.values())
         return {j: x // g for j, x in scaled.items()}
 
-    for sl, level in ((SL_B2, 3), (ScreeningLattices(build_root_system("B", 3), 4), 2)):
-        for color in ("blue", "green"):
-            coset = sl.named_cosets()[color]
+    checked = 0
+    for series, rank, ell in (("A", 1, 4), ("B", 2, 4), ("B", 3, 4), ("C", 2, 4), ("G", 2, 6)):
+        sl = ScreeningLattices(build_root_system(series, rank), ell)
+        screens = short_screening_set(sl)
+        for rep in sl.module_cosets().coset_reps:
+            if any(sl.space.pair(a, rep).denominator != 1 for a in screens):
+                continue
+            coset = sl.long_lattice_coset(rep)
             _gs, h0 = groundstates(sl, coset)
-            layer = layer_basis(sl, coset, h0 + level)
             images: dict = {}
-            for a in short_screening_set(sl):
-                target = layer_basis(sl, coset.shifted(a), h0 + level)
-                idx = target.term_index()
-                expected: dict = {}
-                for j, v in enumerate(layer.basis):
-                    img = residue_op(FieldElement.exponential(sl.space, a), v)
-                    for key, c in img.terms.items():
-                        expected.setdefault(idx[key], {})[j] = c
-                rows = screening._screening_matrix(sl, a, layer, target, images)
-                assert [primitive(r) for r in rows] == [primitive(expected[i]) for i in sorted(expected)]
+            for level in range(3):
+                layer = layer_basis(sl, coset, h0 + level)
+                for a in screens:
+                    idx = layer_basis(sl, sl.long_lattice_coset(coset.rep + a), h0 + level).term_index()
+                    expected: dict = {}
+                    for j, v in enumerate(layer.basis):
+                        img = residue_op(FieldElement.exponential(sl.space, a), v)
+                        assert img.terms.keys() <= idx.keys()
+                        for key, c in img.terms.items():
+                            expected.setdefault(idx[key], {})[j] = c
+                    rows = screening._screening_matrix(sl, a, layer, images)
+                    assert [primitive(r) for r in rows] == [primitive(expected[i]) for i in sorted(expected)]
+                    checked += 1
+    assert checked > 0
 
 
 @pytest.mark.parametrize(
@@ -613,8 +623,7 @@ def test_screening_matrix_rows_are_primitive(series, rank, ell, level):
             layer = layer_basis(sl, coset, h0 + lvl)
             for a in short_screening_set(sl):
                 assert sl.space.pair(a, coset.rep).denominator == 1
-                target = layer_basis(sl, coset.shifted(a), h0 + lvl)
-                for row in screening._screening_matrix(sl, a, layer, target, images):
+                for row in screening._screening_matrix(sl, a, layer, images):
                     assert math.gcd(*row.values()) == 1
                     rows += 1
     assert rows > 0
