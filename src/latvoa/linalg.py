@@ -9,26 +9,29 @@ The elimination works on sparse integer rows: a row is a dict
 {column: int} of its nonzero entries.  `integer_row` scales a row by the
 lcm of its denominators, which leaves its kernel unchanged, and
 `sparse_rows` turns a dense matrix into such rows, dropping zero rows.
-Stacked screening matrices have a few hundred columns, but a screening
-maps momentum mu to mu + a, so they fall apart into many small
-independent column blocks; `nullity` and `nullspace` find those blocks
-from the row keys and eliminate each one on its own, which returns exactly
-the whole-matrix result.
+Stacked screening matrices have up to a few thousand columns but few
+entries per row (a screening maps momentum mu to mu + a), so elimination
+and back substitution visit only the rows that hold a column.
 
-There is one elimination, the Bareiss fraction-free echelon (Bareiss,
-Math. Comp. 22, 1968) on sparse integer rows in `_echelon`, followed by
-integer back substitution over one denominator per vector.  `nullity`,
-`nullspace`, `det`, `solve` and `inverse` all run on it; the integer
-Smith normal form at the end is unimodular and separate.  `nullspace`
-takes dense rows, because the benchmark's tracer reads its dense
-argument, and returns each kernel vector as the sparse {column: Fraction}
-dict of its nonzero entries; the tests hold it to the dense whole-matrix
-elimination.
+There is one elimination, `_echelon`: fraction-free, with every row kept
+primitive (divided by its content; see Geddes, Czapor and Labahn,
+Algorithms for Computer Algebra, ch. 9) and a column -> rows index that
+picks the sparsest holder of each column as its pivot.  `echelon`,
+`nullity`, `nullspace`, `det`, `solve` and `inverse` all run on it; the
+kernel vectors come from integer back substitution over a running
+denominator, and the integer Smith normal form at the end is unimodular
+and separate.  `nullspace` takes sparse integer rows and returns each
+kernel vector as the sparse {column: Fraction} dict of its nonzero
+entries; its output depends only on the row space, so the concatenated
+echelons of several matrices give the kernel of their stacked rows.  The
+tests hold it to a dense whole-matrix elimination and to the Bareiss
+echelon (Bareiss, Math. Comp. 22, 1968) this module ran before.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
@@ -92,166 +95,164 @@ def sparse_rows(a: Sequence[Sequence[int | Fraction]]) -> list[SparseRow]:
 
 def _echelon(
     rows: Sequence[SparseRow], columns: Iterable[int]
-) -> tuple[list[SparseRow], list[int], int]:
-    """Bareiss fraction-free forward elimination of sparse integer rows
-    over the given columns, in ascending order.
+) -> tuple[list[SparseRow], list[int], list[tuple[int, int, int]]]:
+    """Forward elimination of sparse integer rows over the given columns,
+    which come in ascending order and cover every stored entry.
 
-    The pivot of a column is the first remaining row with a nonzero in it.
-    The one-step Bareiss update divides exactly by the previous pivot, so
-    every entry is an exact integer (a minor of the input), and only stored
-    entries are touched.  A row with no entry in the pivot column would just
-    be scaled by pivot / previous pivot; that scale telescopes, so it is
-    applied only when the row is next updated or becomes a pivot row (its
-    entries are still exact minors then).  Returns the pivot rows, their
-    pivot columns and the sign of the row permutation; for a square matrix
-    of full rank the last pivot is sign * det.
+    Every row is kept primitive: it is divided by its content at the start
+    and again after each update row <- (p/g)*row - (x/g)*pivot row, where p
+    is the pivot, x the row's entry in the pivot column and g = gcd(p, x)
+    with the sign of p, so the entries stay small.  A column -> rows index
+    gives the rows that hold each column, and only those are visited.  The
+    pivot row of a column is its sparsest holder, the first in input order
+    among equals.  Zero rows are dropped.
+
+    The pivot columns are those of every echelon form over the same column
+    order: the columns that are not combinations of the columns before
+    them.  Returns the pivot rows in pivot order, their pivot columns and
+    where each pivot row came from, as (i, num, den): it is num/den times
+    input row i plus multiples of the pivot rows before it.
     """
-    m = [dict(row) for row in rows]
-    n = len(m)
-    # the pivot at which each row's stored entries are exact
-    level = [1] * n
+    m: dict[int, SparseRow] = {}
+    scale: dict[int, list[int]] = {}
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        if row:
+            content = gcd(*row.values())
+            m[i] = {j: x // content for j, x in row.items()}
+            scale[i] = [1, content]
+            for j in row:
+                holders.setdefault(j, set()).add(i)
     red: list[SparseRow] = []
     pivots: list[int] = []
-    sign = 1
-    prev = 1
-    r = 0
+    sources: list[tuple[int, int, int]] = []
     for c in columns:
-        piv = next((i for i in range(r, n) if c in m[i]), None)
-        if piv is None:
+        if not m:
+            break
+        hold = holders.pop(c, None)
+        if not hold:
             continue
-        if piv != r:
-            m[r], m[piv] = m[piv], m[r]
-            level[r], level[piv] = level[piv], level[r]
-            sign = -sign
-        prow = m[r]
-        if level[r] != prev:
-            prow = {j: x * prev // level[r] for j, x in prow.items()}
+        piv = min(hold, key=lambda i: (len(m[i]), i))
+        hold.discard(piv)
+        prow = m.pop(piv)
         p = prow[c]
-        rest = [(j, x) for j, x in prow.items() if j != c]
-        for i in range(r + 1, n):
+        rest = [(j, z) for j, z in prow.items() if j != c]
+        for j, _z in rest:
+            holders[j].discard(piv)
+        for i in hold:
             row = m[i]
-            x = row.pop(c, 0)
-            if not x:
-                continue
-            lv = level[i]
-            if lv != prev:
-                scale, x = p * prev, x * prev // lv
-                new = {j: y * scale // lv for j, y in row.items()}
-            else:
-                new = {j: y * p for j, y in row.items()}
+            x = row.pop(c)
+            g = gcd(p, x) if p > 0 else -gcd(p, x)
+            a, b = p // g, x // g
+            if a != 1:
+                row = {j: a * y for j, y in row.items()}
+                scale[i][0] *= a
             for j, z in rest:
-                y = new.get(j, 0) - x * z
+                y = row.get(j, 0) - b * z
                 if y:
-                    new[j] = y
+                    if j not in row:
+                        holders[j].add(i)
+                    row[j] = y
                 else:
-                    del new[j]
-            m[i] = new if prev == 1 else {j: y // prev for j, y in new.items()}
-            level[i] = p
+                    del row[j]
+                    holders[j].discard(i)
+            if not row:
+                del m[i]
+                continue
+            content = gcd(*row.values())
+            if content != 1:
+                row = {j: y // content for j, y in row.items()}
+                scale[i][1] *= content
+            m[i] = row
         red.append(prow)
         pivots.append(c)
-        prev = p
-        r += 1
-        if r == n:
-            break
-    return red, pivots, sign
+        sources.append((piv, *scale[piv]))
+    return red, pivots, sources
 
 
-def _kernel_vector(red: Sequence[SparseRow], pivots: Sequence[int], f: int) -> dict[int, Fraction]:
-    """The nonzero entries of the kernel vector of free column f: v[f] = 1
-    and v[g] = 0 at every other free column g.
+def _kernel_vectors(
+    red: Sequence[SparseRow], pivots: Sequence[int], free: Iterable[int]
+) -> list[dict[int, Fraction]]:
+    """The nonzero entries of the kernel vector of each given free column f
+    of the echelon rows: v[f] = 1 and v[g] = 0 at every other free column.
 
-    The back substitution runs on integer numerators w = D * v, with D
-    the last pivot.  Up to sign, D is the determinant of the input rows
-    that became pivot rows, at the pivot columns, so by Cramer's rule every
-    D * v[c] is an integer and each step divides exactly; the vector is
-    divided by D once at the end.  The entries come in ascending column
-    order.
+    A column -> rows index gives the echelon rows that hold each column off
+    their pivot.  Back substitution visits only the rows of the columns
+    already set, in descending order, on integer numerators w = d * v over
+    a running denominator d: when a pivot does not divide its row's sum, d
+    and w take the missing factor, so every step divides exactly.  The
+    entries come in ascending column order.
     """
-    d = red[-1][pivots[-1]] if red else 1
-    w = {f: d}
-    for r in range(len(pivots) - 1, -1, -1):
-        row = red[r]
-        total = sum(x * w[j] for j, x in row.items() if j in w)
-        if total:
-            c = pivots[r]
-            w[c] = -total // row[c]
-    return {j: Fraction(w[j], d) for j in sorted(w)}
+    holders: dict[int, list[int]] = {}
+    for r, (row, c) in enumerate(zip(red, pivots)):
+        for j in row:
+            if j != c:
+                holders.setdefault(j, []).append(-r)
+    vectors = []
+    for f in free:
+        d = 1
+        w = {f: 1}
+        todo = list(holders.get(f, ()))
+        heapify(todo)
+        last = 1
+        while todo:
+            key = heappop(todo)
+            if key == last:
+                continue  # rows come off in descending order, repeats together
+            last = key
+            r = -key
+            row = red[r]
+            total = sum(x * w[j] for j, x in row.items() if j in w)
+            if total:
+                c = pivots[r]
+                p = row[c]
+                g = gcd(total, p) if p > 0 else -gcd(total, p)
+                q = p // g
+                if q != 1:
+                    w = {j: y * q for j, y in w.items()}
+                    d *= q
+                w[c] = -total // g
+                for k in holders.get(c, ()):
+                    heappush(todo, k)
+        vectors.append({j: Fraction(w[j], d) for j in sorted(w)})
+    return vectors
 
 
-def _blocks(rows: Sequence[SparseRow], cols: int) -> list[tuple[list[int], list[SparseRow]]]:
-    """The independent column blocks of the rows: two columns share a
-    block when some row is nonzero in both (union-find over the row keys).
-    Each block is its columns in ascending order and its rows in input
-    order; blocks come in order of their first column."""
-    parent = list(range(cols))
-
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    for row in rows:
-        it = iter(row)
-        root = find(next(it))
-        for j in it:
-            other = find(j)
-            if other != root:
-                parent[other] = root
-    blocks: dict[int, tuple[list[int], list[SparseRow]]] = {}
-    for j in range(cols):
-        blocks.setdefault(find(j), ([], []))[0].append(j)
-    for row in rows:
-        blocks[find(next(iter(row)))][1].append(row)
-    return list(blocks.values())
+def echelon(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
+    """The primitive echelon rows of sparse integer rows over ncols columns
+    (`_echelon`): a basis of their row space, as many rows as the rank."""
+    return _echelon(rows, range(ncols))[0]
 
 
 def nullity(rows: Sequence[SparseRow], ncols: int) -> int:
-    """Dimension of the right nullspace of the nonzero sparse integer rows
-    over ncols columns: ncols minus the rank, summed over the column
-    blocks.  No kernel vector is built."""
-    rank = 0
-    for members, block_rows in _blocks(rows, ncols):
-        if block_rows:
-            rank += len(_echelon(block_rows, members)[1])
-    return ncols - rank
+    """Dimension of the right nullspace of sparse integer rows over ncols
+    columns: ncols minus the rank.  No kernel vector is built."""
+    return ncols - len(echelon(rows, ncols))
 
 
-def nullspace(a: Matrix, ncols: int | None = None) -> list[dict[int, Fraction]]:
-    """Basis of the right nullspace of the dense matrix a, one vector per
-    free column, each as the {column: Fraction} dict of its nonzero
-    entries in ascending column order.
+def nullspace(a: Sequence[SparseRow], ncols: int) -> list[dict[int, Fraction]]:
+    """Basis of the right nullspace of the sparse integer rows a over ncols
+    columns: per free column, in ascending order, the {column: Fraction}
+    dict of the nonzero entries of its vector (`_kernel_vectors`).
 
-    The rows become sparse integer rows and the columns are split into
-    blocks (`_blocks`).  Each block is eliminated on its own rows, with its
-    columns in ascending order, and its vectors stay on the block's
-    columns; zero rows are dropped and a column no row touches gives a
-    unit vector.
-
-    The output equals that of eliminating the whole matrix at once, order
-    included.  Blocks share no rows, so a column is a pivot of a exactly
-    when it is a pivot of its block; the vector of free column f is the
-    unique kernel vector with v[f] = 1 and v[g] = 0 at every other free
-    column g, and it is supported on f's block.  Vectors are returned in
-    ascending order of their free column.
+    The output depends only on the row space of a: it fixes the pivot
+    columns (`_echelon`) and, for each free column, the unique kernel
+    vector of `_kernel_vectors`.  So any rows that span the same space, an
+    echelon form of a among them, give the same basis.
     """
-    cols = len(a[0]) if a else ncols
-    assert cols is not None
-    basis = []
-    for members, block_rows in _blocks(sparse_rows(a), cols):
-        red, pivots, _sign = _echelon(block_rows, members)
-        pivot_set = set(pivots)
-        for f in members:
-            if f not in pivot_set:
-                basis.append((f, _kernel_vector(red, pivots, f)))
-    basis.sort(key=lambda item: item[0])
-    return [v for _f, v in basis]
+    red, pivots, _sources = _echelon(a, range(ncols))
+    return _kernel_vectors(red, pivots, sorted(set(range(ncols)).difference(pivots)))
 
 
 def det(a: Matrix) -> Fraction:
-    """Determinant of a square matrix: the sign of the row permutation
-    times the last Bareiss pivot, over the product of the row scales.  It is
-    0 below full rank and 1 for the 0 x 0 matrix."""
+    """Determinant of a square matrix; 0 below full rank and 1 for the
+    0 x 0 matrix.
+
+    Each input row is scaled to integers and eliminated (`_echelon`).
+    Adding multiples of other rows leaves the determinant alone, so it is
+    the sign of the row permutation times the product of the pivots, over
+    the product of every factor a row was scaled by.
+    """
     n = len(a)
     rows = []
     scale = 1
@@ -261,10 +262,15 @@ def det(a: Matrix) -> Fraction:
             return Fraction(0)
         rows.append(srow)
         scale *= den
-    red, pivots, sign = _echelon(rows, range(n))
+    red, pivots, sources = _echelon(rows, range(n))
     if len(pivots) < n:
         return Fraction(0)
-    return Fraction(sign * red[-1][n - 1], scale) if n else Fraction(1)
+    order = [i for i, _num, _den in sources]
+    top = (-1) ** sum(x > y for k, x in enumerate(order) for y in order[k + 1:])
+    for row, c, (_i, num, den) in zip(red, pivots, sources):
+        top *= row[c] * den
+        scale *= num
+    return Fraction(top, scale)
 
 
 def solve(a: Matrix, b: Sequence[Fraction]) -> Row | None:
@@ -277,10 +283,10 @@ def solve(a: Matrix, b: Sequence[Fraction]) -> Row | None:
     """
     cols = len(a[0]) + 1
     rows = sparse_rows([[*row, -Fraction(v)] for row, v in zip(a, b)])
-    red, pivots, _sign = _echelon(rows, range(cols))
+    red, pivots, _sources = _echelon(rows, range(cols))
     if pivots and pivots[-1] == cols - 1:
         return None
-    x = _kernel_vector(red, pivots, cols - 1)
+    x = _kernel_vectors(red, pivots, [cols - 1])[0]
     return [x.get(j, Fraction(0)) for j in range(cols - 1)]
 
 
@@ -292,10 +298,10 @@ def inverse(a: Matrix) -> Matrix:
     """
     n = len(a)
     rows = sparse_rows([[*row, *(-int(i == j) for j in range(n))] for i, row in enumerate(a)])
-    red, pivots, _sign = _echelon(rows, range(2 * n))
+    red, pivots, _sources = _echelon(rows, range(2 * n))
     if pivots != list(range(n)):
         raise ValueError("singular matrix")
-    columns = [_kernel_vector(red, pivots, n + j) for j in range(n)]
+    columns = _kernel_vectors(red, pivots, range(n, 2 * n))
     return [[col.get(i, Fraction(0)) for col in columns] for i in range(n)]
 
 

@@ -307,10 +307,9 @@ def _screening_matrix(sl: ScreeningLattices, a: Momentum, layer: GradedLayer, im
     per monomial.  A momentum that pairs fractionally with a is refused
     (`_keys`).  Each row is the relative images' numerators brought over
     their common denominator and then divided by the row's content, the
-    gcd of its entries, so that every row is primitive.  Neither step
-    changes the kernel; the division keeps the Bareiss minors of
-    `linalg.nullspace` from carrying the content as an extra factor at
-    every depth."""
+    gcd of its entries, so that every row is primitive, as the eliminator
+    keeps its rows (`linalg._echelon`).  Neither step changes the
+    kernel."""
     space = sl.space
     terms = list(layer.term_index())  # each basis element is one term with coefficient 1
     keys, shifted = _keys(space, a, terms)
@@ -338,14 +337,15 @@ def kernel_layer(sl: ScreeningLattices, layer: GradedLayer, screenings, images: 
 
     The Weyl powers (`weyl_power_exponent`) pick the route: k = 1 exactly
     when a screening pairs integrally with the module.  Integer-pairing
-    modules use the screening matrices directly: each per-screening kernel
-    dimension is a `linalg.nullity` of its sparse rows, and only the
-    stacked matrix, whose kernel is the intersection, is asked for basis
-    vectors.  On fractional modules the Weyl power decides: k = 0 leaves
-    nothing (identity map), the nilpotent power keeps everything.  The
-    screening matrices number their rows by image terms, so no target layer
-    is built, and they share the relative-image table `images` (see
-    `apply_screening`).
+    modules eliminate each layer once: each screening matrix is reduced to
+    its primitive echelon (`linalg.echelon`), whose length is the rank,
+    and the concatenated echelons span the stacked matrix, whose kernel is
+    the intersection; `linalg.nullspace` of them gives exactly the basis
+    of the raw stacked rows.  On fractional modules the Weyl power
+    decides: k = 0 leaves nothing (identity map), the nilpotent power
+    keeps everything.  The screening matrices number their rows by image
+    terms, so no target layer is built, and they share the relative-image
+    table `images` (see `apply_screening`).
     """
     coset, h = layer.coset, layer.h
     ks = [weyl_power_exponent(sl, coset, a) for a in screenings]
@@ -361,17 +361,11 @@ def kernel_layer(sl: ScreeningLattices, layer: GradedLayer, screenings, images: 
     stacked: list[dict[int, int]] = []
     ker_dims = []
     for a in screenings:
-        rows = _screening_matrix(sl, a, layer, images)
-        ker_dims.append(linalg.nullity(rows, layer.dim))
-        stacked.extend(rows)
-    # dense rows for perfbench/tracer.py until it reads obs counters (ROADMAP item 1)
-    dense = []
-    for row in stacked:
-        cells = [0] * layer.dim
-        for j, x in row.items():
-            cells[j] = x
-        dense.append(cells)
-    null = linalg.nullspace(dense, ncols=layer.dim)
+        reduced = linalg.echelon(_screening_matrix(sl, a, layer, images), layer.dim)
+        ker_dims.append(layer.dim - len(reduced))
+        stacked.extend(reduced)
+    # perfbench/tracer.py reads this one call per layer; `a` is sparse rows
+    null = linalg.nullspace(stacked, layer.dim)
     # each layer basis element is one term with coefficient 1
     keys = list(layer.term_index())
     basis = [

@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from latvoa import linalg
 from latvoa.lattice import ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
-from latvoa.screening import _screening_matrix, layer_basis, short_screening_set
+from latvoa.screening import (
+    _screening_matrix,
+    layer_basis,
+    module_layers,
+    short_screening_set,
+    weyl_power_exponent,
+)
 
 from conftest import identity
 
@@ -55,7 +61,7 @@ def test_snf_random():
 
 def test_nullspace_and_rank():
     a = fraction_matrix([[1, 2, 3], [2, 4, 6]])
-    basis = dense_vectors(linalg.nullspace(a), 3)
+    basis = dense_vectors(linalg.nullspace(linalg.sparse_rows(a), 3), 3)
     assert len(basis) == 2
     for v in basis:
         for row in a:
@@ -131,6 +137,94 @@ def dense_nullspace(a, ncols=None):
     cols = len(a[0])
     red, pivots, _sign, _scale = dense_echelon(a)
     return [dense_kernel_vector(red, pivots, cols, f) for f in range(cols) if f not in pivots]
+
+
+def bareiss_echelon(rows, columns):
+    """Bareiss fraction-free forward elimination of sparse integer rows
+    over the given columns, in ascending order: the one elimination of
+    linalg before it moved onto primitive rows.
+
+    The pivot of a column is the first remaining row with a nonzero in it.
+    The one-step Bareiss update divides exactly by the previous pivot, so
+    every entry is an exact integer (a minor of the input), and only stored
+    entries are touched.  A row with no entry in the pivot column would just
+    be scaled by pivot / previous pivot; that scale telescopes, so it is
+    applied only when the row is next updated or becomes a pivot row (its
+    entries are still exact minors then).  Returns the pivot rows, their
+    pivot columns and the sign of the row permutation; for a square matrix
+    of full rank the last pivot is sign * det.
+    """
+    m = [dict(row) for row in rows]
+    n = len(m)
+    # the pivot at which each row's stored entries are exact
+    level = [1] * n
+    red = []
+    pivots = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in columns:
+        piv = next((i for i in range(r, n) if c in m[i]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            level[r], level[piv] = level[piv], level[r]
+            sign = -sign
+        prow = m[r]
+        if level[r] != prev:
+            prow = {j: x * prev // level[r] for j, x in prow.items()}
+        p = prow[c]
+        rest = [(j, x) for j, x in prow.items() if j != c]
+        for i in range(r + 1, n):
+            row = m[i]
+            x = row.pop(c, 0)
+            if not x:
+                continue
+            lv = level[i]
+            if lv != prev:
+                scale, x = p * prev, x * prev // lv
+                new = {j: y * scale // lv for j, y in row.items()}
+            else:
+                new = {j: y * p for j, y in row.items()}
+            for j, z in rest:
+                y = new.get(j, 0) - x * z
+                if y:
+                    new[j] = y
+                else:
+                    del new[j]
+            m[i] = new if prev == 1 else {j: y // prev for j, y in new.items()}
+            level[i] = p
+        red.append(prow)
+        pivots.append(c)
+        prev = p
+        r += 1
+        if r == n:
+            break
+    return red, pivots, sign
+
+
+def bareiss_kernel_vector(red, pivots, f):
+    """The kernel vector of free column f of a Bareiss echelon, by integer
+    back substitution on w = D * v with D the last pivot: up to sign, D is
+    the determinant of the pivot rows at the pivot columns, so by Cramer's
+    rule every step divides exactly."""
+    d = red[-1][pivots[-1]] if red else 1
+    w = {f: d}
+    for r in range(len(pivots) - 1, -1, -1):
+        row = red[r]
+        total = sum(x * w[j] for j, x in row.items() if j in w)
+        if total:
+            c = pivots[r]
+            w[c] = -total // row[c]
+    return {j: Fraction(w[j], d) for j in sorted(w)}
+
+
+def bareiss_nullspace(rows, ncols):
+    """Whole-matrix Bareiss elimination of sparse integer rows and one
+    kernel vector per free column, in column order."""
+    red, pivots, _sign = bareiss_echelon([row for row in rows if row], range(ncols))
+    return [bareiss_kernel_vector(red, pivots, f) for f in range(ncols) if f not in pivots]
 
 
 def dense_vectors(vectors, ncols):
@@ -393,7 +487,7 @@ def block_matrices(draw):
 def test_nullspace_equals_dense_elimination(case):
     a, ncols = case
     cols = len(a[0]) if a else ncols
-    basis = linalg.nullspace(a, ncols)
+    basis = linalg.nullspace(linalg.sparse_rows(a), cols)
     assert dense_vectors(basis, cols) == dense_nullspace(a, ncols)
     for vec in basis:
         assert all(vec.values())
@@ -412,7 +506,10 @@ def test_nullity_equals_dense_elimination(case):
 def test_echelon_pivots_equal_dense_elimination(case):
     a, ncols = case
     cols = len(a[0]) if a else ncols
-    red, pivots, sign = linalg._echelon(linalg.sparse_rows(a), range(cols))
+    if a:
+        assert linalg._echelon(linalg.sparse_rows(a), range(cols))[1] == dense_echelon(a)[1]
+    # the Bareiss oracle itself is held to the dense elimination
+    red, pivots, sign = bareiss_echelon(linalg.sparse_rows(a), range(cols))
     dense_red, dense_pivots, dense_sign, _scale = dense_echelon(a) if a else ([], [], 1, 1)
     assert pivots == dense_pivots
     if all(any(row) for row in a):
@@ -420,6 +517,70 @@ def test_echelon_pivots_equal_dense_elimination(case):
         # so the deferred scaling of rows without the pivot column is exact
         assert red == [{j: x for j, x in enumerate(row) if x} for row in dense_red[: len(pivots)]]
         assert sign == dense_sign
+
+
+def content(row):
+    return gcd(*row.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(block_matrices())
+def test_primitive_rows_equal_bareiss(case):
+    """Both eliminators give the same pivots, rank, nullity and nullspace,
+    and every row the primitive one returns has content 1."""
+    a, cols = case
+    rows = linalg.sparse_rows(a)
+    red, pivots, _sources = linalg._echelon(rows, range(cols))
+    bareiss_red, bareiss_pivots, _sign = bareiss_echelon(rows, range(cols))
+    assert pivots == bareiss_pivots
+    assert len(linalg.echelon(rows, cols)) == len(bareiss_red)
+    assert linalg.nullity(rows, cols) == cols - len(bareiss_pivots)
+    assert linalg.nullspace(rows, cols) == bareiss_nullspace(rows, cols)
+    assert all(content(row) == 1 for row in red)
+    assert all(min(row) == c for row, c in zip(red, pivots))
+
+
+@st.composite
+def stacked_integer_matrices(draw):
+    """A few sparse integer matrices on shared columns, as the screening
+    matrices of one layer are: small entries, repeated and dependent rows."""
+    cols = draw(st.integers(1, 10))
+    entry = st.integers(-4, 4)
+    matrices = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = []
+        for _ in range(draw(st.integers(0, 6))):
+            support = draw(st.lists(st.integers(0, cols - 1), max_size=4, unique=True))
+            rows.append({j: x for j in support if (x := draw(entry))})
+        if len(rows) >= 2 and draw(st.booleans()):
+            rows.append({j: 3 * rows[0].get(j, 0) - 2 * rows[1].get(j, 0) for j in range(cols)
+                         if 3 * rows[0].get(j, 0) - 2 * rows[1].get(j, 0)})
+        matrices.append(rows)
+    return matrices, cols
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_integer_matrices())
+def test_seeded_nullspace_equals_unseeded(case):
+    """The intersection of the kernels from the concatenated echelons of
+    each matrix equals the one from the raw stacked rows."""
+    matrices, cols = case
+    seeded = []
+    for rows in matrices:
+        reduced = linalg.echelon(rows, cols)
+        assert len(reduced) == cols - linalg.nullity(rows, cols)
+        assert all(content(row) == 1 for row in reduced)
+        seeded.extend(reduced)
+    raw = [row for rows in matrices for row in rows]
+    assert linalg.nullspace(seeded, cols) == linalg.nullspace(raw, cols)
+    assert linalg.nullspace(seeded, cols) == bareiss_nullspace(raw, cols)
+
+
+def test_zero_rows_are_dropped():
+    assert linalg.nullity([{}, {0: 2}], 2) == 1
+    assert linalg.echelon([{}, {0: 2}, {}], 2) == [{0: 1}]
+    assert linalg.nullspace([{}, {0: 2}], 2) == [{1: Fraction(1)}]
+    assert linalg.nullspace([{}], 2) == [{0: Fraction(1)}, {1: Fraction(1)}]
 
 
 def test_sparse_rows_scale_to_integers_and_drop_zero_rows():
@@ -430,9 +591,31 @@ def test_sparse_rows_scale_to_integers_and_drop_zero_rows():
 
 def test_nullspace_equals_dense_on_screening_matrix():
     a, ncols = stacked_screening_matrix(3, "blue", 3)
-    basis = dense_vectors(linalg.nullspace(a, ncols), ncols)
+    basis = dense_vectors(linalg.nullspace(linalg.sparse_rows(a), ncols), ncols)
     assert len(basis) == 36
     assert basis == dense_nullspace(a, ncols)
+
+
+@pytest.mark.parametrize(
+    "series, rank, color, level",
+    [("A", 1, "blue", 3), ("B", 2, "blue", 3), ("B", 2, "green", 3), ("B", 3, "blue", 2), ("B", 3, "green", 2)],
+)
+def test_seeded_nullspace_equals_dense_on_kernel_goldens(series, rank, color, level):
+    """On every layer of the integer-pairing kernel goldens (center and
+    steinberg pair fractionally and have no matrices), the nullspace of the
+    concatenated per-screening echelons, as kernel_layer computes it,
+    equals the dense elimination of the raw stacked matrix."""
+    sl = ScreeningLattices(build_root_system(series, rank), 4)
+    coset = sl.named_cosets()[color]
+    screens = short_screening_set(sl)
+    assert all(weyl_power_exponent(sl, coset, a) == 1 for a in screens)
+    images: dict = {}
+    for layer in module_layers(sl, coset, level):
+        matrices = [_screening_matrix(sl, a, layer, images) for a in screens]
+        seeded = [row for rows in matrices for row in linalg.echelon(rows, layer.dim)]
+        raw = densify([row for rows in matrices for row in rows], layer.dim)
+        basis = linalg.nullspace(seeded, layer.dim)
+        assert dense_vectors(basis, layer.dim) == dense_nullspace(raw, layer.dim)
 
 
 @pytest.mark.parametrize(
@@ -441,7 +624,7 @@ def test_nullspace_equals_dense_on_screening_matrix():
 )
 def test_nullity_matches_rank_mod_p(rank, color, level):
     a, ncols = stacked_screening_matrix(rank, color, level)
-    assert ncols - len(linalg.nullspace(a, ncols)) == rank_mod_p(a)
+    assert ncols - len(linalg.nullspace(linalg.sparse_rows(a), ncols)) == rank_mod_p(a)
 
 
 @pytest.mark.parametrize(

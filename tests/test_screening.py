@@ -330,7 +330,7 @@ def test_kernel_layer_builds_no_layer_basis(monkeypatch, rank):
 
 @pytest.mark.parametrize("rank, level", [(2, 2), (3, 1)])
 def test_kernel_layer_asks_for_vectors_once(monkeypatch, rank, level):
-    # per-screening kernels are counted (linalg.nullity); only the stacked
+    # per-screening kernels are the lengths of their echelons; only the stacked
     # intersection is asked for a basis, once per integer-pairing layer
     sl = ScreeningLattices(build_root_system("B", rank), 4)
     screens = short_screening_set(sl)
@@ -609,7 +609,7 @@ def test_screening_matrix_rows_equal_untranslated_images():
 )
 def test_screening_matrix_rows_are_primitive(series, rank, ell, level):
     # every row is divided by its content: the gcd of its entries is 1, so
-    # the Bareiss minors of nullspace carry no common factor of a row
+    # the eliminator's first content division leaves them as they are
     sl = ScreeningLattices(build_root_system(series, rank), ell)
     if series == "B":
         cosets = [sl.named_cosets()[color] for color in ("blue", "green")]
