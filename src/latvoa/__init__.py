@@ -3,13 +3,12 @@ root systems, rescaled lattices, free-field states, vertex-operator
 modes, Virasoro action, screening kernels, graded characters, and
 quantum-group degeneracy tables."""
 
-from .freefield import FieldElement, FracLaurent
+from .freefield import FieldElement
 from .lattice import (
     Coset,
     Momentum,
     MomentumSpace,
     ScreeningLattices,
-    build_screening_lattices,
     groundstates,
     num_simples,
     quadratic_form_F,
@@ -29,7 +28,7 @@ from .screening import (
     short_screening_set,
     weyl_power_exponent,
 )
-from .vertexop import mode_op, residue_op, vertex_op
+from .vertexop import mode_op, residue_op
 from .virasoro import commutator_check, stress_tensor, virasoro_mode
 
 __version__ = "0.1.0"
@@ -37,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Coset",
     "FieldElement",
-    "FracLaurent",
     "Momentum",
     "MomentumSpace",
     "RootSystem",
@@ -46,7 +44,6 @@ __all__ = [
     "apply_screening",
     "braiding_matrix",
     "build_root_system",
-    "build_screening_lattices",
     "commutator_check",
     "dual_root_system",
     "groundstates",
@@ -63,7 +60,6 @@ __all__ = [
     "residue_op",
     "short_screening_set",
     "stress_tensor",
-    "vertex_op",
     "virasoro_mode",
     "weyl_power_exponent",
 ]

@@ -1,6 +1,10 @@
 """The graded commutative Hopf algebra of differential polynomials times
-exponentials, with product, coproduct, derivation and the Laurent-valued
-Hopf pairing.
+exponentials: its states with product and derivation, and the two pieces
+of the coproduct and the Hopf pairing that the mode engine runs on, the
+coproduct splits of a monomial (`_mono_splits`) and the contraction
+coefficient of two monomials (`_match_coefficient`).  The definitions
+themselves, the pairing into Laurent polynomials and the coproduct of a
+state, are test oracles outside the package.
 
 A term is a pair (momentum coords, monomial) with a scalar coefficient.
 The coords are in the canonical form of `lattice.canonical`: an int for
@@ -39,64 +43,6 @@ def _accumulate(out: dict, key, val) -> None:
         out[key] = new
     else:
         del out[key]
-
-
-class FracLaurent:
-    """Finite Laurent polynomial with rational exponents."""
-
-    def __init__(self, data: dict | None = None):
-        self.data: dict[Fraction, object] = {}
-        if data:
-            for e, c in data.items():
-                if c:
-                    self.data[Fraction(e)] = c
-
-    @staticmethod
-    def monomial(coeff, exponent) -> "FracLaurent":
-        return FracLaurent({Fraction(exponent): coeff})
-
-    def coefficient(self, exponent):
-        return self.data.get(Fraction(exponent), Fraction(0))
-
-    def __add__(self, other: "FracLaurent") -> "FracLaurent":
-        out = dict(self.data)
-        for e, c in other.data.items():
-            _accumulate(out, e, c)
-        return FracLaurent(out)
-
-    def __neg__(self) -> "FracLaurent":
-        return FracLaurent({e: -c for e, c in self.data.items()})
-
-    def __sub__(self, other: "FracLaurent") -> "FracLaurent":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, FracLaurent):
-            out: dict[Fraction, object] = {}
-            for e1, c1 in self.data.items():
-                for e2, c2 in other.data.items():
-                    _accumulate(out, e1 + e2, c1 * c2)
-            return FracLaurent(out)
-        return FracLaurent({e: c * other for e, c in self.data.items()})
-
-    __rmul__ = __mul__
-
-    def d_dz(self) -> "FracLaurent":
-        return FracLaurent({e - 1: c * e for e, c in self.data.items() if e != 0})
-
-    def exponents(self):
-        return sorted(self.data)
-
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, FracLaurent) and self.data == other.data
-
-    def __repr__(self) -> str:
-        if not self.data:
-            return "0"
-        return " + ".join(f"({c}) z^{e}" for e, c in sorted(self.data.items()))
 
 
 def _merge_mono(a: Mono, b: Mono) -> Mono:
@@ -251,41 +197,6 @@ class FieldElement:
                 if x:
                     _accumulate(out, (mom, _merge_mono(mono, ((1, i),))), c * x)
         return FieldElement(self.space, _canonical_terms(out))
-
-    def coproduct(self) -> dict[tuple[TermKey, TermKey], object]:
-        """Coproduct as a dictionary keyed by (left term, right term)."""
-        out: dict[tuple[TermKey, TermKey], object] = {}
-        for (mom, mono), c in self.terms.items():
-            for left, right, mult, _deg in _mono_splits(mono):
-                key = ((mom, left), (mom, right))
-                out[key] = out.get(key, 0) + c * mult
-        return {k: v for k, v in out.items() if v}
-
-    def pair(self, other: "FieldElement") -> FracLaurent:
-        """Hopf pairing with values in Laurent polynomials in z."""
-        self._check_space(other)
-        out = FracLaurent()
-        for (ma, ua), ca in self.terms.items():
-            for (mb, ub), cb in other.terms.items():
-                coeff = _match_coefficient(self.space, list(ua), list(ub), ma, mb)
-                if coeff:
-                    e = self.space.pair_coords(ma, mb) - _mono_degree(ua) - _mono_degree(ub)
-                    out = out + FracLaurent.monomial(ca * cb * coeff, e)
-        return out
-
-    # -- gradings ----------------------------------------------------------
-    def n0_degrees(self) -> set[int]:
-        return {_mono_degree(mono) for (_, mono) in self.terms}
-
-    def momenta(self) -> set[tuple[int | Fraction, ...]]:
-        return {mom for (mom, _) in self.terms}
-
-    def conformal_weights(self, sl) -> set[Fraction]:
-        """Set of h-values of the terms (h(mom) + degree)."""
-        out = set()
-        for (mom, mono), _ in self.terms.items():
-            out.add(sl.conformal_dim(Momentum(mom)) + _mono_degree(mono))
-        return out
 
     def __repr__(self) -> str:
         try:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .rootdata import RootSystem, build_root_system
+from .rootdata import RootSystem
 
 
 def canonical(coords) -> tuple[int | Fraction, ...]:
@@ -286,10 +286,6 @@ class ScreeningLattices:
             "green": self.long_lattice_coset(short),
             "steinberg": self.long_lattice_coset(self.Q + short),
         }
-
-
-def build_screening_lattices(rs: RootSystem, ell: int) -> ScreeningLattices:
-    return ScreeningLattices(rs, ell)
 
 
 # --- quotients ---------------------------------------------------------

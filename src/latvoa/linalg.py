@@ -58,10 +58,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: Sequence[Fraction]) -> Row:
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(col) for col in zip(*a)]
 

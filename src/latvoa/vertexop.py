@@ -1,17 +1,17 @@
-"""Vertex operator Y(a)b as a fractional Laurent series of states, its mode
-operators, and integer/fractional residues.
+"""Mode operators of the vertex operator Y(a)b, and integer/fractional
+residues.
 
 Y(a)b = sum_k <a2, b2> * b1 * z^k/k! * d^k.a1 over the coproduct legs.
 Every z-coefficient is a finite sum: for a fixed output exponent the
-derivative index k is pinned by the pairing exponent, and pairing
-exponents lie in a bounded window computed per term pair.  The engine
+derivative index k is pinned by the pairing exponent.  The engine
 (`_mode_numerators`) sums integer numerators and returns them: the
 coefficients of a and b are brought over their common denominators, d^k
 is kept without its 1/k!, and each exponent comes out as one denominator
 with an int numerator per term.  Its callers divide: `multi_mode_op`
-(with `mode_op` as its one-target case), `vertex_op` and `residue_op`
-divide each coefficient once (`_mode_terms`), and the screening table
-keeps the numerators.
+(with `mode_op` as its one-target case) and `residue_op` divide each
+coefficient once (`_mode_terms`), and the screening table keeps the
+numerators.  The whole series in a window, summed straight from the
+definition, is a test oracle outside the package.
 
 An integer residue needs every exponential pairing integral.  One rule,
 `_integral_pairing`, checks that for `residue_op` and for the screening
@@ -21,7 +21,7 @@ images, and refuses a fractional pairing with one message.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
@@ -197,47 +197,6 @@ def mode_op(a: FieldElement, m, b: FieldElement) -> FieldElement:
     """The z^m coefficient of Y(a)b; exact for every rational m."""
     (coefficient,) = multi_mode_op(a, (m,), b).values()
     return coefficient
-
-
-@dataclass
-class StateSeries:
-    """Coefficients of Y(a)b for every exponent inside an explicit window."""
-
-    space: MomentumSpace
-    window: tuple[Fraction, Fraction]
-    coeffs: dict[Fraction, FieldElement] = field(default_factory=dict)
-
-    def coefficient(self, exponent) -> FieldElement:
-        e = Fraction(exponent)
-        lo, hi = self.window
-        if not (lo <= e <= hi):
-            raise ValueError(f"exponent {e} outside computed window [{lo}, {hi}]")
-        return self.coeffs.get(e, FieldElement.zero(self.space))
-
-    def support(self):
-        return sorted(e for e, c in self.coeffs.items() if not c.is_zero())
-
-
-def vertex_op(a: FieldElement, b: FieldElement, window) -> StateSeries:
-    """All coefficients of Y(a)b with exponents in [lo, hi], exhaustively."""
-    a._check_space(b)
-    lo, hi = Fraction(window[0]), Fraction(window[1])
-
-    def want(e_pair):
-        if e_pair > hi:
-            return ()
-        start = lo - e_pair
-        k0 = max(0, -(-start.numerator // start.denominator))  # ceil(lo - E)
-        kmax = (hi - e_pair).numerator // (hi - e_pair).denominator  # floor
-        return tuple(range(k0, kmax + 1))
-
-    buckets = _mode_terms(a, b, want)
-    coeffs = {
-        e: FieldElement(a.space, terms)
-        for e, terms in buckets.items()
-        if lo <= e <= hi and terms
-    }
-    return StateSeries(a.space, (lo, hi), coeffs)
 
 
 @dataclass

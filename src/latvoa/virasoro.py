@@ -10,7 +10,7 @@ from math import factorial, lcm, perm
 from . import linalg
 from .freefield import FieldElement, _canonical_terms
 from .lattice import Momentum, ScreeningLattices, canonical_quotient, common_numerators
-from .vertexop import _numerators, mode_op
+from .vertexop import _numerators
 
 
 @dataclass
@@ -20,37 +20,30 @@ class StressTensor:
     c: Fraction
 
 
-def stress_tensor(sl: ScreeningLattices, basis=None) -> StressTensor:
-    """T = 1/2 sum_i dphi_{b_i} dphi_{b_i*} + sum_i q_i d2phi_{b_i} for any
-    basis with dual basis (b_i, b_j*) = delta_ij; the result is basis
-    independent."""
+def stress_tensor(sl: ScreeningLattices) -> StressTensor:
+    """T = 1/2 sum_ij G^ij dphi_i dphi_j + sum_i Q_i d2phi_i over the
+    ambient basis, with G^ij the inverse ambient Gram matrix and Q_i the
+    coordinates of the background charge."""
     space = sl.space
-    if basis is None:
-        basis = [space.basis_vector(i) for i in range(space.rank)]
-    gb = [[space.pair(x, y) for y in basis] for x in basis]
-    gb_inv = linalg.inverse(gb)
-    duals = []
-    for i in range(len(basis)):
-        d = space.zero()
-        for j, b in enumerate(basis):
-            d = d + gb_inv[j][i] * b
-        duals.append(d)
-    # coordinates of Q in the chosen basis
-    qcoords = linalg.mat_vec(gb_inv, [space.pair(b, sl.Q) for b in basis])
-    elem = FieldElement.zero(space)
-    half = Fraction(1, 2)
-    for b, dstar in zip(basis, duals):
-        elem = elem + half * (FieldElement.dphi(space, b) * FieldElement.dphi(space, dstar))
-    for qi, b in zip(qcoords, basis):
+    gram_inv = _gram_inv(space)
+    zero = space.zero().coords
+    terms: dict = {}
+    for i in range(space.rank):
+        for j in range(space.rank):
+            if gram_inv[i][j]:
+                key = (zero, tuple(sorted(((1, i), (1, j)))))
+                terms[key] = terms.get(key, 0) + Fraction(1, 2) * gram_inv[i][j]
+    for i, qi in enumerate(sl.Q.coords):
         if qi:
-            elem = elem + qi * FieldElement.dphi(space, b, order=2)
-    elem = FieldElement(space, _canonical_terms(elem.terms))
+            terms[(zero, ((2, i),))] = qi
+    elem = FieldElement(space, _canonical_terms(terms))
     return StressTensor(element=elem, Q=sl.Q, c=sl.central_charge)
 
 
 def virasoro_mode(st: StressTensor, n: int, b: FieldElement) -> FieldElement:
-    """L_n b, the z^{-2-n} coefficient of Y(T)b."""
-    return mode_op(st.element, -2 - n, b)
+    """L_n b, the z^{-2-n} coefficient of Y(T)b: the one-mode case of
+    `virasoro_modes`."""
+    return virasoro_modes(st, (n,), b)[n]
 
 
 def virasoro_modes(st: StressTensor, ns, b: FieldElement) -> dict[int, FieldElement]:
@@ -58,13 +51,16 @@ def virasoro_modes(st: StressTensor, ns, b: FieldElement) -> dict[int, FieldElem
     repeated n is computed once.
 
     Evaluates the closed-form free-field action of the stress-tensor modes
-    on basis terms; it agrees with the generic vertex-operator route
-    (multi_mode_op) and that agreement is pinned by tests.  The rows of
-    the terms of b come from a `_TermRows` table that lives for this call
-    only.  The coefficients of b are brought over their common denominator
-    and `_images` does the work on ints; each output coefficient is
-    divided once, here.
+    on basis terms.  This is the package's one route to L_n.  Its test
+    oracle is the generic vertex-operator route: the z^{-2-n}
+    coefficients of Y(T)b from the `vertexop` engine, which
+    `tests/test_virasoro.py::test_fast_modes_match_generic` compares it
+    with.  The rows of the terms of b come from a `_TermRows` table that
+    lives for this call only.  The coefficients of b are brought over their common
+    denominator and `_images` does the work on ints; each output
+    coefficient is divided once, here.
     """
+    st.element._check_space(b)
     space = b.space
     ns = tuple(dict.fromkeys(ns))
     d, terms = _numerators(b.terms)

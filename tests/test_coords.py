@@ -12,10 +12,11 @@ from latvoa.freefield import FieldElement
 from latvoa.lattice import ScreeningLattices, canonical, groundstates, points_within
 from latvoa.rootdata import build_root_system
 from latvoa.screening import apply_screening, layer_basis, short_screening_set
-from latvoa.vertexop import mode_op, residue_op, vertex_op
+from latvoa.vertexop import mode_op, multi_mode_op, residue_op
 from latvoa.virasoro import stress_tensor, virasoro_modes
 
 from conftest import random_state, support_min
+from oracles import vertex_op
 
 SL_A1 = ScreeningLattices(build_root_system("A", 1), 4)
 SL_B2 = ScreeningLattices(build_root_system("B", 2), 4)
@@ -128,8 +129,9 @@ def test_random_products_and_modes_are_canonical(rng):
     if a.is_zero() or b.is_zero():
         return
     lo = support_min(a, b)
-    for elem in vertex_op(a, b, (lo, lo + 2)).coeffs.values():
-        assert keys_canonical(elem)
+    series = vertex_op(a, b, (lo, lo + 2))
+    for e, elem in multi_mode_op(a, series.support(), b).items():
+        assert keys_canonical(elem) and elem == series.coefficient(e)
     res = residue_op(a, b, truncate=2)
     assert all(is_canonical(mom) for mom, _mono in res.element_terms)
 

@@ -13,7 +13,6 @@ from latvoa.lattice import (
     Momentum,
     MomentumSpace,
     ScreeningLattices,
-    build_screening_lattices,
     groundstates,
     num_simples,
     points_within,
@@ -21,6 +20,8 @@ from latvoa.lattice import (
     quotient_group,
 )
 from latvoa.rootdata import build_root_system
+
+from test_linalg import mat_vec
 
 F = Fraction
 
@@ -71,9 +72,9 @@ def test_q_vector_examples():
 
 def test_divisibility_rejected():
     with pytest.raises(ValueError, match=r"a_1"):
-        build_screening_lattices(build_root_system("B", 2), 2)
+        ScreeningLattices(build_root_system("B", 2), 2)
     with pytest.raises(ValueError):
-        build_screening_lattices(build_root_system("A", 1), 3)
+        ScreeningLattices(build_root_system("A", 1), 3)
 
 
 def test_lattice_containments():
@@ -397,7 +398,7 @@ def box_search(
     t = rep - center
     # real minimizer n0 of (t + B n)^T G (t + B n): gb n0 = -B^T G t
     rhs = [-space.pair(basis[i], t) for i in range(r)]
-    n0 = linalg.mat_vec(gb_inv, rhs)
+    n0 = mat_vec(gb_inv, rhs)
     f_min = space.norm(t) - sum(-rhs[i] * (-n0[i]) for i in range(r))
     # f(n) = f_min + (n - n0)^T gb (n - n0)
     slack = max_norm2 - f_min

@@ -47,6 +47,8 @@ from latvoa.screening import (
 from latvoa.vertexop import _accumulate, _mode_terms, multi_mode_op, residue_op
 from latvoa.virasoro import CommutatorReport, _TermRows, commutator_check, stress_tensor
 
+from oracles import momenta
+
 
 def fraction_pp_coeff(space, f_left, f_right) -> Fraction:
     (m, i), (k, j) = f_left, f_right
@@ -640,7 +642,7 @@ def layer_states(draw, sl, keys, max_terms=4):
 
 def _integral(sl, a, elem) -> bool:
     """Whether the screening a pairs integrally with every momentum of elem."""
-    return all(sl.space.pair_coords(a.coords, mom).denominator == 1 for mom in elem.momenta())
+    return all(sl.space.pair_coords(a.coords, mom).denominator == 1 for mom in momenta(elem))
 
 
 @settings(max_examples=80, deadline=None)
