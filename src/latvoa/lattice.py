@@ -130,8 +130,15 @@ class MomentumSpace:
         return self.pair_coords(u.coords, u.coords)
 
     def __eq__(self, other) -> bool:
+        """Equal p and Gram matrix, decided on the cached hash and the
+        integer numerators: every job builds its own space, so a cache key
+        from an earlier one is compared here, and no Fraction is."""
         return self is other or (
-            isinstance(other, MomentumSpace) and self.gram == other.gram and self.p == other.p
+            isinstance(other, MomentumSpace)
+            and self._hash == other._hash
+            and self.p == other.p
+            and self._den == other._den
+            and self._num == other._num
         )
 
     def __hash__(self):

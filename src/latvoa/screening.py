@@ -6,23 +6,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import factorial, gcd, lcm
 
 from . import linalg
-from .freefield import FieldElement
+from .freefield import FieldElement, _merge_mono, _mono_splits
 from .lattice import (
     Coset,
     Momentum,
     ScreeningLattices,
     canonical,
     canonical_quotient,
+    _scaled,
     canonical_scalar,
+    common_numerators,
     groundstates,
     points_within,
 )
 from .rootdata import short_simple_system
 from .scalars import Scalar
-from .vertexop import _integral_pairing, _mode_numerators, _numerators
+from .vertexop import _dk_term, _integral_pairing, _numerators
 from .virasoro import StressTensor, stress_tensor
 
 
@@ -72,39 +74,80 @@ def _keys(space, alpha: Momentum, terms) -> tuple[list, dict]:
 def _relative_images(space, alpha: Momentum, keys, images: dict) -> list:
     """The relative image of Z_alpha on every (mu, mono, pairing) of keys,
     in key order: the entry of `images` under (alpha.coords, mono,
-    pairing), as (den, [(monomial, int numerator), ...]) over the least
-    common denominator.  This is the one reader of the table, and it first
-    fills the keys that the table lacks.
-
-    Y(e^alpha, z)(u e^mu) is z^<alpha, mu> times a series that never reads
-    mu: the screening carries no cocycle, and with no left factor the
-    match coefficients read alpha alone.  So Z_alpha(mono e^mu) has every
-    term at momentum alpha + mu, and its coefficients depend on mu only
-    through the pairing: the image at pairing p is the z^(-1 - p + p0)
-    coefficient at any one mu0 of pairing p0.  One engine pass per
-    monomial, on the single term mono e^mu0, covers every pairing that the
-    missing keys ask for, and its numerators are stored as they come."""
+    pairing), as (den, [(monomial, int numerator), ...]) reduced by their
+    gcd.  This is the one reader of the table, and it first fills the keys
+    that the table lacks from one `_closed_images` call.  An image depends
+    on mu only through the pairing, so the table does not key it by mu."""
     coords = alpha.coords
     found = [images.get((coords, mono, pairing)) for _mu, mono, pairing in keys]
     if None not in found:
         return found
-    misses: dict = {}  # mono -> (mu0, p0, {pairing, ...})
-    for (mu, mono, pairing), hit in zip(keys, found):
+    misses: dict = {}  # mono -> {pairing, ...}
+    for (_mu, mono, pairing), hit in zip(keys, found):
         if hit is None:
-            misses.setdefault(mono, (mu, pairing, set()))[2].add(pairing)
-    screen = FieldElement.exponential(space, alpha)
-    for mono, (mu0, p0, pairings) in misses.items():
-        targets = {-1 - p + p0: p for p in pairings}
-
-        def want(e_pair):
-            return tuple(t - e_pair for t in targets if t >= e_pair)
-
-        buckets = _mode_numerators(screen, FieldElement(space, {(mu0, mono): 1}), want)
-        for t, p in targets.items():
-            den, nums = buckets.get(t, (1, {}))
-            g = gcd(den, *nums.values())
-            images[(coords, mono, p)] = (den // g, [(m, n // g) for (_mom, m), n in nums.items()])
+            misses.setdefault(mono, set()).add(pairing)
+    images.update(_closed_images(space, coords, misses))
     return [images[(coords, mono, pairing)] for _mu, mono, pairing in keys]
+
+
+def _closed_images(space, coords, misses: dict) -> dict:
+    """{(coords, mono, p): image} for every pairing p of every mono of
+    misses, a {mono: {p, ...}} map: the relative image of Z_alpha, alpha
+    given by its coords, on mono e^mu with p = <alpha, mu>, as (den,
+    [(monomial, int numerator), ...]) reduced by their gcd, den positive.
+    Each monomial is one walk over its coproduct splits, shared by its
+    pairings.
+
+    Y(e^alpha, z) = z^alpha_0 E^-(-alpha, z) E^+(-alpha, z) e^alpha
+    (Frenkel-Lepowsky-Meurman 1988, ch. 8): the screening carries no
+    cocycle, and E^+ contracts each factor (s, l) of mono with
+    -(s-1)! <alpha, e_l>.  So Z_alpha(mono e^mu) lies at alpha + mu and is
+
+        sum_R mult(R) prod_{(s, l) in R} (-(s-1)! <alpha, e_l>) (mono minus R) d^k e^alpha / k!
+
+    over the splits R of mono (`_mono_splits`) with k = deg R - p - 1 >= 0.
+    With da the common denominator of alpha and D = da times the Gram
+    denominator, <alpha, e_l> is g_l / D for an int g_l, and every
+    coefficient of d^k e^alpha (`_dk_term`) times da^k is an int, so an
+    image is summed over D^len(mono) da^K K!, K its largest k."""
+    da, scaled = common_numerators(coords)
+    big_d = space._den * da
+    g = [sum(x * row[l] for x, row in zip(scaled, space._num)) for l in range(space.rank)]
+    dk: dict = {}  # k -> [(monomial, coefficient of d^k e^alpha times da^k)]
+    out = {}
+    for mono, pairings in misses.items():
+        n = len(mono)
+        splits = []  # (left, deg R, numerator over D^n)
+        for left, right, mult, deg in _mono_splits(mono):
+            c = mult * big_d ** (n - len(right))
+            for s, l in right:
+                c *= -factorial(s - 1) * g[l]
+            if c:
+                splits.append((left, deg, c))
+        top_deg = max((deg for _left, deg, _c in splits), default=0)
+        for p in pairings:
+            top = top_deg - p - 1
+            if top < 0:
+                out[(coords, mono, p)] = (1, [])
+                continue
+            acc: dict = {}
+            for left, deg, c in splits:
+                k = deg - p - 1
+                if k < 0:
+                    continue
+                terms = dk.get(k)
+                if terms is None:
+                    dak = da**k
+                    terms = dk[k] = [(m, _scaled(x, dak)) for (_mom, m), x in _dk_term(space, coords, (), k).items()]
+                f = c * da ** (top - k) * (factorial(top) // factorial(k))
+                for m, x in terms:
+                    key = _merge_mono(left, m) if left else m
+                    acc[key] = acc.get(key, 0) + f * x
+            nums = [(m, x) for m, x in acc.items() if x]
+            den = big_d**n * da**top * factorial(top)
+            h = gcd(den, *(x for _m, x in nums))
+            out[(coords, mono, p)] = (den // h, [(m, x // h) for m, x in nums])
+    return out
 
 
 def apply_screening(alpha: Momentum, state: FieldElement, images: dict | None = None) -> FieldElement:
@@ -116,9 +159,11 @@ def apply_screening(alpha: Momentum, state: FieldElement, images: dict | None = 
 
     The coefficients of state are brought over their common denominator,
     `screening_numerators` does the work on ints, and each output
-    coefficient is divided once, here.  Calls that pass the same `images`
-    dict share their relative images (`_relative_images`); by default a
-    call keeps its own.
+    coefficient is divided once, here.  The relative images come from the
+    closed form of Y(e^alpha, z) (`_closed_images`), so alpha may have
+    non-integral coordinates as long as every pairing is integral.  Calls
+    that pass the same `images` dict share their relative images
+    (`_relative_images`); by default a call keeps its own.
     """
     d, terms = _numerators(state.terms)
     den, acc = screening_numerators(state.space, alpha, d, terms, {} if images is None else images)
@@ -303,8 +348,8 @@ def _screening_matrix(sl: ScreeningLattices, a: Momentum, layer: GradedLayer, im
     momentum's monomials in sorted order), so the rows come out as if
     numbered by the target layer, which is never built.  `images` is the
     table of `apply_screening`; one `_relative_images` call reads the images
-    of the whole layer basis and fills what the table lacks, one engine pass
-    per monomial.  A momentum that pairs fractionally with a is refused
+    of the whole layer basis and fills what the table lacks from the closed
+    form, one walk over the splits of each monomial.  A momentum that pairs fractionally with a is refused
     (`_keys`).  Each row is the relative images' numerators brought over
     their common denominator and then divided by the row's content, the
     gcd of its entries, so that every row is primitive, as the eliminator
@@ -345,7 +390,8 @@ def kernel_layer(sl: ScreeningLattices, layer: GradedLayer, screenings, images: 
     decides: k = 0 leaves nothing (identity map), the nilpotent power
     keeps everything.  The screening matrices number their rows by image
     terms, so no target layer is built, and they share the relative-image
-    table `images` (see `apply_screening`).
+    table `images` (see `apply_screening`), which the closed form fills
+    (`_closed_images`).
     """
     coset, h = layer.coset, layer.h
     ks = [weyl_power_exponent(sl, coset, a) for a in screenings]

@@ -9,9 +9,12 @@ coefficients of a and b are brought over their common denominators, d^k
 is kept without its 1/k!, and each exponent comes out as one denominator
 with an int numerator per term.  Its callers divide: `multi_mode_op`
 (with `mode_op` as its one-target case) and `residue_op` divide each
-coefficient once (`_mode_terms`), and the screening table keeps the
-numerators.  The whole series in a window, summed straight from the
-definition, is a test oracle outside the package.
+coefficient once (`_mode_terms`).  The screening images do not run on the
+engine: their left side is a bare exponential, and
+`screening._closed_images` sums the closed form of Y(e^alpha, z) on
+integers, with the engine as its test oracle.  The whole series in a
+window, summed straight from the definition, is a test oracle outside the
+package.
 
 An integer residue needs every exponential pairing integral.  One rule,
 `_integral_pairing`, checks that for `residue_op` and for the screening

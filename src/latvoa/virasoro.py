@@ -330,7 +330,8 @@ def commutator_check(st: StressTensor, states, max_mode: int = 3) -> CommutatorR
     term, the numerator and denominator of c (m^3 - m)/12, are summed in
     one pass into one integer accumulator over their common denominator,
     grouped by momentum since every L_k keeps it; the identity holds
-    exactly when every sum is zero.  No coefficient is divided.
+    exactly when every sum is zero.  No coefficient is divided.  A state
+    over another lattice is refused, as `virasoro_modes` refuses it.
     """
     space, Q = st.element.space, st.Q
     reach = max(2 * max_mode - 1, max_mode)
@@ -341,6 +342,7 @@ def commutator_check(st: StressTensor, states, max_mode: int = 3) -> CommutatorR
     rows = _TermRows(space, Q)
     checked_states = 0
     for v in states:
+        st.element._check_space(v)
         checked_states += 1
         d, terms = _numerators(v.terms)
         by_beta: dict = {}

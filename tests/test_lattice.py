@@ -586,3 +586,15 @@ def test_space_hash_and_equality():
     assert a is not b and a == b and hash(a) == hash(b) == hash((a.gram, a.p))
     assert a != ScreeningLattices(rs, 8).space
     assert all(type(x) is Fraction for row in a.gram for x in row)
+    # a Gram matrix with a denominator, built twice
+    g2 = build_root_system("G", 2)
+    c, d = ScreeningLattices(g2, 6).space, ScreeningLattices(g2, 6).space
+    assert c._den > 1 and c is not d and c == d and hash(c) == hash(d)
+    assert c != a and a != c and a != "space"
+    # the same Gram matrix under another p, and another Gram matrix under the same p
+    assert MomentumSpace(a.gram, a.p + 1) != a
+    assert MomentumSpace([[x * 2 for x in row] for row in a.gram], a.p) != a
+    # equal integer numerators over another denominator
+    halved = MomentumSpace([[x / 2 for x in row] for row in a.gram], a.p)
+    assert halved._num == a._num and halved._den == 2 * a._den
+    assert halved != a

@@ -319,6 +319,7 @@ NS = tuple(range(-6, 7))
 def test_lattice_denominators():
     assert [sl.space._den for sl in INTEGRAL] == [1, 1, 1, 1]
     assert [sl.space._den for sl in FRACTIONAL] == [3, 3, 2]
+    assert [sl.space._den for sl in CLOSED] == [1, 1, 2, 3, 3]
 
 
 @st.composite
@@ -730,9 +731,84 @@ def test_filled_images_equal_residue_of_each_key(data):
         got = {(mom, m): Fraction(n, den) for m, n in nums}
         want = residue_op(FieldElement.exponential(space, a), FieldElement(space, {(mu, mono): 1}))
         assert got == {key: Fraction(c) for key, c in want.terms.items()}
-    # a second call finds every key in the table and makes no engine pass
-    passes = []
+    # a second call finds every key in the table and builds no image
+    builds = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(screening, "_mode_numerators", lambda *args: passes.append(args))
+        mp.setattr(screening, "_closed_images", lambda *args: builds.append(args))
         assert screening._relative_images(space, a, keys, images) == got_images
-    assert not passes
+    assert not builds
+
+
+# --- the closed-form images against the generic engine ------------------------
+
+# Gram denominators 1, 1, 2, 3 and 3 (`test_lattice_denominators`)
+CLOSED = _lattices([("A", 1, 4), ("B", 2, 4), ("A", 2, 4), ("G", 2, 6), ("A", 1, 6)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_closed_images_equal_engine(data):
+    # Y(e^alpha, z) mono e^mu0 is z^p0 times a series in z that reads mu0
+    # only through p0 = <alpha, mu0>, so the image at pairing p is its
+    # z^(p0 - 1 - p) coefficient, for any alpha and mu0, rational or not
+    sl = data.draw(st.sampled_from(CLOSED), label="lattice")
+    space = sl.space
+    if data.draw(st.booleans()):
+        alpha = data.draw(st.sampled_from(short_screening_set(sl)))
+    else:
+        alpha = space.momentum(data.draw(momentum_coords(sl)))
+    mu0 = data.draw(momentum_coords(sl))
+    p0 = space.pair_coords(alpha.coords, mu0)
+    degree = data.draw(st.integers(0, 5))
+    mono = data.draw(st.sampled_from(screening._monomials_of_degree(space.rank, degree)))
+    pairings = set(data.draw(st.lists(st.integers(-3, degree + 1), min_size=1, max_size=4)))
+    built = screening._closed_images(space, alpha.coords, {mono: pairings})
+    assert built.keys() == {(alpha.coords, mono, p) for p in pairings}
+    screen = FieldElement.exponential(space, alpha)
+    state = FieldElement(space, {(mu0, mono): 1})
+    want = multi_mode_op(screen, [p0 - 1 - p for p in pairings], state)
+    mom = canonical(x + y for x, y in zip(alpha.coords, mu0))
+    for p in pairings:
+        den, nums = built[(alpha.coords, mono, p)]
+        assert den > 0 and all(n for _m, n in nums) and math.gcd(den, *(n for _m, n in nums)) == 1
+        got = {(mom, m): Fraction(n, den) for m, n in nums}
+        coefficient = want[canonical_scalar(p0 - 1 - p)]
+        assert got == {key: Fraction(c) for key, c in coefficient.terms.items()}
+        if p == p0:
+            assert coefficient == residue_op(screen, state)
+
+
+# (lattice, alpha with a non-integral coordinate): every pairing of alpha
+# with an integral momentum mu has denominator 1 or 2, so mu or 2 mu pairs
+# integrally
+HALF_ALPHAS = [
+    (CLOSED[0], (Fraction(1, 2),)),  # A1 at ell = 4: a1/2 on even momenta
+    (CLOSED[0], (Fraction(-3, 2),)),
+    (CLOSED[1], (Fraction(1, 2), 0)),  # B2: <alpha, mu> = mu1 - mu2/2
+    (CLOSED[2], (Fraction(1, 3), Fraction(2, 3))),  # A2 at ell = 4: <alpha, mu> = mu2/2
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_apply_screening_with_fractional_alpha_equals_residue(data):
+    sl, coords = data.draw(st.sampled_from(HALF_ALPHAS), label="alpha")
+    space = sl.space
+    alpha = space.momentum(coords)
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        mu = space.momentum([data.draw(st.integers(-2, 2)) for _ in range(space.rank)])
+        if space.pair(alpha, mu).denominator != 1:
+            mu = mu + mu
+        degree = data.draw(st.integers(0, 4))
+        mono = data.draw(st.sampled_from(screening._monomials_of_degree(space.rank, degree)))
+        num = data.draw(st.sampled_from((-3, -1, 1, 2)))
+        terms[(mu.coords, mono)] = canonical_scalar(Fraction(num, data.draw(st.sampled_from((1, 2, 3)))))
+    state = FieldElement(space, terms)
+    screen = FieldElement.exponential(space, alpha)
+    table: dict = {}
+    image = apply_screening(alpha, state, table)
+    assert image == residue_op(screen, state)
+    assert apply_screening(alpha, state, table) == image  # from the filled table
+    for coeff in image.terms.values():
+        assert type(coeff) is (int if coeff.denominator == 1 else Fraction)

@@ -6,6 +6,8 @@ Virasoro, Nichols and screening code.  On each line below the program must
 print exactly what it printed: the same stdout, the same stderr and the
 same exit code.  The `virasoro-check` lines hold the L_{-1} check, which
 now runs on the closed-form Virasoro rows, to the seed's generic route.
+The `nichols` lines and the C2 `kernel` line hold the closed-form screening
+images to the seed's own screening code, on B2, B3 and C2.
 Both programs run in subprocesses; no bytecode is written, so the frozen
 copy is only read.
 """
@@ -28,12 +30,15 @@ KERNEL_LINES = [
     "kernel --algebra B2 --ell 4 --module steinberg --max-level 1",
     "kernel --algebra B3 --ell 4 --module blue --max-level 1",
     "kernel --algebra B3 --ell 4 --module green --max-level 1",
+    "kernel --algebra C2 --ell 4 --module blue --max-level 2",
 ]
 
 LINES = [
     "virasoro-check --algebra A1 --ell 4 --max-mode 3 --max-level 3",
     "virasoro-check --algebra B2 --ell 4 --max-mode 2 --max-level 1",
     "nichols --algebra B2 --ell 4 --max-level 2",
+    "nichols --algebra B3 --ell 4 --max-level 1",
+    "nichols --algebra C2 --ell 4 --max-level 2",
     "screen-apply --algebra B2 --ell 4 --momentum -a2 --state 'd phi[a1] * exp[a1+a2]'",
     "screen-apply --algebra A1 --ell 4 --momentum -a --state 'd^2 phi[a1] * exp[2*a1]'",
     "screen-apply --algebra A1 --ell 4 --momentum -a --state 'exp[1/2*a1]' --fractional --truncate 4",

@@ -483,25 +483,36 @@ def test_nichols_relations_b2():
     assert all(r.ok for r in reports)
 
 
+def _counted_builds(monkeypatch) -> tuple[list, list]:
+    """(walks, built) from now on: (screening coords, monomial) of every
+    walk of `_closed_images` over the splits of a monomial, and the key of
+    every relative image it builds, in order."""
+    walks, built = [], []
+    real = screening._closed_images
+
+    def counted(space, coords, misses):
+        walks.extend((coords, mono) for mono in misses)
+        images = real(space, coords, misses)
+        built.extend(images)
+        return images
+
+    monkeypatch.setattr(screening, "_closed_images", counted)
+    return walks, built
+
+
 def test_nichols_check_applies_each_screening_image_once(monkeypatch):
     # per state: Z_a v for every screening a, Z_a Z_a v for every a, and
     # the two sides of each commutator built from those first images
     calls = []
-    passes = []
     real = screening.screening_numerators
-    real_engine = screening._mode_numerators
 
     def counted(space, alpha, d, terms, images):
         terms = list(terms)
         calls.append((alpha, [key for key, _c in terms]))
         return real(space, alpha, d, terms, images)
 
-    def counted_engine(a, b, want):
-        passes.append(b)
-        return real_engine(a, b, want)
-
     monkeypatch.setattr(screening, "screening_numerators", counted)
-    monkeypatch.setattr(screening, "_mode_numerators", counted_engine)
+    _walks, built = _counted_builds(monkeypatch)
     screens = short_screening_set(SL_B2)
     cosets = SL_B2.named_cosets()
     chosen = [cosets["blue"], cosets["green"]]
@@ -514,37 +525,31 @@ def test_nichols_check_applies_each_screening_image_once(monkeypatch):
     commutator_pairs = 1
     assert len(calls) == (2 * len(screens) + commutator_pairs * 2) * states
     assert len(calls) == 6 * states
-    # one engine pass per distinct (screening, monomial, pairing), on a single term
+    # one closed-form build per distinct (screening, monomial, pairing)
     triples = {
         (alpha.coords, mono, SL_B2.space.pair(alpha, Momentum(mu)))
         for alpha, keys in calls
         for mu, mono in keys
     }
-    assert len(passes) == len(triples)
-    assert all(len(b.terms) == 1 for b in passes)
+    assert len(built) == len(set(built)) == len(triples)
+    assert set(built) == triples
     terms_applied = sum(len(keys) for _alpha, keys in calls)
-    assert len(passes) < terms_applied
+    assert len(built) < terms_applied
 
 
 @pytest.mark.parametrize(
     "series, rank, ell, level", [("B", 2, 4, 4), ("B", 3, 4, 2), ("G", 2, 6, 3)], ids=["B2", "B3", "G2"]
 )
-def test_screening_matrix_makes_one_engine_pass_per_monomial(monkeypatch, series, rank, ell, level):
-    # a fresh table per matrix: every pairing of a monomial comes from one pass
-    passes = []
-    real_engine = screening._mode_numerators
-
-    def counted_engine(a, b, want):
-        passes.append(b)
-        return real_engine(a, b, want)
-
-    monkeypatch.setattr(screening, "_mode_numerators", counted_engine)
+def test_screening_matrix_builds_each_image_once(monkeypatch, series, rank, ell, level):
+    # a fresh table per matrix: every (monomial, pairing) of the layer is
+    # built once, and each monomial is one walk shared by its pairings
+    walks, built = _counted_builds(monkeypatch)
     sl = ScreeningLattices(build_root_system(series, rank), ell)
     if series == "B":
         cosets = [sl.named_cosets()[color] for color in ("blue", "green")]
     else:  # G2 has no four named modules; the vacuum coset has integer pairings
         cosets = [sl.long_lattice_coset(sl.space.zero())]
-    total_passes = total_keys = 0
+    total_walks = total_keys = 0
     for coset in cosets:
         _gs, h0 = groundstates(sl, coset)
         for lvl in range(level + 1):
@@ -557,15 +562,18 @@ def test_screening_matrix_makes_one_engine_pass_per_monomial(monkeypatch, series
                     for (mu, mono) in v.terms
                 }
                 images: dict = {}
-                passes.clear()
+                walks.clear()
+                built.clear()
                 screening._screening_matrix(sl, a, layer, images)
-                assert len(passes) <= len(monos)
-                assert all(len(b.terms) == 1 for b in passes)
-                assert len({mono for b in passes for (_mu, mono) in b.terms}) == len(passes)
-                assert images.keys() == keys
-                total_passes += len(passes)
+                assert sorted(walks) == sorted((a.coords, mono) for mono in monos)
+                assert len(built) == len(set(built)) == len(keys)
+                assert set(built) == images.keys() == keys
+                # a second matrix on the filled table builds nothing
+                screening._screening_matrix(sl, a, layer, images)
+                assert len(walks) == len(monos) and len(built) == len(keys)
+                total_walks += len(walks)
                 total_keys += len(keys)
-    assert total_passes < total_keys  # some monomial occurs at several pairings
+    assert total_walks < total_keys  # some monomial occurs at several pairings
 
 
 def test_screening_matrix_rows_equal_untranslated_images():
@@ -622,6 +630,7 @@ def test_screening_matrix_rows_are_primitive(series, rank, ell, level):
         images: dict = {}
         for lvl in range(level + 1):
             layer = layer_basis(sl, coset, h0 + lvl)
+            monos = {mono for v in layer.basis for (_mu, mono) in v.terms}
             for a in short_screening_set(sl):
                 assert sl.space.pair(a, coset.rep).denominator == 1
                 for row in screening._screening_matrix(sl, a, layer, images):

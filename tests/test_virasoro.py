@@ -141,6 +141,18 @@ def test_modes_refuse_a_state_of_another_lattice():
         virasoro_mode(st, 0, v)
 
 
+def test_commutator_check_refuses_a_state_of_another_lattice():
+    st = stress_tensor(SL_A1)
+    with pytest.raises(ValueError, match="different lattices"):
+        commutator_check(st, [exp_state(SL_B2, [1, 1])], max_mode=2)
+    # refused wherever the state stands, before any later state is checked
+    with pytest.raises(ValueError, match="different lattices"):
+        commutator_check(st, [exp_state(SL_A1, [1]), exp_state(SL_B2, [1, 1])], max_mode=2)
+    # an equal space built by another ScreeningLattices is the same lattice
+    twin = ScreeningLattices(build_root_system("A", 1), 4)
+    assert commutator_check(st, [exp_state(twin, [1])], max_mode=2).ok
+
+
 def test_fast_modes_match_generic():
     rng = random.Random(17)
     ns = list(range(-4, 5))
