@@ -28,6 +28,7 @@ from .lattice import ScreeningLattices, groundstates, num_simples, quadratic_for
 from .rootdata import build_root_system, parse_label
 from .scalars import Scalar
 from .screening import (
+    apply_screening,
     braiding_matrix,
     kernel_report,
     long_screening_suite,
@@ -235,12 +236,13 @@ def cmd_kernel(args) -> int:
 def cmd_screen_apply(args) -> int:
     rs = _root_system(args)
     sl = ScreeningLattices(rs, args.ell)
-    screen_exp = FieldElement.exponential(sl.space, parse_momentum(args.momentum, sl))
+    momentum = parse_momentum(args.momentum, sl)
     state = parse_state(args.state, sl)
     report = _report(
         "screen-apply", rs, args.ell, momentum=args.momentum, state=args.state, checks=[]
     )
     if args.fractional:
+        screen_exp = FieldElement.exponential(sl.space, momentum)
         res = residue_op(screen_exp, state, truncate=args.truncate)
         report["banner"] = "APPROXIMATE: fractional residue truncated; coefficients are complex floats"
         report["approximate_result"] = {
@@ -253,7 +255,7 @@ def cmd_screen_apply(args) -> int:
         }
     else:
         try:
-            report["result"] = format_state(residue_op(screen_exp, state))
+            report["result"] = format_state(apply_screening(momentum, state))
         except ValueError as exc:
             raise ValueError(f"{exc}; rerun with --fractional --truncate K") from exc
     return _emit(report, args)

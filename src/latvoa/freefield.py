@@ -1,6 +1,8 @@
 """The graded commutative Hopf algebra of differential polynomials times
-exponentials: its states with product and derivation, and the two pieces
-of the coproduct and the Hopf pairing that the mode engine runs on, the
+exponentials: its states with product and derivation, the integer
+numerators of a term dict (`_numerators`) that the closed forms of
+`virasoro` and `screening` run on, and the two pieces of the coproduct
+and the Hopf pairing that the mode engine runs on, the
 coproduct splits of a monomial (`_mono_splits`) and the contraction
 coefficient of two monomials (`_match_coefficient`).  The definitions
 themselves, the pairing into Laurent polynomials and the coproduct of a
@@ -25,7 +27,14 @@ import math
 from fractions import Fraction
 from itertools import product as iproduct
 
-from .lattice import Momentum, MomentumSpace, canonical, canonical_quotient, canonical_scalar
+from .lattice import (
+    Momentum,
+    MomentumSpace,
+    canonical,
+    canonical_quotient,
+    canonical_scalar,
+    common_numerators,
+)
 
 Mono = tuple[tuple[int, int], ...]  # sorted ((order, index), ...)
 TermKey = tuple[tuple[int | Fraction, ...], Mono]
@@ -56,6 +65,13 @@ def _mono_degree(mono: Mono) -> int:
 def _canonical_terms(terms: dict) -> dict:
     """The term dict with every coefficient in canonical form."""
     return {k: canonical_scalar(c) for k, c in terms.items()}
+
+
+def _numerators(terms: dict):
+    """(d, [(key, c * d), ...]) with d the common denominator of the
+    coefficients, so that every c * d is an int."""
+    d, nums = common_numerators(terms.values())
+    return d, list(zip(terms, nums))
 
 
 _SPLIT_CACHE: dict[Mono, tuple] = {}

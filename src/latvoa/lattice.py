@@ -98,10 +98,14 @@ class MomentumSpace:
         self._hash = hash((self.gram, self.p))
 
     def momentum(self, coords) -> Momentum:
-        c = canonical(Fraction(x) for x in coords)
-        if len(c) != self.rank:
-            raise ValueError(f"expected {self.rank} coordinates, got {len(c)}")
-        return Momentum(c)
+        return Momentum(self.checked_coords(canonical(Fraction(x) for x in coords)))
+
+    def checked_coords(self, coords):
+        """coords itself, refused unless it has one entry per ambient
+        direction."""
+        if len(coords) != self.rank:
+            raise ValueError(f"expected {self.rank} coordinates, got {len(coords)}")
+        return coords
 
     def zero(self) -> Momentum:
         return self.momentum([0] * self.rank)

@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from . import linalg
-from .freefield import FieldElement, _merge_mono, _mono_splits
+from .freefield import FieldElement, _merge_mono, _mono_splits, _numerators
 from .lattice import (
     Coset,
     Momentum,
@@ -24,7 +24,7 @@ from .lattice import (
 )
 from .rootdata import short_simple_system
 from .scalars import Scalar
-from .vertexop import _dk_term, _integral_pairing, _numerators
+from .vertexop import _dk_term, _integral_pairing
 from .virasoro import StressTensor, stress_tensor
 
 
@@ -57,8 +57,10 @@ def _keys(space, alpha: Momentum, terms) -> tuple[list, dict]:
     <alpha, mu>) per term, the keys of `_relative_images`, and shifted maps
     each distinct mu to alpha + mu, the momentum of its image.  Each mu is
     paired and shifted once, in term order, and the first that pairs
-    fractionally with alpha is refused (`vertexop._integral_pairing`)."""
-    coords = alpha.coords
+    fractionally with alpha is refused (`vertexop._integral_pairing`).
+    Every screening route passes through here, so this is also where an
+    alpha of the wrong rank is refused (`MomentumSpace.checked_coords`)."""
+    coords = space.checked_coords(alpha.coords)
     pairings: dict = {}
     shifted: dict = {}
     keys = []
@@ -155,7 +157,9 @@ def apply_screening(alpha: Momentum, state: FieldElement, images: dict | None = 
 
     Rejects states whose exponential momenta pair fractionally with alpha,
     with the message of `residue_op`; those need the fractional residue
-    with an explicit truncation.
+    with an explicit truncation.  An alpha of another rank than the state's
+    space is refused too (`_keys`).  The integer `screen-apply` prints
+    this image.
 
     The coefficients of state are brought over their common denominator,
     `screening_numerators` does the work on ints, and each output

@@ -4,17 +4,15 @@ residues.
 Y(a)b = sum_k <a2, b2> * b1 * z^k/k! * d^k.a1 over the coproduct legs.
 Every z-coefficient is a finite sum: for a fixed output exponent the
 derivative index k is pinned by the pairing exponent.  The engine
-(`_mode_numerators`) sums integer numerators and returns them: the
-coefficients of a and b are brought over their common denominators, d^k
-is kept without its 1/k!, and each exponent comes out as one denominator
-with an int numerator per term.  Its callers divide: `multi_mode_op`
-(with `mode_op` as its one-target case) and `residue_op` divide each
-coefficient once (`_mode_terms`).  The screening images do not run on the
-engine: their left side is a bare exponential, and
-`screening._closed_images` sums the closed form of Y(e^alpha, z) on
-integers, with the engine as its test oracle.  The whole series in a
-window, summed straight from the definition, is a test oracle outside the
-package.
+(`_mode_terms`) makes one pass over the legs and sums the exact
+coefficients of every wanted exponent.  `multi_mode_op` (with `mode_op`
+as its one-target case) and `residue_op` run on it; they are the generic
+route, and the test oracle of both closed forms in the package: the
+Virasoro rows of `virasoro` and the screening images of
+`screening._closed_images`, whose left side is a bare exponential.  The
+command line runs the engine only for a fractional residue.  The whole
+series in a window, summed straight from the definition, is a test
+oracle outside the package.
 
 An integer residue needs every exponential pairing integral.  One rule,
 `_integral_pairing`, checks that for `residue_op` and for the screening
@@ -43,7 +41,6 @@ from .lattice import (
     canonical,
     canonical_quotient,
     canonical_scalar,
-    common_numerators,
 )
 from .scalars import Scalar
 
@@ -66,67 +63,24 @@ def _dk_term(space: MomentumSpace, mom, mono, k: int):
     return result
 
 
-def _numerators(terms: dict):
-    """(d, [(key, c * d), ...]) with d the common denominator of the
-    coefficients, so that every c * d is an int."""
-    d, nums = common_numerators(terms.values())
-    return d, list(zip(terms, nums))
-
-
-def _merged(per_k: dict, scale: int) -> tuple[int, dict]:
-    """One exponent bucket from its numerators per derivative index k: each
-    {term key: n} of index k stands for n / (scale * k!).  Returns (den,
-    {term key: int}) over one positive denominator, zeros dropped and
-    nothing reduced.  The indices are brought over the largest k!; where a
-    numerator is a Fraction (the Gram matrix has a denominator), the
-    bucket is brought over its common denominator."""
-    top = max(per_k)
-    if len(per_k) == 1:
-        (merged,) = per_k.values()
-    else:
-        merged = {}
-        for k, bucket in per_k.items():
-            f = factorial(top) // factorial(k)
-            for key, n in bucket.items():
-                merged[key] = merged.get(key, 0) + f * n
-    den = scale * factorial(top)
-    merged = {key: n for key, n in merged.items() if n}
-    if any(type(n) is not int for n in merged.values()):
-        d, nums = common_numerators(merged.values())
-        return den * d, dict(zip(merged, nums))
-    return den, merged
-
-
-def _divided(bucket: tuple[int, dict]) -> dict:
-    """The term dict of one (den, {term key: int}) bucket, each coefficient
-    divided once, in canonical form."""
-    den, nums = bucket
-    return {key: canonical_quotient(n, den) for key, n in nums.items()}
-
-
 _MATCH_CACHE: dict = {}
 
 
-def _mode_numerators(a: FieldElement, b: FieldElement, want):
+def _mode_terms(a: FieldElement, b: FieldElement, want) -> dict:
     """Core engine: want(E) returns the iterable of derivative indices k to
     keep for a combination with pairing exponent E.  Returns the map
-    {exponent E + k: (den, {term key: int})}, exponents in the order they
-    are first met and in canonical form (an int when integral).  den is
-    positive, no numerator is zero, and neither is reduced (`_merged`).
-
-    Contributions are summed as numerators, one accumulator per (exponent,
-    k): with da and db the common denominators of the coefficients of a
-    and b, a contribution through d^k stands for its numerator over
-    da * db * k!.
+    {exponent E + k: term dict}, exponents in the order they are first met
+    and in canonical form (an int when integral).  Each coefficient is an
+    exact sum, in canonical form: an int when integral, a Fraction
+    otherwise, and zeros are dropped.  `_dk_term` leaves out the 1/k! of
+    d^k, so each contribution through d^k is divided by k! as it is added.
     """
     space = a.space
-    da, a_terms = _numerators(a.terms)
-    db, b_terms = _numerators(b.terms)
     b_legs = [
-        (beta, not any(beta), cb, _mono_splits(mono_b)) for (beta, mono_b), cb in b_terms
+        (beta, not any(beta), cb, _mono_splits(mono_b)) for (beta, mono_b), cb in b.terms.items()
     ]
     out: dict[int | Fraction, dict] = {}
-    for (alpha, mono_a), ca in a_terms:
+    for (alpha, mono_a), ca in a.terms.items():
         alpha_zero = not any(alpha)
         a_splits = _mono_splits(mono_a)
         for beta, beta_zero, cb, b_splits in b_legs:
@@ -158,24 +112,14 @@ def _mode_numerators(a: FieldElement, b: FieldElement, want):
                         continue
                     scale = scale0 * mult_a * mult_b * coeff
                     for k in ks:
-                        exponent = e_pair + k
-                        per_k = out.get(exponent)
-                        if per_k is None:
-                            per_k = out[exponent] = {}
-                        bucket = per_k.get(k)
-                        if bucket is None:
-                            bucket = per_k[k] = {}
+                        bucket = out.setdefault(e_pair + k, {})
+                        f = canonical_quotient(scale, factorial(k))
                         for (_mom, dmono), dc in _dk_term(space, alpha, a_left, k).items():
                             term_key = (mom, _merge_mono(b_left, dmono) if b_left else dmono)
-                            bucket[term_key] = bucket.get(term_key, 0) + scale * dc
-    return {e: _merged(per_k, da * db) for e, per_k in out.items()}
-
-
-def _mode_terms(a: FieldElement, b: FieldElement, want) -> dict:
-    """{exponent: term dict} of `_mode_numerators`, every coefficient
-    divided once and in canonical form: an int when integral, a Fraction
-    otherwise."""
-    return {e: _divided(bucket) for e, bucket in _mode_numerators(a, b, want).items()}
+                            bucket[term_key] = bucket.get(term_key, 0) + f * dc
+    return {
+        e: {key: canonical_scalar(c) for key, c in terms.items() if c} for e, terms in out.items()
+    }
 
 
 def multi_mode_op(a: FieldElement, ms, b: FieldElement) -> dict:
@@ -208,13 +152,9 @@ class FractionalResidue:
     approximate."""
 
     element_terms: dict
-    space: MomentumSpace
     truncation: int
     tail_scale: dict[int, float]
     approximate: bool = True
-
-    def coefficient(self, term_key) -> complex:
-        return complex(self.element_terms.get(term_key, 0))
 
 
 def _integral_pairing(space: MomentumSpace, ma, mb) -> int:
@@ -232,13 +172,17 @@ def _integral_pairing(space: MomentumSpace, ma, mb) -> int:
 
 
 def residue_op(a: FieldElement, b: FieldElement, truncate: int | None = None):
-    """resY(a) b.
+    """resY(a) b on the generic engine (`_mode_terms`).
 
     Integer case (no `truncate`): requires every exponential pairing
-    integral; equals the exact z^{-1} coefficient.  Fractional case (a
-    `truncate` is given): the first `truncate` terms of each k-sum, with
-    residue weights (e^{2 i pi m} - 1)/(2 i pi (m+1)) kept as exact phases
-    until the final complex conversion.
+    integral; equals the exact z^{-1} coefficient.  For a = e^alpha this is
+    the screening Z_alpha, which the package computes from its closed form
+    (`screening.apply_screening`); this route is its test oracle.
+    Fractional case (a `truncate` is given): the first `truncate` terms of
+    each k-sum, with residue weights (e^{2 i pi m} - 1)/(2 i pi (m+1)) kept
+    as exact phases until the final complex conversion; the exponents are
+    summed in the order the engine first meets them.  `screen-apply
+    --fractional` runs this case.
     """
     a._check_space(b)
     if truncate is None:
@@ -284,4 +228,4 @@ def residue_op(a: FieldElement, b: FieldElement, truncate: int | None = None):
             ) / float(factorial(K))
             deg = _mono_degree(mono_a) + _mono_degree(mono_b) + K
             tail[deg] = max(tail.get(deg, 0.0), w)
-    return FractionalResidue(out, a.space, K, tail)
+    return FractionalResidue(out, K, tail)

@@ -8,9 +8,8 @@ from fractions import Fraction
 from math import factorial, lcm, perm
 
 from . import linalg
-from .freefield import FieldElement, _canonical_terms
+from .freefield import FieldElement, _canonical_terms, _numerators
 from .lattice import Momentum, ScreeningLattices, canonical_quotient, common_numerators
-from .vertexop import _numerators
 
 
 @dataclass

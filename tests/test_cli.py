@@ -8,12 +8,15 @@ from pathlib import Path
 import pytest
 
 import latvoa
-from latvoa import cli, lattice, screening
+from latvoa import cli, lattice, screening, vertexop
 from latvoa.cli import main
+from latvoa.expr import format_state, parse_momentum
+from latvoa.freefield import FieldElement
 from latvoa.lattice import ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
 from latvoa.scalars import TierError
-from latvoa.screening import layer_basis
+from latvoa.screening import layer_basis, module_layers
+from latvoa.vertexop import residue_op
 
 
 def run_cli(capsys, *argv):
@@ -125,6 +128,49 @@ def test_screen_apply_parse_error(capsys):
         assert code == 2 and doc["ok"] is False
         (error,) = doc["errors"]
         assert "zero denominator at position" in error
+
+
+# every basis state of the layers h0 .. h0 + top of these modules pairs
+# integrally with the short screenings of its algebra at ell = 4
+INTEGER_SCREEN_POOLS = [("A1", "blue", 4), ("A1", "green", 4), ("B2", "blue", 2), ("B2", "green", 2)]
+SHORT_SCREENINGS = {"A1": ["-a1"], "B2": ["-a1 - a2", "-a2"]}
+
+
+def test_integer_screen_apply_makes_no_engine_pass(capsys, monkeypatch):
+    calls = []
+    engine = vertexop._mode_terms
+
+    def counted(*args):
+        calls.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(vertexop, "_mode_terms", counted)
+    code, doc = run_json(
+        capsys, "screen-apply", "--algebra", "B2", "--ell", "4",
+        "--momentum", "-a2", "--state", "d^2 phi[a1] * d phi[a2] * exp[a1+a2]",
+    )
+    assert code == 0 and doc["result"] != "0"
+    assert calls == []
+    code, doc = run_json(
+        capsys, "screen-apply", "--algebra", "A1", "--ell", "4",
+        "--momentum", "-a1", "--state", "exp[1/2*a1]", "--fractional", "--truncate", "2",
+    )
+    assert code == 0 and len(calls) == 1  # the fractional residue runs the engine
+
+
+@pytest.mark.parametrize("algebra, module, top", INTEGER_SCREEN_POOLS)
+def test_integer_screen_apply_equals_residue(capsys, algebra, module, top):
+    sl = ScreeningLattices(build_root_system(algebra[0], int(algebra[1])), 4)
+    states = [v for layer in module_layers(sl, sl.named_cosets()[module], top) for v in layer.basis]
+    for momentum in SHORT_SCREENINGS[algebra]:
+        screen = FieldElement.exponential(sl.space, parse_momentum(momentum, sl))
+        for v in states:
+            code, doc = run_json(
+                capsys, "screen-apply", "--algebra", algebra, "--ell", "4",
+                "--momentum", momentum, "--state", format_state(v),
+            )
+            assert code == 0
+            assert doc["result"] == format_state(residue_op(screen, v)), (momentum, v)
 
 
 def test_fractional_pairing_error_names_momenta(capsys):

@@ -1,12 +1,13 @@
-"""The mode engine on integer numerators against the plain Fraction
-routines it replaced.
+"""The integer-numerator routines and the generic mode engine against the
+plain Fraction routines they replaced.
 
 `fraction_pp_coeff`, `fraction_pe_coeff`, `fraction_ep_coeff` and
 `fraction_fast_term_modes` are the earlier bodies of the generator
 pairings and of the closed-form L_n action, written over the Fraction Gram
 matrix with Fraction loop variables.  `fraction_dk_term` and
 `fraction_mode_terms` are the earlier vertex-operator engine, which divides
-by k! in every derivative term and sums Fractions in every bucket.
+by k at every derivative step and sums Fractions in every bucket; the
+engine keeps d^k without its 1/k! and divides each contribution once.
 `reference_commutator_check` and `reference_nichols_check` are the earlier
 checks, which apply one mode or one screening at a time; the screenings go
 through `untranslated_screening`, one residue of the whole state, and never

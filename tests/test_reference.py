@@ -42,6 +42,10 @@ LINES = [
     "screen-apply --algebra B2 --ell 4 --momentum -a2 --state 'd phi[a1] * exp[a1+a2]'",
     "screen-apply --algebra A1 --ell 4 --momentum -a --state 'd^2 phi[a1] * exp[2*a1]'",
     "screen-apply --algebra A1 --ell 4 --momentum -a --state 'exp[1/2*a1]' --fractional --truncate 4",
+    "screen-apply --algebra G2 --ell 6 --momentum -a2 --state 'd^2 phi[a1] * d phi[a2] * exp[a1]'",
+    "screen-apply --algebra B2 --ell 4 --momentum 1/2*a1 --state 'd phi[a1] * exp[-a1]'",
+    "screen-apply --algebra A1 --ell 6 --momentum -a --state 'd phi[a1] * d phi[a1] * exp[3*a1]'",
+    "screen-apply --algebra B2 --ell 4 --momentum -a2 --state 'd phi[a2] * exp[1/2*a1]' --fractional --truncate 3",
     "groundstates --algebra B3 --ell 4",
     "characters --algebra B2 --ell 4 --order 8 --check-jtp",
 ]

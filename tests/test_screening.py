@@ -18,11 +18,12 @@ import pytest
 
 from latvoa import linalg, screening
 from latvoa.cli import main
-from latvoa.freefield import FieldElement
+from latvoa.expr import parse_state
+from latvoa.freefield import FieldElement, _numerators
 from latvoa.lattice import Coset, Momentum, ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
 from latvoa.scalars import Scalar
-from latvoa.vertexop import _numerators, residue_op
+from latvoa.vertexop import residue_op
 from latvoa.screening import (
     _monomials_of_degree,
     apply_screening,
@@ -441,6 +442,25 @@ def test_fractional_pairing_is_refused_with_one_message(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert code == 2 and doc["ok"] is False
     assert doc["errors"] == [f"{text}; rerun with --fractional --truncate K"]
+
+
+def test_screenings_refuse_a_momentum_of_another_rank():
+    # an A1 momentum inside a B2 element: residue_op refuses the pair of
+    # elements, and every screening route refuses the bare momentum (`_keys`)
+    alpha = SL_A1.space.momentum([-1])
+    state = parse_state("d phi[a1] * exp[a1+a2]", SL_B2)
+    _ground, layer = module_layers(SL_B2, SL_B2.named_cosets()["blue"], 1)
+    d, terms = _numerators(state.terms)
+    routes = [
+        lambda: apply_screening(alpha, state),
+        lambda: screening.screening_numerators(SL_B2.space, alpha, d, terms, {}),
+        lambda: kernel_layer(SL_B2, layer, [alpha]),
+    ]
+    for route in routes:
+        with pytest.raises(ValueError, match="^expected 2 coordinates, got 1$"):
+            route()
+    with pytest.raises(ValueError, match="different lattices"):
+        residue_op(FieldElement.exponential(SL_A1.space, alpha), state)
 
 
 # --- braiding, Nichols, Weyl powers ---------------------------------------
