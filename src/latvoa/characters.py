@@ -129,11 +129,18 @@ class QSeries:
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "QSeries":
+        """self^k by repeated squaring, exact through self's order; k = 0
+        gives 1 through one order further."""
         if k < 0:
             raise ValueError("negative powers not supported")
         result = QSeries(Fraction(0), (1,) + (0,) * len(self.coeffs), self.step)
-        for _ in range(k):
-            result = result * self
+        square = self
+        while k:
+            if k & 1:
+                result = result * square
+            k >>= 1
+            if k:
+                square = square * square
         return result
 
     def agrees_with(self, other: "QSeries", through) -> bool:

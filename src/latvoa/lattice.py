@@ -61,10 +61,10 @@ class Momentum:
     coords: tuple[int | Fraction, ...]
 
     def __add__(self, other: "Momentum") -> "Momentum":
-        return Momentum(canonical(a + b for a, b in zip(self.coords, other.coords)))
+        return Momentum(canonical(a + b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __sub__(self, other: "Momentum") -> "Momentum":
-        return Momentum(canonical(a - b for a, b in zip(self.coords, other.coords)))
+        return Momentum(canonical(a - b for a, b in zip(self.coords, other.coords, strict=True)))
 
     def __neg__(self) -> "Momentum":
         return Momentum(canonical(-a for a in self.coords))
@@ -246,24 +246,30 @@ class ScreeningLattices:
 
     # -- construction-time invariants --------------------------------
     def _check_invariants(self) -> None:
-        for i, a in enumerate(self.basis_short):
-            if self.conformal_dim(a) != 1:
-                raise AssertionError(f"h(a_{i + 1} short momentum) != 1")
-        for i, a in enumerate(self.basis_long):
-            if self.conformal_dim(a) != 1:
-                raise AssertionError(f"h(a_{i + 1} long momentum) != 1")
-        for a in self.basis_long:
-            if self.space.norm(a).denominator != 1 or self.space.norm(a) % 2 != 0:
+        """Decided on integer numerators: every momentum is written as
+        (d, a) with coordinates a / d (`common_numerators`), and each
+        pairing is `pair_num` over the Gram denominator g times the two d."""
+        pair, g = self.space.pair_num, self.space._den
+        qd, q = common_numerators(self.Q.coords)
+        short, long, dual = (
+            [common_numerators(v.coords) for v in vs]
+            for vs in (self.basis_short, self.basis_long, self.basis_dual)
+        )
+        # h(a) = (a, a)/2 - (a, Q) = 1, times 2 g d^2 qd
+        for kind, moms in (("short", short), ("long", long)):
+            for i, (d, a) in enumerate(moms):
+                if pair(a, a) * qd - 2 * d * pair(a, q) != 2 * g * d * d * qd:
+                    raise AssertionError(f"h(a_{i + 1} {kind} momentum) != 1")
+        for d, a in long:
+            if pair(a, a) % (2 * g * d * d):
                 raise AssertionError("long screening lattice is not even")
-            for b in self.basis_long:
-                if self.space.pair(a, b).denominator != 1:
+            for e, b in long:
+                if pair(a, b) % (g * d * e):
                     raise AssertionError("long screening lattice is not integral")
         # dual basis pairs integrally (delta_ij style) with the long basis
-        for i, w in enumerate(self.basis_dual):
-            for j, b in enumerate(self.basis_long):
-                val = self.space.pair(w, b)
-                expected = Fraction(int(i == j))
-                if val != expected:
+        for i, (d, w) in enumerate(dual):
+            for j, (e, b) in enumerate(long):
+                if pair(w, b) != int(i == j) * g * d * e:
                     raise AssertionError("dual basis does not pair to identity with long basis")
 
     # -- conformal data ------------------------------------------------
@@ -357,81 +363,98 @@ def points_within(
     """All v in rep + span_Z(basis) with (v-center, v-center) <= max_norm2,
     each as the pair (v, (v-center, v-center)).
 
-    Complete Fincke-Pohst enumeration (Math. Comp. 44, 1985).  With
-    t = rep - center and v = rep + sum_k n_k b_k, the exact split
-    Gram = L^T D L (L unit lower triangular) gives
-    |v - center|^2 = f_min + sum_k D_k (n_k - m_k)^2, where the centre m_k
-    depends only on n_0 .. n_{k-1}.  Coordinates are fixed depth-first from
+    Complete Fincke-Pohst enumeration (Math. Comp. 44, 1985), in integers
+    from setup to leaves.  rep, center and the basis are brought over one
+    common denominator, and with t = rep - center and v = rep + sum_k n_k b_k
+    the integer q(n) = |t + B n|^2 (times that denominator squared and the
+    Gram matrix's own) is the quadratic form of the augmented Gram matrix
+    of (b_0, .., b_{r-1}, t), read off `MomentumSpace.pair_num`.
+    Fraction-free symmetric elimination (Bareiss, Math. Comp. 22, 1968),
+    pivoting from the last index to the first, writes it with integer
+    pivots p_k (p_r = 1) as
+
+        q(n) = q_min + sum_k y_k^2 / (p_k p_{k+1}),
+        y_k = p_k n_k - mid_k,
+
+    where mid_k depends only on n_0 .. n_{k-1} and q_min is the corner of
+    the eliminated matrix over p_0.  Coordinates are fixed depth-first from
     the first to the last, and each interval is cut against the remaining
     radius with integer square roots, so pruning loses no admissible point
     and admits no other: the remaining radius, an integer over one common
     denominator, never goes negative.  At a leaf it is exactly
     max_norm2 - |v - center|^2 over that denominator, which gives each
-    point's squared distance.  No floating point is involved.
+    point's squared distance.  The points of one distance share one
+    Fraction, and equal coordinate numerators share one entry, an int when
+    integral (`canonical`).  No floating point is involved, and no Fraction
+    is built before a leaf.
 
-    Points come in lexicographic order of their coordinates n.
+    Points come in lexicographic order of their coordinates n.  rep,
+    center and every basis vector must have one coordinate per ambient
+    direction (`MomentumSpace.checked_coords`).
     """
     r = len(basis)
-    t = rep - center
-    gram = [[space.pair(basis[i], basis[j]) for j in range(r)] for i in range(r)]
-    lin = [space.pair(b, t) for b in basis]
-    bound = Fraction(max_norm2)
+    vectors = [space.checked_coords(v.coords) for v in (rep, center, *basis)]
+    den = math.lcm(*(x.denominator for v in vectors for x in v))
+    rep_num, centre_num, *columns = [[_scaled(x, den) for x in v] for v in vectors]
+    t = [a - c for a, c in zip(rep_num, centre_num)]
 
-    # Gram = L^T D L, then |t + B n|^2 = sum_k D_k (n_k - m_k)^2 + f_min
-    low = [[Fraction(0)] * r for _ in range(r)]
-    diag = [Fraction(0)] * r
+    # Bareiss on the augmented Gram matrix, last pivot index first; row k
+    # as it stands when k is the pivot holds mid_k's coefficients
+    augmented = [*columns, t]
+    m = [[space.pair_num(u, v) for v in augmented] for u in augmented]
+    pivots = [0] * r
+    prev = 1
     for k in reversed(range(r)):
-        tail = range(k + 1, r)
-        diag[k] = gram[k][k] - sum(diag[m] * low[m][k] ** 2 for m in tail)
-        for i in range(k):
-            low[k][i] = (
-                gram[k][i] - sum(diag[m] * low[m][k] * low[m][i] for m in tail)
-            ) / diag[k]
-    # h solves L^T h = lin; m_k = -h_k / D_k - sum_{j<k} L_kj n_j
-    h = [Fraction(0)] * r
-    for k in reversed(range(r)):
-        h[k] = lin[k] - sum(low[m][k] * h[m] for m in range(k + 1, r))
-    radius = bound - space.norm(t) + sum(h[k] ** 2 / diag[k] for k in range(r))
+        pivot, row = m[k][k], m[k]
+        rest = [*range(k), r]
+        for i in rest:
+            mi, f = m[i], m[i][k]
+            for j in rest:
+                mi[j] = (pivot * mi[j] - f * row[j]) // prev
+        pivots[k] = prev = pivot
+    centre = [-m[k][r] for k in range(r)]
+    coef = [[-x for x in m[k][:k]] for k in range(r)]
+
+    # q(n) <= max_norm2 times the scale of q, over the common denominator
+    # of the terms and of q_min (p_0 divides p_0 p_1) and max_norm2's own;
+    # the radius drops by weight[k] y_k^2
+    steps = [a * b for a, b in zip(pivots, [*pivots[1:], 1])]
+    common = math.lcm(*steps)
+    bound_den = max_norm2.denominator
+    weight = [bound_den * (common // s) for s in steps]
+    dist_den = bound_den * common * space._den * den * den
+    bound_num = max_norm2.numerator * dist_den // bound_den
+    radius = bound_num - bound_den * (common // prev) * m[r][r]
     if radius < 0:
         return []
 
-    # integer pruning: scale * m_k = centre[k] + sum_{j<k} coef[k][j] n_j, and
-    # denom * (remaining radius) drops by weight[k] * (scale * (n_k - m_k))^2
-    mu = [-h[k] / diag[k] for k in range(r)]
-    scale = math.lcm(*(x.denominator for x in mu), *(x.denominator for row in low for x in row))
-    centre = [_scaled(x, scale) for x in mu]
-    coef = [[_scaled(-low[k][j], scale) for j in range(k)] for k in range(r)]
-    steps = [d / scale**2 for d in diag]
-    denom = math.lcm(radius.denominator, bound.denominator, *(x.denominator for x in steps))
-    weight = [_scaled(x, denom) for x in steps]
-    bound_num = _scaled(bound, denom)
-
-    # point coordinates over one denominator, one column per ambient axis
-    den = math.lcm(*(x.denominator for v in (rep, *basis) for x in v.coords))
-    rep_num = [_scaled(x, den) for x in rep.coords]
-    columns = [[_scaled(b.coords[a], den) for b in basis] for a in range(len(rep_num))]
-
     found = []
+    distances: dict[int, Fraction] = {}
+    entries: dict[int, int | Fraction] = {}
     n = [0] * r
 
-    def descend(k: int, rem: int) -> None:
+    def entry(c: int) -> int | Fraction:
+        value = entries.get(c)
+        if value is None:
+            value = entries[c] = canonical_quotient(c, den)
+        return value
+
+    def descend(k: int, rem: int, point: list[int]) -> None:
         if k < r:
             mid = centre[k] + sum(c * x for c, x in zip(coef[k], n))
-            width = math.isqrt(rem // weight[k])
-            for x in range(-((width - mid) // scale), (mid + width) // scale + 1):
+            pivot, w, col = pivots[k], weight[k], columns[k]
+            width = math.isqrt(rem // w)
+            for x in range(-((width - mid) // pivot), (mid + width) // pivot + 1):
                 n[k] = x
-                off = scale * x - mid
-                descend(k + 1, rem - weight[k] * off * off)
+                off = pivot * x - mid
+                descend(k + 1, rem - w * off * off, [a + x * b for a, b in zip(point, col)])
             return
-        point = Momentum(
-            canonical(
-                Fraction(c + sum(x * y for x, y in zip(n, col)), den)
-                for c, col in zip(rep_num, columns)
-            )
-        )
-        found.append((point, Fraction(bound_num - rem, denom)))
+        dist = distances.get(rem)
+        if dist is None:
+            dist = distances[rem] = Fraction(bound_num - rem, dist_den)
+        found.append((Momentum(tuple(point) if den == 1 else tuple(map(entry, point))), dist))
 
-    descend(0, _scaled(radius, denom))
+    descend(0, radius, rep_num)
     return found
 
 

@@ -218,8 +218,10 @@ def weyl_power_exponent(sl: ScreeningLattices, coset: Coset, screening: Momentum
     """Power k of the screening that acts as the Weyl dot-reflection on the
     module: k = 1 on integer-pairing modules, k = 0 on the module of the
     background charge Q, and the nilpotency order on the remaining
-    fractional modules (where the power is identically zero)."""
+    fractional modules (where the power is identically zero).  A screening
+    of the wrong rank is refused (`MomentumSpace.checked_coords`)."""
     space = sl.space
+    space.checked_coords(screening.coords)
     frac = space.pair(screening, coset.rep)
     for b in coset.basis:
         if space.pair(screening, b).denominator != 1:

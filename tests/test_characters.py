@@ -471,6 +471,22 @@ def test_qseries_power_oracle(a, k):
     assert_matches(power, model)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from((F(1), F(1, 2))),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=8),
+    st.integers(0, 8),
+)
+def test_qseries_power_equals_repeated_multiplication(step, coeffs, k):
+    # __pow__ squares; the loop it replaced multiplies k times onto the
+    # unit series one order longer than a
+    a = QSeries.make(F(-1, 3), coeffs, step)
+    loop = QSeries(F(0), (1,) + (0,) * len(a.coeffs), a.step)
+    for _ in range(k):
+        loop = loop * a
+    assert a**k == loop
+
+
 @settings(max_examples=300, deadline=None)
 @given(qseries(), qseries(), st.data())
 def test_qseries_agrees_with_oracle(a, b, data):

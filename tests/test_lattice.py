@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -437,6 +438,7 @@ ENUMERATION_LATTICES = [
         ("B", 3, (4, 12)),
         ("C", 2, (4, 12)),
         ("G", 2, (6, 12)),
+        ("B", 4, (4,)),
     ]
     for ell in ells
 ]
@@ -445,7 +447,8 @@ ENUMERATION_LATTICES = [
 @st.composite
 def enumeration_requests(draw):
     """A random coset of the long lattice, a rational centre and a bound
-    small enough for the box search."""
+    small enough for the box search: up to 6 below rank 4, and up to 2,
+    with shears of at most one basis vector, at rank 4."""
     sl = draw(st.sampled_from(ENUMERATION_LATTICES))
     space = sl.space
     rep = space.zero()
@@ -460,12 +463,13 @@ def enumeration_requests(draw):
         ]
     )
     basis = list(sl.basis_long)
+    shear, top = (1, 2) if space.rank >= 4 else (2, 6)
     if space.rank > 1:
         # an elementary shear keeps the lattice and skews its Gram matrix
         i, j = draw(st.permutations(range(space.rank)))[:2]
-        basis[i] = basis[i] + draw(st.integers(-2, 2)) * basis[j]
+        basis[i] = basis[i] + draw(st.integers(-shear, shear)) * basis[j]
     den = draw(st.sampled_from((1, 2, 3, 4, 7)))
-    bound = Fraction(draw(st.integers(-2, 6 * den)), den)
+    bound = Fraction(draw(st.integers(-2, top * den)), den)
     return space, rep, tuple(basis), center, bound
 
 
@@ -484,9 +488,33 @@ def _checked_points(space, center, pairs):
 @settings(max_examples=150, deadline=None)
 @given(enumeration_requests())
 def test_points_within_matches_box_search(request):
+    # the box search runs over itertools.product, the lexicographic order
+    # of n that points_within promises, so the lists agree as they come
     space, _rep, _basis, center, _bound = request
-    got = _checked_points(space, center, points_within(*request))
-    assert _sorted_coords(got) == _sorted_coords(box_search(*request))
+    got = points_within(*request)
+    assert got == [(v, space.norm(v - center)) for v in box_search(*request)]
+    assert all(type(d) is Fraction for _v, d in got)
+
+
+def test_points_within_refuses_a_momentum_of_another_rank(sl_b2):
+    space, coset = sl_b2.space, sl_b2.named_cosets()["blue"]
+    short = Momentum((1,))
+    requests = [
+        (short, coset.basis, sl_b2.Q),
+        (coset.rep, coset.basis, short),
+        (coset.rep, (coset.basis[0], short), sl_b2.Q),
+    ]
+    for rep, basis, center in requests:
+        with pytest.raises(ValueError, match="^expected 2 coordinates, got 1$"):
+            points_within(space, rep, basis, center, 4)
+
+
+def test_momentum_sum_refuses_another_rank():
+    with pytest.raises(ValueError):
+        Momentum((1, 2)) + Momentum((1,))
+    with pytest.raises(ValueError):
+        Momentum((1,)) - Momentum((1, 2))
+    assert Momentum((1, 2)) + Momentum((F(1, 2), -2)) == Momentum((F(3, 2), 0))
 
 
 @pytest.mark.parametrize("name", ["blue", "steinberg"])
@@ -519,6 +547,46 @@ def test_points_within_bound_edges(sl_b3, name):
     # bound 0 around a lattice point is that point alone
     for v in pts:
         assert within(v, 0) == [v]
+
+
+# --- construction-time invariants ---------------------------------------------
+
+
+def _b2():
+    return ScreeningLattices(build_root_system("B", 2), 4)
+
+
+def _a2_at_level_2():
+    # p = 1 on a simply-laced system: Q = rho - rho = 0, so h(v) = (v, v)/2
+    sl = ScreeningLattices(build_root_system("A", 2), 2)
+    assert sl.Q.is_zero()
+    return sl
+
+
+TAMPERED_BASES = [
+    # a short momentum doubled: h = 2 (a, a) - 2 (a, Q) != 1
+    (_b2, "basis_short", lambda sl: (2 * sl.basis_short[0], sl.basis_short[1]),
+     "h(a_1 short momentum) != 1"),
+    (_b2, "basis_long", lambda sl: (sl.basis_long[0], 2 * sl.basis_long[1]),
+     "h(a_2 long momentum) != 1"),
+    # the short momenta have h = 1, and (a_1, a_1)/p = 1 is odd
+    (_b2, "basis_long", lambda sl: sl.basis_short, "long screening lattice is not even"),
+    # (8/7, 3/7) has norm 2 and so h = 1, and pairs to 13/7 with a_1
+    (_a2_at_level_2, "basis_long",
+     lambda sl: (sl.basis_long[0], sl.space.momentum([F(8, 7), F(3, 7)])),
+     "long screening lattice is not integral"),
+    (_b2, "basis_dual", lambda sl: sl.basis_dual[::-1],
+     "dual basis does not pair to identity with long basis"),
+]
+
+
+@pytest.mark.parametrize("build, name, tamper, message", TAMPERED_BASES)
+def test_check_invariants_fires_on_each_tampered_basis(build, name, tamper, message):
+    sl = build()
+    sl._check_invariants()
+    setattr(sl, name, tuple(tamper(sl)))
+    with pytest.raises(AssertionError, match=f"^{re.escape(message)}$"):
+        sl._check_invariants()
 
 
 # --- pairing ------------------------------------------------------------------

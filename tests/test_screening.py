@@ -688,6 +688,12 @@ def test_weyl_powers():
             assert weyl_power_exponent(SL_B2, SL_B2.named_cosets()[name], a) == want
 
 
+def test_weyl_power_refuses_a_momentum_of_another_rank():
+    for coset in SL_B2.named_cosets().values():
+        with pytest.raises(ValueError, match="^expected 2 coordinates, got 1$"):
+            weyl_power_exponent(SL_B2, coset, Momentum((-1,)))
+
+
 def test_weyl_power_representative_independence():
     rng = random.Random(20)
     screens = short_screening_set(SL_B2)
