@@ -3,6 +3,7 @@ root systems, rescaled lattices, free-field states, vertex-operator
 modes, Virasoro action, screening kernels, graded characters, and
 quantum-group degeneracy tables."""
 
+from .characters import kernel_char_match
 from .freefield import FieldElement
 from .lattice import (
     Coset,
@@ -47,6 +48,7 @@ __all__ = [
     "commutator_check",
     "dual_root_system",
     "groundstates",
+    "kernel_char_match",
     "kernel_layer",
     "kernel_report",
     "layer_basis",

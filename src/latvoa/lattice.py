@@ -149,38 +149,49 @@ class MomentumSpace:
         return self._hash
 
 
-def _basis_coords(basis, v: Momentum) -> list[Fraction] | None:
-    """Rational coordinates of v in the given basis momenta, or None when v
-    is not in their span."""
-    return linalg.solve(linalg.transpose([list(b.coords) for b in basis]), list(v.coords))
-
-
 @dataclass(frozen=True)
 class Coset:
-    """A coset rep + span_Z(basis) inside a MomentumSpace."""
+    """A coset rep + span_Z(basis) inside a MomentumSpace.
+
+    The basis is diagonal: basis[i] is L_i e_i with L_i > 0, as the long
+    basis (2p/(a_i, a_i)) e_i is, so every coordinate reduces on its own.
+    Any other basis is refused with a ValueError.
+    """
 
     space: MomentumSpace
     rep: Momentum
     basis: tuple[Momentum, ...]
 
+    def __post_init__(self):
+        rank = len(self.space.checked_coords(self.rep.coords))
+        if len(self.basis) != rank or any(
+            len(b.coords) != rank
+            or b.coords[i] <= 0
+            or any(x for j, x in enumerate(b.coords) if j != i)
+            for i, b in enumerate(self.basis)
+        ):
+            raise ValueError(
+                "a coset basis must be a positive multiple of each ambient direction, in order"
+            )
+
+    def _steps(self):
+        """The diagonal entries L_i of the basis."""
+        return [b.coords[i] for i, b in enumerate(self.basis)]
+
     def contains(self, v: Momentum) -> bool:
-        sol = _basis_coords(self.basis, v - self.rep)
-        return sol is not None and all(x.denominator == 1 for x in sol)
+        """Every v_i - rep_i is a multiple of L_i."""
+        coords = self.space.checked_coords(v.coords)
+        return all((a - r) % s == 0 for a, r, s in zip(coords, self.rep.coords, self._steps()))
 
     def canonical_rep(self) -> Momentum:
         """The representative reduced into the fundamental cell of the
-        basis: rep minus floor(x_i) b_i for its basis coordinates x_i.
+        basis, coordinate by coordinate: rep_i mod L_i, which is rep minus
+        floor(x_i) b_i for its basis coordinates x_i = rep_i / L_i.
 
-        The basis must be a Z-basis of the lattice (linearly independent).
-        Then every representative of the coset reduces to the same point,
-        which is what equality testing and hashing rely on.
+        Every representative of the coset reduces to the same point, which
+        is what equality testing and hashing rely on.
         """
-        sol = _basis_coords(self.basis, self.rep)
-        assert sol is not None
-        shift = self.space.zero()
-        for x, b in zip(sol, self.basis):
-            shift = shift + Fraction(math.floor(x)) * b
-        return self.rep - shift
+        return Momentum(canonical(r % s for r, s in zip(self.rep.coords, self._steps())))
 
     def __eq__(self, other) -> bool:
         return (
@@ -282,7 +293,7 @@ class ScreeningLattices:
         return Coset(self.space, rep, self.basis_long)
 
     def module_cosets(self) -> QuotientGroup:
-        return quotient_group(self, self.basis_dual, self.basis_long)
+        return quotient_group(self)
 
     def named_cosets(self) -> dict[str, Coset]:
         """The Blue/Center/Green/Steinberg labels of the four-module theories.
@@ -308,32 +319,33 @@ class ScreeningLattices:
 # --- quotients ---------------------------------------------------------
 
 
-def quotient_group(sl: ScreeningLattices, fine, coarse) -> QuotientGroup:
-    """Quotient of span_Z(fine) by span_Z(coarse) via Smith normal form."""
-    space = sl.space
-    rel = []
-    for c in coarse:
-        sol = _basis_coords(fine, c)
-        if sol is None or any(x.denominator != 1 for x in sol):
-            raise ValueError("coarse lattice is not contained in the fine lattice")
-        rel.append([int(x) for x in sol])
-    m = linalg.transpose(rel)  # columns = coarse vectors in fine coords
-    u, d_mat, _v = linalg.smith_normal_form(m)
+def quotient_group(sl: ScreeningLattices) -> QuotientGroup:
+    """The module cosets: the dual lattice over the long lattice, the
+    discriminant group of the long lattice, by Smith normal form.
+
+    The dual basis pairs to the identity with the long basis
+    (`_check_invariants`), so a long vector's coordinates in the dual basis
+    are its pairings with the long basis, and the relation matrix is the
+    long lattice's integer Gram matrix.  With u G v = diag(f_i), the
+    columns of u^-1 in the dual basis generate the quotient, with orders
+    f_i.
+    """
+    space, dual = sl.space, sl.basis_dual
+    gram = [
+        [space.pair_num(a.coords, b.coords) // space._den for b in sl.basis_long]
+        for a in sl.basis_long
+    ]
+    u, d_mat, _v = linalg.smith_normal_form(gram)
     diag = [d_mat[i][i] for i in range(len(d_mat))]
-    if any(f == 0 for f in diag):
-        raise ValueError("coarse lattice has lower rank than the fine lattice")
     u_inv = linalg.inverse(u)
-    # columns of fine_mat @ u_inv generate the quotient with orders diag[i]
-    fine_mat = linalg.transpose([list(b.coords) for b in fine])
-    gen_mat = linalg.mat_mul(fine_mat, u_inv)
-    reps = []
-    for combo in itertools.product(*[range(f) for f in diag]):
-        coords = [
-            sum(gen_mat[r][i] * combo[i] for i in range(len(combo)))
-            for r in range(space.rank)
-        ]
-        reps.append(space.momentum(coords))
-    assert len(reps) == math.prod(diag)
+    gens = [
+        [sum(u_inv[k][i] * w.coords[r] for k, w in enumerate(dual)) for r in range(space.rank)]
+        for i in range(len(dual))
+    ]
+    reps = [
+        space.momentum([sum(c * g[r] for c, g in zip(combo, gens)) for r in range(space.rank)])
+        for combo in itertools.product(*[range(f) for f in diag])
+    ]
     return QuotientGroup(
         invariant_factors=[f for f in diag if f > 1], coset_reps=reps
     )

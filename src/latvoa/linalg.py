@@ -17,15 +17,16 @@ There is one elimination, `_echelon`: fraction-free, with every row kept
 primitive (divided by its content; see Geddes, Czapor and Labahn,
 Algorithms for Computer Algebra, ch. 9) and a column -> rows index that
 picks the sparsest holder of each column as its pivot.  `echelon`,
-`nullity`, `nullspace`, `det`, `solve` and `inverse` all run on it; the
-kernel vectors come from integer back substitution over a running
-denominator, and the integer Smith normal form at the end is unimodular
-and separate.  `nullspace` takes sparse integer rows and returns each
-kernel vector as the sparse {column: Fraction} dict of its nonzero
-entries; its output depends only on the row space, so the concatenated
-echelons of several matrices give the kernel of their stacked rows.  The
-tests hold it to a dense whole-matrix elimination and to the Bareiss
-echelon (Bareiss, Math. Comp. 22, 1968) this module ran before.
+`nullspace`, `det` and `inverse` all run on it; the kernel vectors come
+from integer back substitution over a running denominator.  The integer
+Smith normal form at the end, which gives the module cosets of a
+screening lattice (`lattice.quotient_group`), is unimodular and separate.
+`nullspace` takes sparse integer rows and returns each kernel vector as
+the sparse {column: Fraction} dict of its nonzero entries; its output
+depends only on the row space, so the concatenated echelons of several
+matrices give the kernel of their stacked rows.  The tests hold it to a
+dense whole-matrix elimination and to the Bareiss echelon (Bareiss,
+Math. Comp. 22, 1968) this module ran before.
 """
 
 from __future__ import annotations
@@ -39,27 +40,6 @@ from typing import Iterable, Sequence
 Row = list[Fraction]
 Matrix = list[Row]
 SparseRow = dict[int, int]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    assert len(a[0]) == k
-    out = [[Fraction(0)] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                oi = out[i]
-                for j in range(m):
-                    if bt[j]:
-                        oi[j] += x * bt[j]
-    return out
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(col) for col in zip(*a)]
 
 
 # --- sparse integer rows ---------------------------------------------------
@@ -220,12 +200,6 @@ def echelon(rows: Sequence[SparseRow], ncols: int) -> list[SparseRow]:
     return _echelon(rows, range(ncols))[0]
 
 
-def nullity(rows: Sequence[SparseRow], ncols: int) -> int:
-    """Dimension of the right nullspace of sparse integer rows over ncols
-    columns: ncols minus the rank.  No kernel vector is built."""
-    return ncols - len(echelon(rows, ncols))
-
-
 def nullspace(a: Sequence[SparseRow], ncols: int) -> list[dict[int, Fraction]]:
     """Basis of the right nullspace of the sparse integer rows a over ncols
     columns: per free column, in ascending order, the {column: Fraction}
@@ -267,23 +241,6 @@ def det(a: Matrix) -> Fraction:
         top *= row[c] * den
         scale *= num
     return Fraction(top, scale)
-
-
-def solve(a: Matrix, b: Sequence[Fraction]) -> Row | None:
-    """A solution x of a @ x = b, or None if there is none.
-
-    a may be singular or non-square.  x is the kernel vector of [a | -b]
-    whose free column is the last one, cut to a's columns, so x is 0 at
-    every free column of a.  There is no solution when the last column is
-    a pivot, i.e. when b is not in the column span of a.
-    """
-    cols = len(a[0]) + 1
-    rows = sparse_rows([[*row, -Fraction(v)] for row, v in zip(a, b)])
-    red, pivots, _sources = _echelon(rows, range(cols))
-    if pivots and pivots[-1] == cols - 1:
-        return None
-    x = _kernel_vectors(red, pivots, [cols - 1])[0]
-    return [x.get(j, Fraction(0)) for j in range(cols - 1)]
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -26,6 +26,11 @@ def identity(n):
     return [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
 
 
+def mat_mul(a, b):
+    """The product of two dense matrices, as Fractions."""
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
 def support_min(a, b):
     """Exact lower bound for z-exponents of Y(a)b; None for zero input."""
     lows = []

@@ -1,6 +1,7 @@
 """The package has no third-party dependencies (`dependencies = []` in
 pyproject.toml): every module under src/latvoa imports only the standard
-library and latvoa itself, and imports no name it never uses."""
+library and latvoa itself, imports no name it never uses and defines no
+top-level function or class that nothing reads."""
 
 import ast
 import sys
@@ -59,3 +60,40 @@ def test_modules_have_no_unused_import():
         for line, name in _unused_imports(ast.parse(path.read_text(), str(path)))
     ]
     assert unused == []
+
+
+def _dead_definitions(trees):
+    """(module, name) of every top-level def or class that no module reads,
+    as a name or as an attribute, that `latvoa.__all__` does not list and
+    that is not a `cmd_*` command handler."""
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in read
+        and node.name not in latvoa.__all__
+        and not node.name.startswith("cmd_")
+    )
+
+
+def test_modules_define_nothing_unread():
+    trees = {
+        str(path.relative_to(PACKAGE)): ast.parse(path.read_text(), str(path))
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert _dead_definitions(trees) == []
+
+
+def test_dead_definition_scan_flags_an_unread_def():
+    trees = {
+        "a.py": ast.parse("def used(): pass\ndef unread(): pass\nclass Kept: pass\ndef cmd_x(): pass\n"),
+        "b.py": ast.parse("import a\na.used()\nx = Kept\n"),
+    }
+    assert _dead_definitions(trees) == [("a.py", "unread")]

@@ -18,10 +18,10 @@ from latvoa.lattice import (
     num_simples,
     points_within,
     quadratic_form_F,
-    quotient_group,
 )
 from latvoa.rootdata import build_root_system
 
+from conftest import mat_mul
 from test_linalg import mat_vec
 
 F = Fraction
@@ -78,15 +78,63 @@ def test_divisibility_rejected():
         ScreeningLattices(build_root_system("A", 1), 3)
 
 
+# --- Gauss-Jordan coordinates ---------------------------------------------
+# The rational solve that the lattice layer ran before it read coordinates
+# off the diagonal long basis and the long Gram matrix; the coset and
+# quotient tests hold the package to it.
+
+
+def gj_solve(a, b):
+    """A solution of a @ x = b with every free variable 0, or None if the
+    system is inconsistent."""
+    n = len(a)
+    m = [row[:] + [Fraction(v)] for row, v in zip(a, b)]
+    col = 0
+    pivots = []
+    for c in range(len(a[0])):
+        piv = next((r for r in range(col, n) if m[r][c] != 0), None)
+        if piv is None:
+            continue
+        m[col], m[piv] = m[piv], m[col]
+        inv = 1 / m[col][c]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][c]:
+                f = m[r][c]
+                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
+        pivots.append(c)
+        col += 1
+    for r in range(col, n):
+        if m[r][-1] != 0:
+            return None
+    x = [Fraction(0)] * len(a[0])
+    for r, c in enumerate(pivots):
+        x[c] = m[r][-1]
+    return x
+
+
+def basis_coords(basis, v):
+    """Coordinates of v in the basis momenta by Gauss-Jordan, or None when v
+    is outside their span; a solution is checked by multiplying back."""
+    a = [[F(x) for x in col] for col in zip(*(b.coords for b in basis))]
+    x = gj_solve(a, list(v.coords))
+    assert x is None or mat_vec(a, x) == list(v.coords)
+    return x
+
+
+def integer_combination(target, basis):
+    x = basis_coords(basis, target)
+    return x is not None and all(c.denominator == 1 for c in x)
+
+
+def gj_canonical_rep(coset):
+    """rep - sum floor(x_i) b_i for the basis coordinates x of rep."""
+    x = basis_coords(coset.basis, coset.rep)
+    return coset.rep - sum((math.floor(c) * b for c, b in zip(x, coset.basis)), coset.space.zero())
+
+
 def test_lattice_containments():
     # long in short in dual, as integer spans
-    def integer_combination(target, basis):
-        from latvoa import linalg
-
-        mat = linalg.transpose([list(b.coords) for b in basis])
-        sol = linalg.solve(mat, list(target.coords))
-        return sol is not None and all(x.denominator == 1 for x in sol)
-
     for series, rank, ell in [("A", 1, 4), ("B", 2, 4), ("B", 3, 4), ("C", 3, 4), ("F", 4, 4), ("G", 2, 6)]:
         sl = ScreeningLattices(build_root_system(series, rank), ell)
         for b in sl.basis_long:
@@ -152,11 +200,6 @@ def test_b2_two_q_in_long_lattice(sl_b2):
     two_q = 2 * sl_b2.Q
     assert sl_b2.long_lattice_coset(sl_b2.space.zero()).contains(two_q)
     assert two_q == sl_b2.basis_long[0] + sl_b2.basis_long[1]
-
-
-def test_quotient_containment_error(sl_b2):
-    with pytest.raises(ValueError):
-        quotient_group(sl_b2, sl_b2.basis_long, sl_b2.basis_dual)
 
 
 def test_a1_groundstates(sl_a1):
@@ -312,6 +355,89 @@ def test_coset_identity_under_lattice_shifts(case):
     assert moved.canonical_rep() == coset.canonical_rep()
     for other in cosets.values():
         assert (other == moved) == (other == coset)
+
+
+@pytest.mark.parametrize("label", sorted(THEORIES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_coset_reduction_equals_gauss_jordan(label, data):
+    """contains, canonical_rep, == and hash, which reduce coordinate by
+    coordinate, agree with Gauss-Jordan coordinates in the long basis on
+    every module coset and random momenta with denominators 1-3.  A
+    momentum of the dual lattice lies in exactly one module coset."""
+    sl = THEORIES[label][0]
+    reps = sl.module_cosets().coset_reps
+    rank = sl.space.rank
+    v = data.draw(st.sampled_from(reps))
+    for b in sl.basis_long:
+        v = v + data.draw(st.integers(-3, 3)) * b
+    if data.draw(st.booleans()):
+        fractions = st.builds(F, st.integers(-6, 6), st.integers(1, 3))
+        v = v + sl.space.momentum(data.draw(st.lists(fractions, min_size=rank, max_size=rank)))
+    moved = sl.long_lattice_coset(v)
+    want = gj_canonical_rep(moved)
+    assert moved.canonical_rep() == want
+    assert list(map(type, moved.canonical_rep().coords)) == list(map(type, want.coords))
+    assert hash(moved) == hash((sl.space, sl.basis_long, want.coords))
+    hits = 0
+    for rep in reps:
+        coset = sl.long_lattice_coset(rep)
+        inside = integer_combination(v - rep, sl.basis_long)
+        assert coset.contains(v) == moved.contains(rep) == inside
+        assert (coset == moved) == (moved == coset) == inside
+        assert coset.canonical_rep() == gj_canonical_rep(coset)
+        if inside:
+            assert hash(coset) == hash(moved)
+        hits += inside
+    assert hits == integer_combination(v, sl.basis_dual)
+
+
+def old_module_cosets(sl):
+    """The module cosets as `quotient_group` found them before it read the
+    long Gram matrix: the Gauss-Jordan coordinates of each long vector in
+    the dual basis, then the Smith normal form of those columns."""
+    rel = [[int(x) for x in basis_coords(sl.basis_dual, b)] for b in sl.basis_long]
+    u, d_mat, _v = linalg.smith_normal_form([list(col) for col in zip(*rel)])
+    diag = [d_mat[i][i] for i in range(len(d_mat))]
+    dual = [[F(x) for x in col] for col in zip(*(w.coords for w in sl.basis_dual))]
+    gen = mat_mul(dual, linalg.inverse(u))
+    reps = [
+        sl.space.momentum([sum(g * c for g, c in zip(row, combo)) for row in gen])
+        for combo in itertools.product(*[range(f) for f in diag])
+    ]
+    return [f for f in diag if f > 1], reps
+
+
+@pytest.mark.parametrize(
+    "series, rank, ell",
+    [
+        ("A", 1, 4), ("A", 1, 6), ("A", 2, 4), ("A", 2, 6), ("A", 3, 4),
+        ("A", 3, 6), ("B", 2, 4), ("B", 3, 4), ("B", 4, 4), ("C", 2, 4),
+        ("C", 3, 4), ("D", 4, 4), ("F", 4, 4), ("G", 2, 6), ("G", 2, 12),
+    ],
+)
+def test_module_cosets_equal_gauss_jordan_route(series, rank, ell):
+    sl = ScreeningLattices(build_root_system(series, rank), ell)
+    qg = sl.module_cosets()
+    factors, reps = old_module_cosets(sl)
+    assert qg.invariant_factors == factors
+    assert [r.coords for r in qg.coset_reps] == [r.coords for r in reps]
+    assert [list(map(type, r.coords)) for r in qg.coset_reps] == [list(map(type, r.coords)) for r in reps]
+    for rep in qg.coset_reps:
+        coset = sl.long_lattice_coset(rep)
+        assert coset.canonical_rep() == gj_canonical_rep(coset)
+
+
+def test_coset_refuses_a_basis_off_the_diagonal(sl_b2):
+    space, (b1, b2) = sl_b2.space, sl_b2.basis_long
+    for basis in [(b1, b2 + b1), (b2, b1), (-1 * b1, b2), (0 * b1, b2), (b1,), (b1, b2, b2)]:
+        with pytest.raises(ValueError, match="positive multiple of each ambient direction"):
+            Coset(space, space.zero(), basis)
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        Coset(space, Momentum((0,)), (b1, b2))
+    with pytest.raises(ValueError, match="expected 2 coordinates"):
+        Coset(space, space.zero(), (b1, b2)).contains(Momentum((0,)))
+    assert Coset(space, sl_b2.Q, (b1, b2)) == sl_b2.named_cosets()["center"]
 
 
 @pytest.mark.parametrize(

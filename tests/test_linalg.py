@@ -18,7 +18,7 @@ from latvoa.screening import (
     weyl_power_exponent,
 )
 
-from conftest import identity
+from conftest import identity, mat_mul
 
 
 def mat_vec(a, v):
@@ -77,7 +77,7 @@ def test_nullspace_and_rank():
 
 # --- dense Bareiss reference ----------------------------------------------
 # The dense elimination that linalg ran before it moved onto sparse integer
-# rows; nullspace, nullity and _echelon are held to it exactly.
+# rows; nullspace, the nullity and _echelon are held to it exactly.
 
 
 def dense_echelon(a):
@@ -250,8 +250,8 @@ def densify(rows, ncols):
 
 
 # --- Gauss-Jordan reference routines --------------------------------------
-# The elimination loops that det, inverse and solve ran before they moved
-# onto the Bareiss echelon; the tests hold the new routines to them exactly.
+# The elimination loops that det and inverse ran before they moved onto
+# the Bareiss echelon; the tests hold the new routines to them exactly.
 
 
 def gj_det(a):
@@ -295,35 +295,6 @@ def gj_inverse(a):
     return [row[n:] for row in m]
 
 
-def gj_solve(a, b):
-    """A solution of a @ x = b with every free variable 0, or None if the
-    system is inconsistent."""
-    n = len(a)
-    m = [row[:] + [Fraction(v)] for row, v in zip(a, b)]
-    col = 0
-    pivots = []
-    for c in range(len(a[0])):
-        piv = next((r for r in range(col, n) if m[r][c] != 0), None)
-        if piv is None:
-            continue
-        m[col], m[piv] = m[piv], m[col]
-        inv = 1 / m[col][c]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][c]:
-                f = m[r][c]
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-        pivots.append(c)
-        col += 1
-    for r in range(col, n):
-        if m[r][-1] != 0:
-            return None
-    x = [Fraction(0)] * len(a[0])
-    for r, c in enumerate(pivots):
-        x[c] = m[r][-1]
-    return x
-
-
 def gj_rref(a):
     """Reduced row echelon form (copy) and pivot column indices."""
     m = [row[:] for row in a]
@@ -355,31 +326,20 @@ def gj_rank(a):
     return len(gj_rref(a)[1])
 
 
-def test_det_inverse_solve_equal_gauss_jordan():
-    """det, inverse and solve equal the Gauss-Jordan references exactly on
-    random rational systems: square (invertible and singular), consistent
-    but singular, inconsistent and non-square."""
+def test_det_inverse_equal_gauss_jordan():
+    """det and inverse equal the Gauss-Jordan references exactly on random
+    square rational matrices, invertible and singular."""
     rng = random.Random(3)
     entries = [Fraction(0)] * 3 + [Fraction(n, d) for n in (-3, -1, 1, 2, 5) for d in (1, 2, 3)]
     assert linalg.det([]) == gj_det([]) == 1
     assert linalg.inverse([]) == gj_inverse([]) == []
-    kinds = {"square": 0, "singular": 0, "consistent_singular": 0, "inconsistent": 0, "non_square": 0}
-    for _ in range(1500):
+    kinds = {"square": 0, "singular": 0}
+    for _ in range(900):
         n = rng.randint(1, 5)
-        m = n if rng.random() < 0.6 else rng.randint(1, 5)
-        a = [[rng.choice(entries) for _ in range(m)] for _ in range(n)]
+        a = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
         if n >= 2 and rng.random() < 0.3:
             # a dependent row
             a[-1] = [2 * x - y for x, y in zip(a[0], a[1])]
-        if rng.random() < 0.5:
-            b = mat_vec(a, [rng.choice(entries) for _ in range(m)])
-        else:
-            b = [rng.choice(entries) for _ in range(n)]
-        x = linalg.solve(a, b)
-        assert x == gj_solve(a, b), (a, b)
-        if n != m:
-            kinds["non_square"] += 1
-            continue
         d = linalg.det(a)
         assert d == gj_det(a), a
         if d:
@@ -387,7 +347,6 @@ def test_det_inverse_solve_equal_gauss_jordan():
             assert linalg.inverse(a) == gj_inverse(a), a
             continue
         kinds["singular"] += 1
-        kinds["consistent_singular" if x is not None else "inconsistent"] += 1
         with pytest.raises(ValueError, match="singular matrix"):
             linalg.inverse(a)
         with pytest.raises(ValueError):
@@ -503,7 +462,7 @@ def test_nullspace_equals_dense_elimination(case):
 @given(block_matrices())
 def test_nullity_equals_dense_elimination(case):
     a, ncols = case
-    assert linalg.nullity(linalg.sparse_rows(a), ncols) == len(dense_nullspace(a, ncols))
+    assert ncols - len(linalg.echelon(linalg.sparse_rows(a), ncols)) == len(dense_nullspace(a, ncols))
 
 
 @settings(max_examples=300, deadline=None)
@@ -539,7 +498,7 @@ def test_primitive_rows_equal_bareiss(case):
     bareiss_red, bareiss_pivots, _sign = bareiss_echelon(rows, range(cols))
     assert pivots == bareiss_pivots
     assert len(linalg.echelon(rows, cols)) == len(bareiss_red)
-    assert linalg.nullity(rows, cols) == cols - len(bareiss_pivots)
+    assert cols - len(linalg.echelon(rows, cols)) == cols - len(bareiss_pivots)
     assert linalg.nullspace(rows, cols) == bareiss_nullspace(rows, cols)
     assert all(content(row) == 1 for row in red)
     assert all(min(row) == c for row, c in zip(red, pivots))
@@ -573,7 +532,6 @@ def test_seeded_nullspace_equals_unseeded(case):
     seeded = []
     for rows in matrices:
         reduced = linalg.echelon(rows, cols)
-        assert len(reduced) == cols - linalg.nullity(rows, cols)
         assert all(content(row) == 1 for row in reduced)
         seeded.extend(reduced)
     raw = [row for rows in matrices for row in rows]
@@ -582,7 +540,7 @@ def test_seeded_nullspace_equals_unseeded(case):
 
 
 def test_zero_rows_are_dropped():
-    assert linalg.nullity([{}, {0: 2}], 2) == 1
+    assert 2 - len(linalg.echelon([{}, {0: 2}], 2)) == 1
     assert linalg.echelon([{}, {0: 2}, {}], 2) == [{0: 1}]
     assert linalg.nullspace([{}, {0: 2}], 2) == [{1: Fraction(1)}]
     assert linalg.nullspace([{}], 2) == [{0: Fraction(1)}, {1: Fraction(1)}]
@@ -640,10 +598,10 @@ def test_per_screening_nullity_matches_rank_mod_p(rank, color, level):
     matrices, ncols = screening_matrices(rank, color, level)
     assert len(matrices) == rank
     for rows in matrices:
-        assert linalg.nullity(rows, ncols) == ncols - rank_mod_p(densify(rows, ncols))
+        assert len(linalg.echelon(rows, ncols)) == rank_mod_p(densify(rows, ncols))
 
 
-def test_inverse_solve():
+def test_inverse_times_matrix_is_identity():
     rng = random.Random(1)
     for _ in range(50):
         n = rng.randint(1, 4)
@@ -651,7 +609,4 @@ def test_inverse_solve():
         if linalg.det(a) == 0:
             continue
         inv = linalg.inverse(a)
-        assert linalg.mat_mul(a, inv) == identity(n)
-        b = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
-        x = linalg.solve(a, b)
-        assert mat_vec(a, x) == b
+        assert mat_mul(a, inv) == mat_mul(inv, a) == identity(n)

@@ -7,7 +7,10 @@ print exactly what it printed: the same stdout, the same stderr and the
 same exit code.  The `virasoro-check` lines hold the L_{-1} check, which
 now runs on the closed-form Virasoro rows, to the seed's generic route.
 The `nichols` lines and the C2 `kernel` line hold the closed-form screening
-images to the seed's own screening code, on B2, B3 and C2.
+images to the seed's own screening code, on B2, B3 and C2.  The
+`lattice-info` lines hold the module cosets, read off the long lattice's
+Gram matrix, and the coordinate-wise coset reduction to the seed's rational
+solves.
 Both programs run in subprocesses; no bytecode is written, so the frozen
 copy is only read.
 """
@@ -48,6 +51,17 @@ LINES = [
     "screen-apply --algebra B2 --ell 4 --momentum -a2 --state 'd phi[a2] * exp[1/2*a1]' --fractional --truncate 3",
     "groundstates --algebra B3 --ell 4",
     "characters --algebra B2 --ell 4 --order 8 --check-jtp",
+    "lattice-info --algebra A1 --ell 4",
+    "lattice-info --algebra B2 --ell 4",
+    "lattice-info --algebra B3 --ell 4",
+    "lattice-info --algebra C2 --ell 4",
+    "lattice-info --algebra D4 --ell 4",
+    "lattice-info --algebra F4 --ell 4",
+    "lattice-info --algebra G2 --ell 6",
+    "lattice-info --algebra A2 --ell 6",
+    "sf-characters --pairs 2 --order 8",
+    "degeneracy --table",
+    "degeneracy --algebra B3 --ell 4",
 ]
 
 
