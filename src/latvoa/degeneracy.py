@@ -135,9 +135,7 @@ def extension_report(rs: RootSystem, ell: int) -> DegeneracyReport:
     # in ambient coordinates (short roots have norm 2, so coroot = root)
     sub_basis = [[p * c for c in root] for root in shorts]
     parent_basis = [[int(x) for x in b.coords] for b in sl.basis_long]
-    det_sub = linalg.det(sub_basis)
-    det_parent = linalg.det(parent_basis)
-    ratio = abs(det_sub / det_parent)
+    ratio = Fraction(linalg.abs_det(sub_basis), linalg.abs_det(parent_basis))
     if ratio.denominator != 1:
         raise AssertionError("g0 lattice is not a sublattice of the parent lattice")
     dim_x = int(ratio)
@@ -145,9 +143,9 @@ def extension_report(rs: RootSystem, ell: int) -> DegeneracyReport:
     # independent route: number of simples of the g0 theory at the same
     # rescaling p (the table prints the g0 theories with an l=2 label, but
     # its numeric simple counts match this rescaling)
-    sub_gram = [[rs.pair_roots(x, y) for y in shorts] for x in shorts]
+    sub_gram = [[int(rs.pair_roots(x, y)) for y in shorts] for x in shorts]
     # norm-2 roots have cartan = gram, so det(cartan) = det(gram)
-    g0_count = int(linalg.det(sub_gram))
+    g0_count = linalg.abs_det(sub_gram)
     for _root in shorts:
         g0_count *= ell // 2  # ell / (root, root) with (root, root) = 2
     dim_x_counts = isqrt(g0_count // n_simples) if g0_count % n_simples == 0 else -1

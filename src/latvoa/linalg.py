@@ -1,40 +1,37 @@
-"""Exact linear algebra over the rationals and integers.
+"""Exact linear algebra over the rationals and integers: two primitives,
+one job each.
 
-Dense matrices are plain lists of lists whose entries are ints or
-Fractions (only ints for the lattice routines), and every result is exact;
-the rational routines return Fractions.  Lattice matrices are small
-(rank <= 8).
+Screening kernels run on sparse integer rows: a row is a dict
+{column: int} of its nonzero entries.  Stacked screening matrices have up
+to a few thousand columns but few entries per row (a screening maps
+momentum mu to mu + a), so elimination and back substitution visit only
+the rows that hold a column.  There is one elimination, `_echelon`:
+fraction-free, with every row kept primitive (divided by its content; see
+Geddes, Czapor and Labahn, Algorithms for Computer Algebra, ch. 9) and a
+column -> rows index that picks the sparsest holder of each column as its
+pivot.  `echelon` and `nullspace` run on it; the kernel vectors come from
+integer back substitution over a running denominator.  `nullspace` takes
+sparse integer rows and returns each kernel vector as the sparse
+{column: Fraction} dict of its nonzero entries; its output depends only on
+the row space, so the concatenated echelons of several matrices give the
+kernel of their stacked rows.  The tests hold it to a dense whole-matrix
+elimination and to the Bareiss echelon (Bareiss, Math. Comp. 22, 1968)
+this module ran before.
 
-The elimination works on sparse integer rows: a row is a dict
-{column: int} of its nonzero entries.  `integer_row` scales a row by the
-lcm of its denominators, which leaves its kernel unchanged, and
-`sparse_rows` turns a dense matrix into such rows, dropping zero rows.
-Stacked screening matrices have up to a few thousand columns but few
-entries per row (a screening maps momentum mu to mu + a), so elimination
-and back substitution visit only the rows that hold a column.
-
-There is one elimination, `_echelon`: fraction-free, with every row kept
-primitive (divided by its content; see Geddes, Czapor and Labahn,
-Algorithms for Computer Algebra, ch. 9) and a column -> rows index that
-picks the sparsest holder of each column as its pivot.  `echelon`,
-`nullspace`, `det` and `inverse` all run on it; the kernel vectors come
-from integer back substitution over a running denominator.  The integer
-Smith normal form at the end, which gives the module cosets of a
-screening lattice (`lattice.quotient_group`), is unimodular and separate.
-`nullspace` takes sparse integer rows and returns each kernel vector as
-the sparse {column: Fraction} dict of its nonzero entries; its output
-depends only on the row space, so the concatenated echelons of several
-matrices give the kernel of their stacked rows.  The tests hold it to a
-dense whole-matrix elimination and to the Bareiss echelon (Bareiss,
-Math. Comp. 22, 1968) this module ran before.
+Small dense lattice matrices (rank <= 8, plain lists of lists) go through
+the integer Smith normal form u a v = diag(f) with u, v unimodular
+(Cohen, A Course in Computational Algebraic Number Theory, 1993, 2.4.4).
+It gives the module cosets of a screening lattice
+(`lattice.quotient_group`), |det| as the product of the invariant factors
+(`abs_det`) and the exact inverse of a rational matrix (`inverse`), whose
+entries are Fractions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import compress
-from math import gcd
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Row = list[Fraction]
@@ -42,36 +39,12 @@ Matrix = list[Row]
 SparseRow = dict[int, int]
 
 
-# --- sparse integer rows ---------------------------------------------------
-
-
-def _scaled_row(entries: Iterable[tuple[int, int | Fraction]]) -> tuple[SparseRow, int]:
-    """The nonzero (column, value) entries times the lcm of their
-    denominators, as a sparse integer row, and that lcm."""
-    entries = [(j, x) for j, x in entries if x]
-    den = 1
-    for _j, x in entries:
-        d = x.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    return {j: x.numerator * (den // x.denominator) for j, x in entries}, den
-
-
-def integer_row(entries: Iterable[tuple[int, int | Fraction]]) -> SparseRow:
-    """The sparse integer row of the given (column, value) entries: the
-    nonzero ones, scaled by the lcm of their denominators."""
-    return _scaled_row(entries)[0]
-
-
-def sparse_rows(a: Sequence[Sequence[int | Fraction]]) -> list[SparseRow]:
-    """The nonzero rows of a dense matrix as sparse integer rows."""
-    rows = (integer_row(compress(enumerate(row), row)) for row in a)
-    return [row for row in rows if row]
+# --- screening kernels: sparse integer rows -------------------------------
 
 
 def _echelon(
     rows: Sequence[SparseRow], columns: Iterable[int]
-) -> tuple[list[SparseRow], list[int], list[tuple[int, int, int]]]:
+) -> tuple[list[SparseRow], list[int]]:
     """Forward elimination of sparse integer rows over the given columns,
     which come in ascending order and cover every stored entry.
 
@@ -85,23 +58,18 @@ def _echelon(
 
     The pivot columns are those of every echelon form over the same column
     order: the columns that are not combinations of the columns before
-    them.  Returns the pivot rows in pivot order, their pivot columns and
-    where each pivot row came from, as (i, num, den): it is num/den times
-    input row i plus multiples of the pivot rows before it.
+    them.  Returns the pivot rows in pivot order and their pivot columns.
     """
     m: dict[int, SparseRow] = {}
-    scale: dict[int, list[int]] = {}
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         if row:
             content = gcd(*row.values())
             m[i] = {j: x // content for j, x in row.items()}
-            scale[i] = [1, content]
             for j in row:
                 holders.setdefault(j, set()).add(i)
     red: list[SparseRow] = []
     pivots: list[int] = []
-    sources: list[tuple[int, int, int]] = []
     for c in columns:
         if not m:
             break
@@ -122,7 +90,6 @@ def _echelon(
             a, b = p // g, x // g
             if a != 1:
                 row = {j: a * y for j, y in row.items()}
-                scale[i][0] *= a
             for j, z in rest:
                 y = row.get(j, 0) - b * z
                 if y:
@@ -138,12 +105,10 @@ def _echelon(
             content = gcd(*row.values())
             if content != 1:
                 row = {j: y // content for j, y in row.items()}
-                scale[i][1] *= content
             m[i] = row
         red.append(prow)
         pivots.append(c)
-        sources.append((piv, *scale[piv]))
-    return red, pivots, sources
+    return red, pivots
 
 
 def _kernel_vectors(
@@ -210,55 +175,11 @@ def nullspace(a: Sequence[SparseRow], ncols: int) -> list[dict[int, Fraction]]:
     vector of `_kernel_vectors`.  So any rows that span the same space, an
     echelon form of a among them, give the same basis.
     """
-    red, pivots, _sources = _echelon(a, range(ncols))
+    red, pivots = _echelon(a, range(ncols))
     return _kernel_vectors(red, pivots, sorted(set(range(ncols)).difference(pivots)))
 
 
-def det(a: Matrix) -> Fraction:
-    """Determinant of a square matrix; 0 below full rank and 1 for the
-    0 x 0 matrix.
-
-    Each input row is scaled to integers and eliminated (`_echelon`).
-    Adding multiples of other rows leaves the determinant alone, so it is
-    the sign of the row permutation times the product of the pivots, over
-    the product of every factor a row was scaled by.
-    """
-    n = len(a)
-    rows = []
-    scale = 1
-    for row in a:
-        srow, den = _scaled_row(enumerate(row))
-        if not srow:
-            return Fraction(0)
-        rows.append(srow)
-        scale *= den
-    red, pivots, sources = _echelon(rows, range(n))
-    if len(pivots) < n:
-        return Fraction(0)
-    order = [i for i, _num, _den in sources]
-    top = (-1) ** sum(x > y for k, x in enumerate(order) for y in order[k + 1:])
-    for row, c, (_i, num, den) in zip(red, pivots, sources):
-        top *= row[c] * den
-        scale *= num
-    return Fraction(top, scale)
-
-
-def inverse(a: Matrix) -> Matrix:
-    """Exact inverse of a square matrix; raises ValueError on a singular one.
-
-    Column j is read from the kernel vector of [a | -I] whose free column is
-    n + j.  a is invertible exactly when the free columns are n .. 2n - 1.
-    """
-    n = len(a)
-    rows = sparse_rows([[*row, *(-int(i == j) for j in range(n))] for i, row in enumerate(a)])
-    red, pivots, _sources = _echelon(rows, range(2 * n))
-    if pivots != list(range(n)):
-        raise ValueError("singular matrix")
-    columns = _kernel_vectors(red, pivots, range(n, 2 * n))
-    return [[col.get(i, Fraction(0)) for col in columns] for i in range(n)]
-
-
-# --- integer lattice routines -------------------------------------------
+# --- small dense lattice matrices: the Smith normal form -----------------
 
 IMatrix = list[list[int]]
 
@@ -373,3 +294,35 @@ def smith_normal_form(a: IMatrix) -> tuple[IMatrix, IMatrix, IMatrix]:
             u[k] = [-x for x in u[k]]
         k += 1
     return u, d, v
+
+
+def abs_det(a: IMatrix) -> int:
+    """|det a| of a square integer matrix, the product of its invariant
+    factors (`smith_normal_form`): 0 below full rank, 1 for the 0 x 0
+    matrix."""
+    _u, d, _v = smith_normal_form(a)
+    return prod(d[k][k] for k in range(len(d)))
+
+
+def inverse(a: Matrix) -> Matrix:
+    """Exact inverse of a square rational matrix, as Fractions; raises
+    ValueError on a singular one.
+
+    With L the lcm of the denominators, a = N / L for an integer matrix N,
+    and u N v = diag(f) (`smith_normal_form`) gives a^-1 = L v diag(f)^-1 u.
+    Every f_k divides the last invariant factor F, so entry (i, j) is the
+    integer sum L * sum_k v[i][k] (F / f_k) u[k][j] over F.
+    """
+    n = len(a)
+    if not n:
+        return []
+    den = lcm(*(x.denominator for row in a for x in row))
+    u, d, v = smith_normal_form([[x.numerator * (den // x.denominator) for x in row] for row in a])
+    top = d[-1][-1]
+    if not top:
+        raise ValueError("singular matrix")
+    w = [den * (top // d[k][k]) for k in range(n)]
+    return [
+        [Fraction(sum(vi[k] * w[k] * u[k][j] for k in range(n)), top) for j in range(n)]
+        for vi in v
+    ]

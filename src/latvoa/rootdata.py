@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 
@@ -162,20 +163,14 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     two_rho = [sum(r[i] for r in positive) for i in range(rank)]
     rho = tuple(Fraction(c, 2) for c in two_rho)
 
-    rho_dual_acc = [Fraction(0)] * rank
-    for r in positive:
-        n = _gram_pair(gram, r, r)
-        for i in range(rank):
-            rho_dual_acc[i] += Fraction(2, 1) * r[i] / n
-    rho_dual = tuple(x / 2 for x in rho_dual_acc)
-
-    gram_inv = linalg.inverse(gram)
-    fund = tuple(
-        tuple(d[i] * gram_inv[i][j] for j in range(rank)) for i in range(rank)
+    # rho_dual = sum_{r > 0} r / (r, r), over one common denominator; the
+    # fundamental weights are the rows of cartan^-1
+    norms = [_gram_pair(gram, r, r) for r in positive]
+    top = lcm(*norms)
+    rho_dual = tuple(
+        Fraction(sum(r[i] * (top // n) for r, n in zip(positive, norms)), top)
+        for i in range(rank)
     )
-
-    cart_det = linalg.det(cartan)
-    assert cart_det.denominator == 1
 
     return RootSystem(
         series=series,
@@ -186,8 +181,8 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         positive_roots=tuple(positive),
         rho=rho,
         rho_dual=rho_dual,
-        fund_weights=fund,
-        fundamental_group_order=int(cart_det),
+        fund_weights=tuple(tuple(row) for row in linalg.inverse(cartan)),
+        fundamental_group_order=linalg.abs_det(cartan),
     )
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -29,6 +30,22 @@ def identity(n):
 def mat_mul(a, b):
     """The product of two dense matrices, as Fractions."""
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)] for row in a]
+
+
+def integer_row(entries):
+    """The sparse integer row {column: int} of the given (column, value)
+    entries: the nonzero ones, scaled by the lcm of their denominators,
+    which leaves the row's kernel unchanged."""
+    entries = [(j, x) for j, x in entries if x]
+    den = lcm(*(x.denominator for _j, x in entries))
+    return {j: x.numerator * (den // x.denominator) for j, x in entries}
+
+
+def sparse_rows(a):
+    """The nonzero rows of a dense matrix as sparse integer rows, the input
+    of `linalg.echelon` and `linalg.nullspace`."""
+    rows = (integer_row(enumerate(row)) for row in a)
+    return [row for row in rows if row]
 
 
 def support_min(a, b):

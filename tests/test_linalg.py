@@ -1,7 +1,7 @@
 import functools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from latvoa.screening import (
     weyl_power_exponent,
 )
 
-from conftest import identity, mat_mul
+from conftest import identity, integer_row, mat_mul, sparse_rows
 
 
 def mat_vec(a, v):
@@ -45,8 +45,8 @@ def check_snf(a):
         assert x >= 0
         if y != 0:
             assert x != 0 and y % x == 0
-    assert abs(linalg.det(u)) == 1
-    assert abs(linalg.det(v)) == 1
+    assert abs(gj_det(fraction_matrix(u))) == 1
+    assert abs(gj_det(fraction_matrix(v))) == 1
     return diag
 
 
@@ -66,7 +66,7 @@ def test_snf_random():
 
 def test_nullspace_and_rank():
     a = fraction_matrix([[1, 2, 3], [2, 4, 6]])
-    basis = dense_vectors(linalg.nullspace(linalg.sparse_rows(a), 3), 3)
+    basis = dense_vectors(linalg.nullspace(sparse_rows(a), 3), 3)
     assert len(basis) == 2
     for v in basis:
         for row in a:
@@ -251,7 +251,8 @@ def densify(rows, ncols):
 
 # --- Gauss-Jordan reference routines --------------------------------------
 # The elimination loops that det and inverse ran before they moved onto
-# the Bareiss echelon; the tests hold the new routines to them exactly.
+# the Bareiss echelon and then the Smith form; the tests hold abs_det and
+# inverse to them exactly.
 
 
 def gj_det(a):
@@ -326,12 +327,13 @@ def gj_rank(a):
     return len(gj_rref(a)[1])
 
 
-def test_det_inverse_equal_gauss_jordan():
-    """det and inverse equal the Gauss-Jordan references exactly on random
-    square rational matrices, invertible and singular."""
+def test_abs_det_inverse_equal_gauss_jordan():
+    """inverse equals the Gauss-Jordan reference exactly on random square
+    rational matrices, invertible and singular, and abs_det equals |det| on
+    their integer multiples."""
     rng = random.Random(3)
     entries = [Fraction(0)] * 3 + [Fraction(n, d) for n in (-3, -1, 1, 2, 5) for d in (1, 2, 3)]
-    assert linalg.det([]) == gj_det([]) == 1
+    assert linalg.abs_det([]) == gj_det([]) == 1
     assert linalg.inverse([]) == gj_inverse([]) == []
     kinds = {"square": 0, "singular": 0}
     for _ in range(900):
@@ -340,8 +342,10 @@ def test_det_inverse_equal_gauss_jordan():
         if n >= 2 and rng.random() < 0.3:
             # a dependent row
             a[-1] = [2 * x - y for x, y in zip(a[0], a[1])]
-        d = linalg.det(a)
-        assert d == gj_det(a), a
+        d = gj_det(a)
+        den = lcm(*(x.denominator for row in a for x in row))
+        ints = [[int(x * den) for x in row] for row in a]
+        assert linalg.abs_det(ints) == abs(gj_det(fraction_matrix(ints))), ints
         if d:
             kinds["square"] += 1
             assert linalg.inverse(a) == gj_inverse(a), a
@@ -451,7 +455,7 @@ def block_matrices(draw):
 def test_nullspace_equals_dense_elimination(case):
     a, ncols = case
     cols = len(a[0]) if a else ncols
-    basis = linalg.nullspace(linalg.sparse_rows(a), cols)
+    basis = linalg.nullspace(sparse_rows(a), cols)
     assert dense_vectors(basis, cols) == dense_nullspace(a, ncols)
     for vec in basis:
         assert all(vec.values())
@@ -462,7 +466,7 @@ def test_nullspace_equals_dense_elimination(case):
 @given(block_matrices())
 def test_nullity_equals_dense_elimination(case):
     a, ncols = case
-    assert ncols - len(linalg.echelon(linalg.sparse_rows(a), ncols)) == len(dense_nullspace(a, ncols))
+    assert ncols - len(linalg.echelon(sparse_rows(a), ncols)) == len(dense_nullspace(a, ncols))
 
 
 @settings(max_examples=300, deadline=None)
@@ -471,9 +475,9 @@ def test_echelon_pivots_equal_dense_elimination(case):
     a, ncols = case
     cols = len(a[0]) if a else ncols
     if a:
-        assert linalg._echelon(linalg.sparse_rows(a), range(cols))[1] == dense_echelon(a)[1]
+        assert linalg._echelon(sparse_rows(a), range(cols))[1] == dense_echelon(a)[1]
     # the Bareiss oracle itself is held to the dense elimination
-    red, pivots, sign = bareiss_echelon(linalg.sparse_rows(a), range(cols))
+    red, pivots, sign = bareiss_echelon(sparse_rows(a), range(cols))
     dense_red, dense_pivots, dense_sign, _scale = dense_echelon(a) if a else ([], [], 1, 1)
     assert pivots == dense_pivots
     if all(any(row) for row in a):
@@ -493,8 +497,8 @@ def test_primitive_rows_equal_bareiss(case):
     """Both eliminators give the same pivots, rank, nullity and nullspace,
     and every row the primitive one returns has content 1."""
     a, cols = case
-    rows = linalg.sparse_rows(a)
-    red, pivots, _sources = linalg._echelon(rows, range(cols))
+    rows = sparse_rows(a)
+    red, pivots = linalg._echelon(rows, range(cols))
     bareiss_red, bareiss_pivots, _sign = bareiss_echelon(rows, range(cols))
     assert pivots == bareiss_pivots
     assert len(linalg.echelon(rows, cols)) == len(bareiss_red)
@@ -548,13 +552,13 @@ def test_zero_rows_are_dropped():
 
 def test_sparse_rows_scale_to_integers_and_drop_zero_rows():
     a = [[Fraction(1, 2), 0, Fraction(-1, 3)], [0, 0, 0], [0, Fraction(4), 2]]
-    assert linalg.sparse_rows(a) == [{0: 3, 2: -2}, {1: 4, 2: 2}]
-    assert linalg.integer_row([(4, Fraction(0)), (7, Fraction(5, 6))]) == {7: 5}
+    assert sparse_rows(a) == [{0: 3, 2: -2}, {1: 4, 2: 2}]
+    assert integer_row([(4, Fraction(0)), (7, Fraction(5, 6))]) == {7: 5}
 
 
 def test_nullspace_equals_dense_on_screening_matrix():
     a, ncols = stacked_screening_matrix(3, "blue", 3)
-    basis = dense_vectors(linalg.nullspace(linalg.sparse_rows(a), ncols), ncols)
+    basis = dense_vectors(linalg.nullspace(sparse_rows(a), ncols), ncols)
     assert len(basis) == 36
     assert basis == dense_nullspace(a, ncols)
 
@@ -587,7 +591,7 @@ def test_seeded_nullspace_equals_dense_on_kernel_goldens(series, rank, color, le
 )
 def test_nullity_matches_rank_mod_p(rank, color, level):
     a, ncols = stacked_screening_matrix(rank, color, level)
-    assert ncols - len(linalg.nullspace(linalg.sparse_rows(a), ncols)) == rank_mod_p(a)
+    assert ncols - len(linalg.nullspace(sparse_rows(a), ncols)) == rank_mod_p(a)
 
 
 @pytest.mark.parametrize(
@@ -606,7 +610,7 @@ def test_inverse_times_matrix_is_identity():
     for _ in range(50):
         n = rng.randint(1, 4)
         a = fraction_matrix([[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)])
-        if linalg.det(a) == 0:
+        if gj_det(a) == 0:
             continue
         inv = linalg.inverse(a)
         assert mat_mul(a, inv) == mat_mul(inv, a) == identity(n)

@@ -8,6 +8,7 @@ here were recomputed by hand from the pairing axioms and double-checked
 against conformal-dimension bookkeeping and linearity.
 """
 
+import functools
 import json
 import math
 import random
@@ -15,16 +16,19 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latvoa import linalg, screening
 from latvoa.cli import main
 from latvoa.expr import parse_state
 from latvoa.freefield import FieldElement, _numerators
-from latvoa.lattice import Coset, Momentum, ScreeningLattices, groundstates
+from latvoa.lattice import Coset, Momentum, MomentumSpace, ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
 from latvoa.scalars import Scalar
 from latvoa.vertexop import residue_op
 from latvoa.screening import (
+    GradedLayer,
     _monomials_of_degree,
     apply_screening,
     braiding_matrix,
@@ -39,8 +43,9 @@ from latvoa.screening import (
 )
 from latvoa.virasoro import stress_tensor
 
+from conftest import identity, integer_row
 from oracles import conformal_weights, momenta
-from test_linalg import gj_rank
+from test_linalg import bareiss_echelon, gj_rank
 
 
 def grading_ops(sl, i, state):
@@ -794,3 +799,117 @@ def test_grading_ops_reject_mixed_momentum():
     mixed = E(SL_A1, [0]) + E(SL_A1, [2])
     with pytest.raises(ValueError):
         grading_ops(SL_A1, 0, mixed)
+
+
+# --- the A1^n factorisation as a kernel oracle -----------------------------
+# The kernel for B_n/sqrt2 is an extension of the one of rescaled A1^n.  Where
+# the short screenings are orthonormal, one per ambient direction, Z_alpha_k
+# acts on the k-th boson of an orthonormal Heisenberg basis alone.  So on the
+# momentum block mu with degree gap D, with p_k = <alpha_k, mu> and ker1(p, d)
+# the kernel dim of the norm-1 rank-1 screening on the degree-d states at
+# pairing p:
+#   ker Z_alpha_k = sum_d ker1(p_k, d) P_{n-1}(D - d),
+#   intersection  = sum over d_1 + ... + d_n = D of prod_k ker1(p_k, d_k),
+# with P_r(d) the number of r-coloured partitions of d.
+
+# the largest level checked per rank, to keep each layer small
+FACTOR_LEVELS = {1: 8, 2: 6, 3: 4, 4: 3}
+
+
+@functools.cache
+def orthonormal_theories():
+    """(sl, cosets) for every theory of rank <= 4 and even ell <= 12 whose
+    short screenings have the identity Gram matrix, one per ambient
+    direction; cosets are its module cosets on which every short screening
+    pairs integrally."""
+    found = []
+    for series, ranks in [("A", (1, 2, 3, 4)), ("B", (2, 3, 4)), ("C", (2, 3, 4)), ("D", (4,)), ("F", (4,)), ("G", (2,))]:
+        for rank in ranks:
+            for ell in range(2, 13, 2):
+                try:
+                    sl = ScreeningLattices(build_root_system(series, rank), ell)
+                except ValueError:
+                    continue
+                screens = short_screening_set(sl)
+                if [[sl.space.pair(a, b) for b in screens] for a in screens] != identity(rank):
+                    continue
+                cosets = [sl.long_lattice_coset(rep) for rep in sl.module_cosets().coset_reps]
+                found.append((sl, [c for c in cosets if all(weyl_power_exponent(sl, c, a) == 1 for a in screens)]))
+    return found
+
+
+@functools.cache
+def rank_one_kernel(p, d):
+    """ker1(p, d) by an independent route: the generic engine (`residue_op`)
+    applies e^alpha, alpha of norm 1 in the rank-1 space with Gram [[1]], to
+    every degree-d state mono e^mu with <alpha, mu> = p, and the Bareiss
+    echelon gives the rank of the images."""
+    space = MomentumSpace([[1]], 2)
+    alpha = FieldElement.exponential(space, space.momentum([1]))
+    mu = space.momentum([p]).coords
+    monos = _monomials_of_degree(1, d)
+    rows: dict = {}
+    for j, mono in enumerate(monos):
+        for key, c in residue_op(alpha, FieldElement(space, {(mu, mono): 1})).terms.items():
+            rows.setdefault(key, []).append((j, c))
+    _red, pivots, _sign = bareiss_echelon([integer_row(row) for row in rows.values()], range(len(monos)))
+    return len(monos) - len(pivots)
+
+
+def coloured_partitions(r, d):
+    """P_r(d), from the product over parts k of (1 - q^k)^-r."""
+    counts = [1] + [0] * d
+    for part in range(1, d + 1):
+        for _ in range(r):
+            for total in range(part, d + 1):
+                counts[total] += counts[total - part]
+    return counts[d]
+
+
+def factorised_kernels(pairings, gap):
+    """The ker_dims and intersection_dim that the factorisation predicts on
+    one momentum block."""
+    n = len(pairings)
+    ker_dims = [
+        sum(rank_one_kernel(p, d) * coloured_partitions(n - 1, gap - d) for d in range(gap + 1))
+        for p in pairings
+    ]
+    conv = [1] + [0] * gap
+    for p in pairings:
+        conv = [sum(conv[e] * rank_one_kernel(p, t - e) for e in range(t + 1)) for t in range(gap + 1)]
+    return ker_dims, conv[gap]
+
+
+def test_orthonormal_screenings_are_found():
+    """The property selects A1, B2-B4 and C2 at ell = 4, each with modules
+    to check, so the factorisation test below is not vacuous."""
+    labels = {(sl.rs.label, sl.ell) for sl, cosets in orthonormal_theories() if cosets}
+    assert {("A1", 4), ("B2", 4), ("B3", 4), ("B4", 4), ("C2", 4)} <= labels
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kernels_factor_over_rank_one_screenings(data):
+    """kernel_layer's ker_dims and intersection_dim equal the A1^n
+    predictions on every momentum block of a layer and on the whole layer."""
+    sl, cosets = data.draw(st.sampled_from([t for t in orthonormal_theories() if t[1]]))
+    coset = data.draw(st.sampled_from(cosets))
+    level = data.draw(st.integers(0, FACTOR_LEVELS[sl.rs.rank]))
+    screens = short_screening_set(sl)
+    _gs, h0 = groundstates(sl, coset)
+    layer = layer_basis(sl, coset, h0 + level)
+    blocks: dict = {}
+    for b in layer.basis:
+        ((mu, mono),) = b.terms
+        blocks.setdefault((mu, sum(order for order, _l in mono)), []).append(b)
+    ker_total = [0] * len(screens)
+    intersection_total = 0
+    for (mu, gap), basis in blocks.items():
+        pairings = [int(sl.space.pair_coords(a.coords, mu)) for a in screens]
+        ker_dims, intersection = factorised_kernels(pairings, gap)
+        block = kernel_layer(sl, GradedLayer(coset, layer.h, basis), screens)
+        assert (block.ker_dims, block.intersection_dim) == (ker_dims, intersection), mu
+        ker_total = [x + y for x, y in zip(ker_total, ker_dims)]
+        intersection_total += intersection
+    whole = kernel_layer(sl, layer, screens)
+    assert (whole.ker_dims, whole.intersection_dim) == (ker_total, intersection_total)
