@@ -12,6 +12,8 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
+from math import inf
 from pathlib import Path
 
 from .characters import graded_dim_module, matches_ns_character, sf_characters
@@ -80,6 +82,51 @@ def _report(command: str, rs=None, ell=None, key: str = "", **fields) -> dict:
     return {"schema": schema, "golden_key": golden_key, "algebra": rs.label, "ell": ell, **fields}
 
 
+def _json(x, indent: str = "") -> str:
+    """x as `json.dumps(x, indent=2)` writes it, `indent` being the
+    indentation of the line that x starts on: strings ASCII-escaped, floats
+    as their repr or NaN, Infinity and -Infinity.  Each container's text is
+    one join over its items; a list's int items, most of the items of a
+    report (the factors of its monomials), are written in place.  Takes
+    dicts with str keys, lists, tuples, str, int, float, bool and None;
+    anything else raises TypeError."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        inner = indent + "  "
+        items = [int.__repr__(y) if type(y) is int else _json(y, inner) for y in x]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        inner = indent + "  "
+        items = []
+        for k, y in x.items():
+            if not isinstance(k, str):
+                raise TypeError(f"keys must be str, not {type(k).__name__}")
+            items.append(encode_basestring_ascii(k) + ": " + _json(y, inner))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x == inf:
+            return "Infinity"
+        if x == -inf:
+            return "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _emit(report: dict, args) -> int:
     golden_note = _golden_compare(report, args)
     if golden_note:
@@ -88,7 +135,7 @@ def _emit(report: dict, args) -> int:
     report["ok"] = ok and not report.get("errors")
     table = report.get("table")
     if args.format == "json" or not table:
-        print(json.dumps(report, indent=2))
+        print(_json(report))
     elif args.format == "tsv":
         print("\t".join(table["headers"]))
         for row in table["rows"]:
@@ -245,12 +292,13 @@ def cmd_screen_apply(args) -> int:
         screen_exp = FieldElement.exponential(sl.space, momentum)
         res = residue_op(screen_exp, state, truncate=args.truncate)
         report["banner"] = "APPROXIMATE: fractional residue truncated; coefficients are complex floats"
+        momenta = {mu: format_momentum(mu) for mu in {mu for mu, _mono in res.element_terms}}
         report["approximate_result"] = {
             "truncation": res.truncation,
             "tail_scale": {str(k): v for k, v in sorted(res.tail_scale.items())},
             "terms": [
-                {"momentum": format_momentum(k[0]), "monomial": list(k[1]), "coeff": repr(c)}
-                for k, c in sorted(res.element_terms.items())
+                {"momentum": momenta[mu], "monomial": list(mono), "coeff": repr(c)}
+                for (mu, mono), c in sorted(res.element_terms.items())
             ],
         }
     else:
@@ -550,13 +598,13 @@ def main(argv=None) -> int:
             args = _parser().parse_args(glued)
             code = globals()["cmd_" + args.command.replace("-", "_")](args)
         except (ValueError, KeyError) as exc:
-            print(json.dumps({"ok": False, "errors": [str(exc)]}, indent=2))
+            print(_json({"ok": False, "errors": [str(exc)]}))
             code = 2
         except BrokenPipeError:
             raise
         except Exception as exc:
             error = f"internal error: {type(exc).__name__}: {exc}"
-            print(json.dumps({"ok": False, "errors": [error]}, indent=2))
+            print(_json({"ok": False, "errors": [error]}))
             code = 3
         # a closed stdout shows here at the latest, not in the flush at exit
         sys.stdout.flush()

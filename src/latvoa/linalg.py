@@ -24,7 +24,8 @@ the integer Smith normal form u a v = diag(f) with u, v unimodular
 It gives the module cosets of a screening lattice
 (`lattice.quotient_group`), |det| as the product of the invariant factors
 (`abs_det`) and the exact inverse of a rational matrix (`inverse`), whose
-entries are Fractions.
+entries are Fractions; `smith_inverse` reads both the inverse and |det| of
+an integer matrix off one Smith form.
 """
 
 from __future__ import annotations
@@ -309,20 +310,31 @@ def inverse(a: Matrix) -> Matrix:
     ValueError on a singular one.
 
     With L the lcm of the denominators, a = N / L for an integer matrix N,
-    and u N v = diag(f) (`smith_normal_form`) gives a^-1 = L v diag(f)^-1 u.
-    Every f_k divides the last invariant factor F, so entry (i, j) is the
-    integer sum L * sum_k v[i][k] (F / f_k) u[k][j] over F.
+    and a^-1 = L N^-1 (`smith_inverse`)."""
+    den = lcm(*(x.denominator for row in a for x in row))
+    return smith_inverse([[x.numerator * (den // x.denominator) for x in row] for row in a], den)[0]
+
+
+def smith_inverse(a: IMatrix, scale: int = 1) -> tuple[Matrix, int]:
+    """(scale * a^-1, |det a|) of a square integer matrix, both from one
+    Smith form u a v = diag(f) (`smith_normal_form`); raises ValueError on
+    a singular matrix.
+
+    a^-1 = v diag(f)^-1 u, and every f_k divides the last invariant factor
+    F, so entry (i, j) is the integer sum scale * sum_k v[i][k] (F / f_k)
+    u[k][j] over F, one Fraction per entry.  |det a| is the product of the
+    f_k, as in `abs_det`.
     """
     n = len(a)
     if not n:
-        return []
-    den = lcm(*(x.denominator for row in a for x in row))
-    u, d, v = smith_normal_form([[x.numerator * (den // x.denominator) for x in row] for row in a])
+        return [], 1
+    u, d, v = smith_normal_form(a)
     top = d[-1][-1]
     if not top:
         raise ValueError("singular matrix")
-    w = [den * (top // d[k][k]) for k in range(n)]
-    return [
+    w = [scale * (top // d[k][k]) for k in range(n)]
+    rows = [
         [Fraction(sum(vi[k] * w[k] * u[k][j] for k in range(n)), top) for j in range(n)]
         for vi in v
     ]
+    return rows, prod(d[k][k] for k in range(n))

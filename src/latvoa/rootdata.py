@@ -163,14 +163,16 @@ def build_root_system(series: str, rank: int) -> RootSystem:
     two_rho = [sum(r[i] for r in positive) for i in range(rank)]
     rho = tuple(Fraction(c, 2) for c in two_rho)
 
-    # rho_dual = sum_{r > 0} r / (r, r), over one common denominator; the
-    # fundamental weights are the rows of cartan^-1
+    # rho_dual = sum_{r > 0} r / (r, r), over one common denominator
     norms = [_gram_pair(gram, r, r) for r in positive]
     top = lcm(*norms)
     rho_dual = tuple(
         Fraction(sum(r[i] * (top // n) for r, n in zip(positive, norms)), top)
         for i in range(rank)
     )
+    # the fundamental weights are the rows of cartan^-1, and
+    # |Lambda_W / Lambda_R| is |det cartan|, from one Smith form
+    fund_weights, group_order = linalg.smith_inverse(cartan)
 
     return RootSystem(
         series=series,
@@ -181,8 +183,8 @@ def build_root_system(series: str, rank: int) -> RootSystem:
         positive_roots=tuple(positive),
         rho=rho,
         rho_dual=rho_dual,
-        fund_weights=tuple(tuple(row) for row in linalg.inverse(cartan)),
-        fundamental_group_order=linalg.abs_det(cartan),
+        fund_weights=tuple(tuple(row) for row in fund_weights),
+        fundamental_group_order=group_order,
     )
 
 

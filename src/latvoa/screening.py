@@ -169,33 +169,41 @@ def apply_screening(alpha: Momentum, state: FieldElement, images: dict | None = 
     that pass the same `images` dict share their relative images
     (`_relative_images`); by default a call keeps its own.
     """
-    d, terms = _numerators(state.terms)
-    den, acc = screening_numerators(state.space, alpha, d, terms, {} if images is None else images)
+    columns = [_numerators(state.terms)]
+    ((den, acc),) = screening_numerators(state.space, alpha, columns, {} if images is None else images)
     return FieldElement(state.space, {key: canonical_quotient(x, den) for key, x in acc.items()})
 
 
-def screening_numerators(space, alpha: Momentum, d: int, terms, images: dict) -> tuple[int, dict]:
-    """(den, {term key: int}) with Z_alpha state = sum x/den key, where
-    state = sum c/d key over the (key, int c) pairs of terms.  den is
-    positive, no numerator is zero, and neither is reduced.
+def screening_numerators(space, alpha: Momentum, columns, images: dict) -> list[tuple[int, dict]]:
+    """Z_alpha of every state of columns, a list of (d, terms) with state =
+    sum c/d key over the (key, int c) pairs of terms, which are read twice
+    (a list or a dict's items): per column, in order, (den, {term key:
+    int}) with Z_alpha state = sum x/den key.  den is positive, no
+    numerator is zero, and neither is reduced.
 
-    Each distinct momentum mu is paired with alpha and shifted to alpha + mu
-    once (`_keys`, which refuses the first fractional pairing), the
-    relative images of all terms come from one `_relative_images` call,
-    and the numerators are summed over one common denominator."""
-    keys, shifted = _keys(space, alpha, [key for key, _c in terms])
-    per_term = []
-    for ((mu, _mono), c), (den, nums) in zip(terms, _relative_images(space, alpha, keys, images)):
-        if nums:
-            per_term.append((c, shifted[mu], den, nums))
-    top = lcm(*(den for _c, _mom, den, _nums in per_term))
-    acc: dict = {}
-    for c, mom, den, nums in per_term:
-        f = c * (top // den)
-        for mono, x in nums:
-            key = (mom, mono)
-            acc[key] = acc.get(key, 0) + f * x
-    return d * top, {key: x for key, x in acc.items() if x}
+    The terms of all columns go through one `_keys` call, which pairs each
+    distinct momentum mu with alpha and shifts it to alpha + mu once and
+    refuses the first fractional pairing in column order, and one
+    `_relative_images` call.  Each column's numerators are summed over its
+    own common denominator."""
+    keys, shifted = _keys(space, alpha, [key for _d, terms in columns for key, _c in terms])
+    relative = iter(_relative_images(space, alpha, keys, images))
+    out = []
+    for d, terms in columns:
+        per_term = []
+        # terms first: zip stops on them without taking another image
+        for ((mu, _mono), c), (den, nums) in zip(terms, relative):
+            if nums:
+                per_term.append((c, shifted[mu], den, nums))
+        top = lcm(*(den for _c, _mom, den, _nums in per_term))
+        acc: dict = {}
+        for c, mom, den, nums in per_term:
+            f = c * (top // den)
+            for mono, x in nums:
+                key = (mom, mono)
+                acc[key] = acc.get(key, 0) + f * x
+        out.append((d * top, {key: x for key, x in acc.items() if x}))
+    return out
 
 
 def short_screening_set(sl: ScreeningLattices) -> tuple[Momentum, ...]:
@@ -448,18 +456,20 @@ class RelationReport:
 
 def nichols_check(sl: ScreeningLattices, screenings, cosets, max_level: int) -> list[RelationReport]:
     """Z_i^2 = 0 and [Z_i, Z_j] = 0 on the layers h0 .. h0 + max_level of
-    each given coset (see `module_layers`), checked state by state.
+    each given coset (see `module_layers`), checked layer by layer.
 
-    Each Z_a v is computed once per state and shared by the relations that
-    need it; only one state's images are held at a time.  All screenings
+    On each layer, Z_a v is computed for every basis state v and every
+    screening a that a relation still needs, in one `screening_numerators`
+    call per screening, and shared by the relations.  Each relation then
+    takes one call over those first images (Z_i Z_i v for Z_i^2) or one
+    per side (Z_i Z_j v and Z_j Z_i v for [Z_i, Z_j]).  All screenings
     share one relative-image table (see `apply_screening`) for the whole
-    check.  The images stay integer numerators over one denominator
-    (`screening_numerators`): Z_i^2 v = 0 exactly when its numerators are
-    empty, and Z_i Z_j v = Z_j Z_i v is cross-multiplied over the two
-    positive denominators, so no coefficient is divided.  A relation stops
-    being checked at its first failing state, which it reports.
+    check.  The images stay integer numerators over one denominator per
+    state: Z_i^2 v = 0 exactly when its numerators are empty, and
+    Z_i Z_j v = Z_j Z_i v is cross-multiplied over the two positive
+    denominators, so no coefficient is divided.  A relation reports its
+    first failing state in state order and is not checked on later layers.
     """
-    states = [v for coset in cosets for layer in module_layers(sl, coset, max_level) for v in layer.basis]
     count = len(screenings)
     relations = [(f"Z{i + 1}^2 = 0", i, i) for i in range(count)] + [
         (f"[Z{i + 1}, Z{j + 1}] = 0", i, j) for i in range(count) for j in range(i + 1, count)
@@ -468,31 +478,29 @@ def nichols_check(sl: ScreeningLattices, screenings, cosets, max_level: int) -> 
     space = sl.space
     table: dict = {}
 
-    def Z(x: int, image: tuple[int, dict]) -> tuple[int, dict]:
-        den, nums = image
-        return screening_numerators(space, screenings[x], den, nums.items(), table)
+    def Z(x: int, columns) -> list[tuple[int, dict]]:
+        return screening_numerators(space, screenings[x], columns, table)
 
-    for v in states:
+    for layer in (layer for coset in cosets for layer in module_layers(sl, coset, max_level)):
         pending = [r for r in range(len(relations)) if bad[r] is None]
         if not pending:
             break
         needed = {x for r in pending for x in relations[r][1:]}
-        d, terms = _numerators(v.terms)
-        images = {x: screening_numerators(space, screenings[x], d, terms, table) for x in sorted(needed)}
+        states = [_numerators(v.terms) for v in layer.basis]
+        first = {x: [(den, nums.items()) for den, nums in Z(x, states)] for x in sorted(needed)}
         for r in pending:
             _name, i, j = relations[r]
             if i == j:
-                failed = bool(Z(i, images[i])[1])
+                failed = [bool(nums) for _den, nums in Z(i, first[i])]
             else:
                 # Z_i Z_j v = Z_j Z_i v, cross-multiplied over the two
                 # positive denominators
-                den_ij, ij = Z(i, images[j])
-                den_ji, ji = Z(j, images[i])
-                failed = ij.keys() != ji.keys() or any(
-                    x * den_ji != ji[key] * den_ij for key, x in ij.items()
-                )
-            if failed:
-                bad[r] = v
+                failed = [
+                    ij.keys() != ji.keys() or any(x * den_ji != ji[key] * den_ij for key, x in ij.items())
+                    for (den_ij, ij), (den_ji, ji) in zip(Z(i, first[j]), Z(j, first[i]))
+                ]
+            if True in failed:
+                bad[r] = layer.basis[failed.index(True)]
     return [RelationReport(name, b is None, b) for (name, _i, _j), b in zip(relations, bad)]
 
 

@@ -330,11 +330,13 @@ def gj_rank(a):
 def test_abs_det_inverse_equal_gauss_jordan():
     """inverse equals the Gauss-Jordan reference exactly on random square
     rational matrices, invertible and singular, and abs_det equals |det| on
-    their integer multiples."""
+    their integer multiples, whose inverse and |det| smith_inverse gives
+    together."""
     rng = random.Random(3)
     entries = [Fraction(0)] * 3 + [Fraction(n, d) for n in (-3, -1, 1, 2, 5) for d in (1, 2, 3)]
     assert linalg.abs_det([]) == gj_det([]) == 1
     assert linalg.inverse([]) == gj_inverse([]) == []
+    assert linalg.smith_inverse([]) == ([], 1)
     kinds = {"square": 0, "singular": 0}
     for _ in range(900):
         n = rng.randint(1, 5)
@@ -349,10 +351,14 @@ def test_abs_det_inverse_equal_gauss_jordan():
         if d:
             kinds["square"] += 1
             assert linalg.inverse(a) == gj_inverse(a), a
+            exact = fraction_matrix(ints)
+            assert linalg.smith_inverse(ints) == (gj_inverse(exact), abs(gj_det(exact))), ints
             continue
         kinds["singular"] += 1
         with pytest.raises(ValueError, match="singular matrix"):
             linalg.inverse(a)
+        with pytest.raises(ValueError, match="singular matrix"):
+            linalg.smith_inverse(ints)
         with pytest.raises(ValueError):
             gj_inverse(a)
     assert min(kinds.values()) >= 50, kinds

@@ -42,6 +42,7 @@ from latvoa.screening import (
     RelationReport,
     apply_screening,
     layer_basis,
+    module_layers,
     nichols_check,
     short_screening_set,
 )
@@ -561,6 +562,12 @@ def test_commutator_check_counterexample_equals_reference():
     assert got == reference_commutator_check(bad, states, max_mode=3)
 
 
+def _doubled(sl) -> tuple:
+    """The simple short screening momenta times 2, whose Nichols relations
+    fail on some states and not on others."""
+    return tuple(sl.space.momentum([2 * c for c in m.coords]) for m in sl.basis_short)
+
+
 def _nichols_cases():
     cases = []
     for sl in INTEGRAL:
@@ -571,6 +578,7 @@ def _nichols_cases():
             ("short", short_screening_set(sl)),
             ("simple", sl.basis_short),
             ("long first", mixed),
+            ("doubled", _doubled(sl)),
         ):
             cases.append(pytest.param(sl, screenings, pair, id=f"{sl.rs.label}-{label}"))
     return cases
@@ -581,6 +589,35 @@ def test_nichols_check_reports_equal_reference(sl, screenings, cosets):
     level = 2 if sl.rs.rank < 3 else 1
     got = nichols_check(sl, screenings, cosets, level)
     assert got == reference_nichols_check(sl, screenings, cosets, level)
+
+
+@pytest.mark.parametrize(
+    "label, places",
+    [
+        # Z_1^2 fails on states 4 and 7 of the second blue layer
+        ("simple", [[("blue", 1, 4)], [], [("blue", 0, 1)]]),
+        # Z_1^2 first fails deep in the third green layer
+        ("doubled", [[("green", 2, 17)], [("blue", 1, 3)], [("blue", 0, 1)]]),
+    ],
+)
+def test_nichols_first_failures_sit_inside_later_layers(label, places):
+    # two B2 cases above whose first failures sit past the first state of
+    # a later layer or coset, so that the reference holds the order in
+    # which states are searched within and across layers
+    sl = INTEGRAL[1]
+    cosets = sl.named_cosets()
+    pair = [cosets["blue"], cosets["green"]]
+    layers = [
+        (name, k, layer.basis)
+        for name in ("blue", "green")
+        for k, layer in enumerate(module_layers(sl, cosets[name], 2))
+    ]
+    screenings = {"simple": sl.basis_short, "doubled": _doubled(sl)}[label]
+    got = nichols_check(sl, screenings, pair, 2)
+    assert [
+        [(name, k, basis.index(r.counterexample)) for name, k, basis in layers if r.counterexample in basis]
+        for r in got
+    ] == places
 
 
 @pytest.mark.parametrize("sl", INTEGRAL[:2], ids=lambda sl: sl.rs.label)

@@ -430,7 +430,7 @@ def test_fractional_pairing_is_refused_with_one_message(capsys):
     routes = [
         lambda: residue_op(FieldElement.exponential(space, a), state),
         lambda: apply_screening(a, state),
-        lambda: screening.screening_numerators(space, a, d, terms, {}),
+        lambda: screening.screening_numerators(space, a, [(d, terms)], {}),
         lambda: screening._screening_matrix(SL_B2, a, layer, {}),
     ]
     messages = []
@@ -458,7 +458,7 @@ def test_screenings_refuse_a_momentum_of_another_rank():
     d, terms = _numerators(state.terms)
     routes = [
         lambda: apply_screening(alpha, state),
-        lambda: screening.screening_numerators(SL_B2.space, alpha, d, terms, {}),
+        lambda: screening.screening_numerators(SL_B2.space, alpha, [(d, terms)], {}),
         lambda: kernel_layer(SL_B2, layer, [alpha]),
     ]
     for route in routes:
@@ -526,15 +526,16 @@ def _counted_builds(monkeypatch) -> tuple[list, list]:
 
 
 def test_nichols_check_applies_each_screening_image_once(monkeypatch):
-    # per state: Z_a v for every screening a, Z_a Z_a v for every a, and
-    # the two sides of each commutator built from those first images
+    # per layer, each call over all its basis states: Z_a v for every
+    # screening a, Z_a Z_a v for every a, and the two sides of each
+    # commutator built from those first images
     calls = []
     real = screening.screening_numerators
 
-    def counted(space, alpha, d, terms, images):
-        terms = list(terms)
-        calls.append((alpha, [key for key, _c in terms]))
-        return real(space, alpha, d, terms, images)
+    def counted(space, alpha, columns, images):
+        columns = [(d, list(terms)) for d, terms in columns]
+        calls.append((alpha, len(columns), [key for _d, terms in columns for key, _c in terms]))
+        return real(space, alpha, columns, images)
 
     monkeypatch.setattr(screening, "screening_numerators", counted)
     _walks, built = _counted_builds(monkeypatch)
@@ -543,22 +544,27 @@ def test_nichols_check_applies_each_screening_image_once(monkeypatch):
     chosen = [cosets["blue"], cosets["green"]]
     reports = nichols_check(SL_B2, screens, chosen, max_level=2)
     assert all(r.ok for r in reports)
-    states = 0
+    dims = []
     for coset in chosen:
         _gs, h0 = groundstates(SL_B2, coset)
-        states += sum(layer_basis(SL_B2, coset, h0 + lvl).dim for lvl in range(3))
+        dims.extend(layer_basis(SL_B2, coset, h0 + lvl).dim for lvl in range(3))
     commutator_pairs = 1
-    assert len(calls) == (2 * len(screens) + commutator_pairs * 2) * states
-    assert len(calls) == 6 * states
+    per_layer = 2 * len(screens) + commutator_pairs * 2
+    assert per_layer == 6
+    assert [columns for _alpha, columns, _keys in calls] == [dim for dim in dims for _ in range(per_layer)]
+    # the first calls of each layer take its basis states, one term each
+    firsts = [calls[k * per_layer + x] for k in range(len(dims)) for x in range(len(screens))]
+    assert [alpha for alpha, _n, _keys in firsts] == list(screens) * len(dims)
+    assert all(len(keys) == n for _alpha, n, keys in firsts)
     # one closed-form build per distinct (screening, monomial, pairing)
     triples = {
         (alpha.coords, mono, SL_B2.space.pair(alpha, Momentum(mu)))
-        for alpha, keys in calls
+        for alpha, _n, keys in calls
         for mu, mono in keys
     }
     assert len(built) == len(set(built)) == len(triples)
     assert set(built) == triples
-    terms_applied = sum(len(keys) for _alpha, keys in calls)
+    terms_applied = sum(len(keys) for _alpha, _n, keys in calls)
     assert len(built) < terms_applied
 
 
