@@ -16,7 +16,6 @@ from .lattice import (
     quotient_group,
 )
 from .rootdata import RootSystem, build_root_system, dual_root_system
-from .scalars import Scalar
 from .screening import (
     apply_screening,
     braiding_matrix,
@@ -40,7 +39,6 @@ __all__ = [
     "Momentum",
     "MomentumSpace",
     "RootSystem",
-    "Scalar",
     "ScreeningLattices",
     "apply_screening",
     "braiding_matrix",

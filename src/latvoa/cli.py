@@ -28,7 +28,6 @@ from .expr import format_momentum, format_state, parse_momentum, parse_state
 from .freefield import FieldElement
 from .lattice import ScreeningLattices, groundstates, num_simples, quadratic_form_F
 from .rootdata import build_root_system, parse_label
-from .scalars import Scalar
 from .screening import (
     apply_screening,
     braiding_matrix,
@@ -194,7 +193,7 @@ def cmd_lattice_info(args) -> int:
         basis_long=[_mom_str(b) for b in sl.basis_long],
         basis_dual=[_mom_str(b) for b in sl.basis_dual],
         short_screening_set=[_mom_str(b) for b in short_screening_set(sl)],
-        braiding_exponents=[[str(x) for x in row] for row in braiding_matrix(sl).q_exponents],
+        braiding_exponents=[[str(x) for x in row] for row in braiding_matrix(sl)],
         num_simples=n_simples,
         quotient_invariant_factors=qg.invariant_factors,
         checks=checks,
@@ -229,7 +228,7 @@ def cmd_groundstates(args) -> int:
                 "conformal_dim": str(h),
                 "groundstates": [_mom_str(g) for g in gs],
                 "F_exponent": str(f_exp),
-                "F": str(Scalar.phase(1, f_exp)),
+                "F": {0: "1", 1: "-1"}.get(f_exp, f"e^(i pi {f_exp})"),
             }
         )
         rows.append([name, len(gs), str(h), "; ".join(_mom_str(g) for g in gs)])
@@ -571,9 +570,9 @@ def main(argv=None) -> int:
     count), an unknown symbol, malformed state text or an integer residue
     on a fractional pairing (a ValueError or KeyError).  3: an internal
     error, i.e. any other exception raised by the command (AssertionError,
-    IndexError, TierError, TypeError, ZeroDivisionError, RecursionError,
-    MemoryError, ...), which points at a fault of the program or of its
-    resources rather than of the input.  Codes 2 and 3 print the JSON
+    IndexError, TypeError, ZeroDivisionError, RecursionError, MemoryError,
+    ...), which points at a fault of the program or of its resources
+    rather than of the input.  Codes 2 and 3 print the JSON
     document {"ok": false, "errors": [...]}, except when stdout is closed:
     a BrokenPipeError from any write to stdout, the error document's
     included, returns 3 and writes nothing more.  Only --help exits

@@ -258,12 +258,9 @@ def format_state(elem: FieldElement) -> str:
             factors.append(f"{dsym} phi[a{idx + 1}]")
         factors.append(f"exp[{format_momentum(mom)}]")
         body = " * ".join(factors)
-        if isinstance(coeff, complex):
-            text, negative = f"({coeff}) * {body}", False
-        else:
-            negative = coeff < 0
-            mag = -coeff if negative else coeff
-            text = body if mag == 1 else f"{mag} * {body}"
+        negative = coeff < 0
+        mag = -coeff if negative else coeff
+        text = body if mag == 1 else f"{mag} * {body}"
         if not out:
             out.append(f"-{text}" if negative else text)
         else:

@@ -492,15 +492,20 @@ def groundstates(sl: ScreeningLattices, coset: Coset):
     return minima, h
 
 
+def phase_exponent(r) -> Fraction:
+    """r reduced mod 2 into (-1, 1]: the exponent that names the phase
+    e^{i pi r}.  This is the one reduction of a phase in the package: the
+    quadratic form F and the residue weights (`vertexop._residue_weight`)
+    reduce here, and the braiding exponents of `screening.braiding_matrix`
+    reduce here to those of q_ij = e^{i pi (a_i, a_j)}."""
+    r = Fraction(r) % 2
+    return r - 2 if r > 1 else r
+
+
 def quadratic_form_F(sl: ScreeningLattices, coset: Coset) -> Fraction:
-    """Exponent r (mod 2, in (-1, 1]) of F([lam]) = e^{i pi r}.
+    """The reduced exponent r (`phase_exponent`) of F([lam]) = e^{i pi r}.
 
     r = (lam - Q, lam - Q) - (Q, Q) = 2 h(lam); well-defined mod 2 on
     cosets of the even lattice.
     """
-    lam = coset.canonical_rep()
-    r = 2 * sl.conformal_dim(lam)
-    r = r % 2
-    if r > 1:
-        r -= 2
-    return r
+    return phase_exponent(2 * sl.conformal_dim(coset.canonical_rep()))

@@ -23,7 +23,6 @@ from .lattice import (
     points_within,
 )
 from .rootdata import short_simple_system
-from .scalars import Scalar
 from .vertexop import _dk_term, _integral_pairing
 from .virasoro import StressTensor, stress_tensor
 
@@ -31,22 +30,12 @@ from .virasoro import StressTensor, stress_tensor
 # --- braiding ------------------------------------------------------------
 
 
-@dataclass
-class BraidingMatrix:
-    """q_ij = e^{i pi r_ij} with r_ij the pairing of the screening momenta."""
-
-    q_exponents: tuple[tuple[Fraction, ...], ...]
-
-    def q(self, i: int, j: int) -> Scalar:
-        return Scalar.phase(1, self.q_exponents[i][j])
-
-
-def braiding_matrix(sl: ScreeningLattices) -> BraidingMatrix:
+def braiding_matrix(sl: ScreeningLattices) -> tuple[tuple[Fraction, ...], ...]:
+    """The exponents r_ij = (a_i, a_j) of the screening momenta, one row
+    per momentum, unreduced: the braiding is q_ij = e^{i pi r_ij}, whose
+    reduced exponent is `lattice.phase_exponent(r_ij)`."""
     moms = sl.basis_short
-    rows = tuple(
-        tuple(sl.space.pair(x, y) for y in moms) for x in moms
-    )
-    return BraidingMatrix(rows)
+    return tuple(tuple(sl.space.pair(x, y) for y in moms) for x in moms)
 
 
 # --- screenings ------------------------------------------------------------
@@ -365,10 +354,8 @@ def _screening_matrix(sl: ScreeningLattices, a: Momentum, layer: GradedLayer, im
     of the whole layer basis and fills what the table lacks from the closed
     form, one walk over the splits of each monomial.  A momentum that pairs fractionally with a is refused
     (`_keys`).  Each row is the relative images' numerators brought over
-    their common denominator and then divided by the row's content, the
-    gcd of its entries, so that every row is primitive, as the eliminator
-    keeps its rows (`linalg._echelon`).  Neither step changes the
-    kernel."""
+    their common denominator, which does not change the kernel; the
+    eliminator makes each row primitive on entry (`linalg._echelon`)."""
     space = sl.space
     terms = list(layer.term_index())  # each basis element is one term with coefficient 1
     keys, shifted = _keys(space, a, terms)
@@ -384,9 +371,7 @@ def _screening_matrix(sl: ScreeningLattices, a: Momentum, layer: GradedLayer, im
     for key in sorted(rows):
         row = rows[key]
         top = lcm(*(dens[j] for j in row))
-        scaled = {j: x * (top // dens[j]) for j, x in row.items()}
-        content = gcd(*scaled.values())
-        out.append({j: x // content for j, x in scaled.items()} if content > 1 else scaled)
+        out.append({j: x * (top // dens[j]) for j, x in row.items()})
     return out
 
 

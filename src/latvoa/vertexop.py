@@ -41,8 +41,8 @@ from .lattice import (
     canonical,
     canonical_quotient,
     canonical_scalar,
+    phase_exponent,
 )
-from .scalars import Scalar
 
 _DK_CACHE: dict = {}
 
@@ -171,6 +171,19 @@ def _integral_pairing(space: MomentumSpace, ma, mb) -> int:
     return val
 
 
+def _residue_weight(m) -> complex:
+    """res z^m over one turn of z: 1 at m = -1, 0 at every other integer m,
+    and (e^{2 i pi (m+1)} - 1)/(2 i pi (m+1)) at a fractional m.  This is
+    the one complex value of the package.  The phase keeps its exponent
+    exact (`lattice.phase_exponent`) up to this one conversion, and a
+    reduced exponent of 0 or 1 gives the real phase 1 or -1."""
+    if m.denominator == 1:
+        return complex(m == -1)
+    r = phase_exponent(2 * (m + 1))
+    phase = complex(1 - 2 * r) if r.denominator == 1 else cmath.exp(1j * cmath.pi * float(r))
+    return (phase - 1) / (2j * cmath.pi * float(m + 1))
+
+
 def residue_op(a: FieldElement, b: FieldElement, truncate: int | None = None):
     """resY(a) b on the generic engine (`_mode_terms`).
 
@@ -179,10 +192,10 @@ def residue_op(a: FieldElement, b: FieldElement, truncate: int | None = None):
     the screening Z_alpha, which the package computes from its closed form
     (`screening.apply_screening`); this route is its test oracle.
     Fractional case (a `truncate` is given): the first `truncate` terms of
-    each k-sum, with residue weights (e^{2 i pi m} - 1)/(2 i pi (m+1)) kept
-    as exact phases until the final complex conversion; the exponents are
-    summed in the order the engine first meets them.  `screen-apply
-    --fractional` runs this case.
+    each k-sum, each z^m weighted by `_residue_weight(m)`, summed as complex
+    floats in the order the engine first meets the exponents; the tail
+    scale of each output degree is the weight of the first omitted term
+    (k = `truncate`).  `screen-apply --fractional` runs this case.
     """
     a._check_space(b)
     if truncate is None:
@@ -202,30 +215,18 @@ def residue_op(a: FieldElement, b: FieldElement, truncate: int | None = None):
     out: dict = {}
     tail: dict[int, float] = {}
     for exponent, terms in buckets.items():
-        if exponent.denominator == 1:
-            weight: complex | Fraction
-            weight = Fraction(1) if exponent == -1 else Fraction(0)
-        else:
-            # res z^m for fractional m; the phase e^{2 i pi (m+1)} stays
-            # exact until combined with 1/(2 i pi)
-            phase = Scalar.phase(1, 2 * (exponent + 1))
-            weight = (phase.to_complex() - 1) / (2j * cmath.pi * float(exponent + 1))
+        weight = _residue_weight(exponent)
         if not weight:
             continue
         for key, c in terms.items():
             # a sum that starts at 0: a -0.0 part prints as 0.0
-            _accumulate(out, key, 0 + complex(c) * complex(weight))
-    # first omitted term scale per output degree (k = K contributions)
+            _accumulate(out, key, 0 + complex(c) * weight)
     for (alpha, mono_a), _ca in a.terms.items():
         for (beta, mono_b), _cb in b.terms.items():
-            e0 = a.space.pair_coords(alpha, beta)
-            m = e0 + K
+            m = a.space.pair_coords(alpha, beta) + K
             if m.denominator == 1:
                 continue
-            w = abs(
-                (Scalar.phase(1, 2 * (m + 1)).to_complex() - 1)
-                / (2j * cmath.pi * float(m + 1))
-            ) / float(factorial(K))
+            w = abs(_residue_weight(m)) / float(factorial(K))
             deg = _mono_degree(mono_a) + _mono_degree(mono_b) + K
             tail[deg] = max(tail.get(deg, 0.0), w)
     return FractionalResidue(out, K, tail)

@@ -14,7 +14,6 @@ from latvoa.expr import format_state, parse_momentum
 from latvoa.freefield import FieldElement
 from latvoa.lattice import ScreeningLattices, groundstates
 from latvoa.rootdata import build_root_system
-from latvoa.scalars import TierError
 from latvoa.screening import layer_basis, module_layers
 from latvoa.vertexop import residue_op
 
@@ -414,7 +413,7 @@ def test_fractional_screen_apply_stdout_is_pinned(capsys, algebra, momentum, sta
     [
         AssertionError("broken invariant"),
         IndexError("list index out of range"),
-        TierError("tier"),
+        OverflowError("math range error"),
         TypeError("unsupported operand"),
         ZeroDivisionError("division by zero"),
         RecursionError("maximum recursion depth exceeded"),

@@ -97,3 +97,36 @@ def test_dead_definition_scan_flags_an_unread_def():
         "b.py": ast.parse("import a\na.used()\nx = Kept\n"),
     }
     assert _dead_definitions(trees) == [("a.py", "unread")]
+
+
+def _float_sites(tree):
+    """(line, what) of every import of cmath, call of complex(...) or
+    float(...) and imaginary literal in the tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "cmath" for a in node.names):
+            yield node.lineno, "import cmath"
+        elif isinstance(node, ast.ImportFrom) and node.module == "cmath":
+            yield node.lineno, "from cmath import"
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("complex", "float"):
+            yield node.lineno, f"{node.func.id}(...)"
+        elif isinstance(node, ast.Constant) and isinstance(node.value, complex):
+            yield node.lineno, "imaginary literal"
+
+
+def test_floating_point_lives_only_in_vertexop():
+    """The truncated fractional residue (`vertexop.residue_op`) is the one
+    float path of the package; every other module stays exact.  `cli._json`
+    may still write the floats it is given."""
+    sites = {
+        str(path.relative_to(PACKAGE)): [f"{line}: {what}" for line, what in _float_sites(ast.parse(path.read_text(), str(path)))]
+        for path in sorted(PACKAGE.rglob("*.py"))
+    }
+    assert sites.pop("vertexop.py")
+    assert {module: found for module, found in sites.items() if found} == {}
+
+
+def test_float_site_scan_flags_each_kind():
+    tree = ast.parse("import cmath\nfrom cmath import pi\nx = complex(1)\ny = float('1')\nz = 2j\nw = float.__repr__(1.0)\n")
+    assert list(_float_sites(tree)) == [
+        (1, "import cmath"), (2, "from cmath import"), (3, "complex(...)"), (4, "float(...)"), (5, "imaginary literal"),
+    ]

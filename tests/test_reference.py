@@ -10,7 +10,10 @@ The `nichols` lines and the C2 `kernel` line hold the closed-form screening
 images to the seed's own screening code, on B2, B3 and C2.  The
 `lattice-info` lines hold the module cosets, read off the long lattice's
 Gram matrix, and the coordinate-wise coset reduction to the seed's rational
-solves.
+solves.  The `groundstates` lines hold the text of F to the seed's phase
+scalars, and the fractional `screen-apply` lines hold the residue weights
+to the seed's: the `exp[1/2*a1]` line a collapsed phase -1, the
+`exp[1/3*a1]` line a complex one.
 Both programs run in subprocesses; no bytecode is written, so the frozen
 copy is only read.
 """
@@ -49,6 +52,9 @@ LINES = [
     "screen-apply --algebra B2 --ell 4 --momentum 1/2*a1 --state 'd phi[a1] * exp[-a1]'",
     "screen-apply --algebra A1 --ell 6 --momentum -a --state 'd phi[a1] * d phi[a1] * exp[3*a1]'",
     "screen-apply --algebra B2 --ell 4 --momentum -a2 --state 'd phi[a2] * exp[1/2*a1]' --fractional --truncate 3",
+    "screen-apply --algebra A1 --ell 6 --momentum -a --state 'exp[1/3*a1]' --fractional --truncate 4",
+    "groundstates --algebra A1 --ell 4",
+    "groundstates --algebra B2 --ell 4",
     "groundstates --algebra B3 --ell 4",
     "characters --algebra B2 --ell 4 --order 8 --check-jtp",
     "lattice-info --algebra A1 --ell 4",

@@ -14,6 +14,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -23,9 +24,8 @@ from latvoa import linalg, screening
 from latvoa.cli import main
 from latvoa.expr import parse_state
 from latvoa.freefield import FieldElement, _numerators
-from latvoa.lattice import Coset, Momentum, MomentumSpace, ScreeningLattices, groundstates
+from latvoa.lattice import Coset, Momentum, MomentumSpace, ScreeningLattices, groundstates, phase_exponent
 from latvoa.rootdata import build_root_system
-from latvoa.scalars import Scalar
 from latvoa.vertexop import residue_op
 from latvoa.screening import (
     GradedLayer,
@@ -49,9 +49,10 @@ from test_linalg import bareiss_echelon, gj_rank
 
 
 def grading_ops(sl, i, state):
-    """Eigenvalues of the exponentiated short grading operator K_i (a phase
-    e^{i pi r} with r = (a_i/sqrt p, lambda)) and the long grading operator
-    H_i (rational d * (a_i^v, lambda / sqrt p)) on a single-momentum state."""
+    """Eigenvalues of the exponentiated short grading operator K_i, as the
+    reduced exponent r of its phase e^{i pi r} with r = (a_i/sqrt p, lambda)
+    mod 2, and of the long grading operator H_i (rational d * (a_i^v,
+    lambda / sqrt p)) on a single-momentum state."""
     moms = momenta(state)
     if len(moms) != 1:
         raise ValueError("grading operators act on single-momentum states")
@@ -60,7 +61,7 @@ def grading_ops(sl, i, state):
     space = sl.space
     e_i = space.basis_vector(i)
     r = space.pair(e_i, lam)
-    k_val = Scalar.phase(1, r)
+    k_val = phase_exponent(r)
     d = max(sl.rs.d)
     h_val = Fraction(d, sl.p) * space.pair(sl.basis_long[i], lam)
     return k_val, h_val
@@ -473,12 +474,15 @@ def test_screenings_refuse_a_momentum_of_another_rank():
 
 def test_braiding_matrix_values():
     bm = braiding_matrix(SL_B2)
-    assert bm.q_exponents[0][0] == 2  # degenerate long root: q = +1
-    assert bm.q_exponents[1][1] == 1  # fermionic short root: q = -1
-    assert bm.q(0, 0).rational_value() == 1
-    assert bm.q(1, 1).rational_value() == -1
+    assert bm[0][0] == 2  # degenerate long root: q = +1
+    assert bm[1][1] == 1  # fermionic short root: q = -1
+    assert phase_exponent(bm[0][0]) == 0
+    assert phase_exponent(bm[1][1]) == 1
     bma = braiding_matrix(SL_A1)
-    assert bma.q_exponents[0][0] == 1
+    assert bma[0][0] == 1
+    # row i holds (a_i, a_j): a pairing that is not symmetric shows the order
+    space = SimpleNamespace(pair=lambda x, y: F(10 * x + y))
+    assert braiding_matrix(SimpleNamespace(space=space, basis_short=[1, 2])) == ((11, 12), (21, 22))
 
 
 def test_short_screening_set_degenerate_selection():
@@ -648,26 +652,28 @@ def test_screening_matrix_rows_equal_untranslated_images():
     "series, rank, ell, level", [("B", 2, 4, 4), ("B", 3, 4, 2), ("G", 2, 6, 4)], ids=["B2", "B3", "G2"]
 )
 def test_screening_matrix_rows_are_primitive(series, rank, ell, level):
-    # every row is divided by its content: the gcd of its entries is 1, so
-    # the eliminator's first content division leaves them as they are
+    # the matrix rows keep their content, the gcd of their entries, and the
+    # eliminator makes them primitive on entry: the raw rows and their
+    # primitive parts have the same echelon form
     sl = ScreeningLattices(build_root_system(series, rank), ell)
     if series == "B":
         cosets = [sl.named_cosets()[color] for color in ("blue", "green")]
     else:  # G2 has no four named modules; the vacuum coset has integer pairings
         cosets = [sl.long_lattice_coset(sl.space.zero())]
-    rows = 0
+    rows = divided = 0
     for coset in cosets:
         _gs, h0 = groundstates(sl, coset)
         images: dict = {}
         for lvl in range(level + 1):
             layer = layer_basis(sl, coset, h0 + lvl)
-            monos = {mono for v in layer.basis for (_mu, mono) in v.terms}
             for a in short_screening_set(sl):
                 assert sl.space.pair(a, coset.rep).denominator == 1
-                for row in screening._screening_matrix(sl, a, layer, images):
-                    assert math.gcd(*row.values()) == 1
-                    rows += 1
-    assert rows > 0
+                raw = screening._screening_matrix(sl, a, layer, images)
+                primitive = [{j: x // math.gcd(*row.values()) for j, x in row.items()} for row in raw]
+                assert linalg.echelon(raw, layer.dim) == linalg.echelon(primitive, layer.dim)
+                rows += len(raw)
+                divided += sum(p != r for p, r in zip(primitive, raw))
+    assert rows > divided > 0
 
 
 def test_nichols_relations_a1():
@@ -774,12 +780,11 @@ def test_module_layers_equal_layer_bases_from_the_groundstate(series, rank, ell,
 def test_grading_ops():
     one = FieldElement.vacuum(SL_A1.space)
     k, h = grading_ops(SL_A1, 0, one)
-    assert k.rational_value() == 1 and h == 0
+    assert k == 0 and h == 0  # K = +1
     # A1, lam = a/sqrt2: K-phase exponent (2/l)(a, lam sqrt p) = 1, K = -1
     state = E(SL_A1, [1])
     k, h = grading_ops(SL_A1, 0, state)
-    assert k == Scalar.phase(1, 1)
-    assert k.rational_value() == -1
+    assert k == 1  # K = -1
     # H eigenvalue d*(a_i^v, lam/sqrt p) on the long basis is integral
     for i in range(2):
         for j, b in enumerate(SL_B2.basis_long):
@@ -795,10 +800,10 @@ def test_grading_ops_constancy_criterion():
     shifted = E(sl, [1, 0])  # shift by the first long basis vector
     k0, _ = grading_ops(sl, 1, state0)
     k1, _ = grading_ops(sl, 1, shifted)
-    assert k0.rational_value() == 1 and k1.rational_value() == -1  # not constant
+    assert k0 == 0 and k1 == 1  # K = +1, then -1: not constant
     ka0, _ = grading_ops(sl, 0, state0)
     ka1, _ = grading_ops(sl, 0, shifted)
-    assert ka0.rational_value() == ka1.rational_value() == 1  # constant for K_1
+    assert ka0 == ka1 == 0  # K = +1 on both: constant for K_1
 
 
 def test_grading_ops_reject_mixed_momentum():
