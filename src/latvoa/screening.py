@@ -9,7 +9,7 @@ from fractions import Fraction
 from math import factorial, gcd, lcm
 
 from . import linalg
-from .freefield import FieldElement, _merge_mono, _mono_splits, _numerators
+from .freefield import FieldElement, _merge_mono, _numerators
 from .lattice import (
     Coset,
     Momentum,
@@ -18,12 +18,11 @@ from .lattice import (
     canonical_quotient,
     _scaled,
     canonical_scalar,
-    common_numerators,
     groundstates,
     points_within,
 )
 from .rootdata import short_simple_system
-from .vertexop import _dk_term, _integral_pairing
+from .vertexop import _contracted_splits, _dk_term, _integral_pairing
 from .virasoro import StressTensor, stress_tensor
 
 
@@ -86,35 +85,20 @@ def _closed_images(space, coords, misses: dict) -> dict:
     misses, a {mono: {p, ...}} map: the relative image of Z_alpha, alpha
     given by its coords, on mono e^mu with p = <alpha, mu>, as (den,
     [(monomial, int numerator), ...]) reduced by their gcd, den positive.
-    Each monomial is one walk over its coproduct splits, shared by its
-    pairings.
 
     Y(e^alpha, z) = z^alpha_0 E^-(-alpha, z) E^+(-alpha, z) e^alpha
     (Frenkel-Lepowsky-Meurman 1988, ch. 8): the screening carries no
-    cocycle, and E^+ contracts each factor (s, l) of mono with
-    -(s-1)! <alpha, e_l>.  So Z_alpha(mono e^mu) lies at alpha + mu and is
-
-        sum_R mult(R) prod_{(s, l) in R} (-(s-1)! <alpha, e_l>) (mono minus R) d^k e^alpha / k!
-
-    over the splits R of mono (`_mono_splits`) with k = deg R - p - 1 >= 0.
-    With da the common denominator of alpha and D = da times the Gram
-    denominator, <alpha, e_l> is g_l / D for an int g_l, and every
-    coefficient of d^k e^alpha (`_dk_term`) times da^k is an int, so an
-    image is summed over D^len(mono) da^K K!, K its largest k."""
-    da, scaled = common_numerators(coords)
-    big_d = space._den * da
-    g = [sum(x * row[l] for x, row in zip(scaled, space._num)) for l in range(space.rank)]
+    cocycle, so Z_alpha(mono e^mu) lies at alpha + mu and is the sum of
+    c(R) (mono minus R) d^k e^alpha / k! over the contracted splits R of
+    mono (`vertexop._contracted_splits`, one walk per monomial, shared by
+    its pairings) with k = deg R - p - 1 >= 0.  Every coefficient of
+    d^k e^alpha (`_dk_term`) times da^k is an int, so an image is summed
+    over D^len(mono) da^K K!, K its largest k."""
+    da, big_d, walks = _contracted_splits(space, coords, misses)
     dk: dict = {}  # k -> [(monomial, coefficient of d^k e^alpha times da^k)]
     out = {}
     for mono, pairings in misses.items():
-        n = len(mono)
-        splits = []  # (left, deg R, numerator over D^n)
-        for left, right, mult, deg in _mono_splits(mono):
-            c = mult * big_d ** (n - len(right))
-            for s, l in right:
-                c *= -factorial(s - 1) * g[l]
-            if c:
-                splits.append((left, deg, c))
+        splits = walks[mono]  # (left, deg R, numerator over D^len(mono))
         top_deg = max((deg for _left, deg, _c in splits), default=0)
         for p in pairings:
             top = top_deg - p - 1
@@ -135,7 +119,7 @@ def _closed_images(space, coords, misses: dict) -> dict:
                     key = _merge_mono(left, m) if left else m
                     acc[key] = acc.get(key, 0) + f * x
             nums = [(m, x) for m, x in acc.items() if x]
-            den = big_d**n * da**top * factorial(top)
+            den = big_d ** len(mono) * da**top * factorial(top)
             h = gcd(den, *(x for _m, x in nums))
             out[(coords, mono, p)] = (den // h, [(m, x // h) for m, x in nums])
     return out

@@ -2,21 +2,19 @@
 residues.
 
 Y(a)b = sum_k <a2, b2> * b1 * z^k/k! * d^k.a1 over the coproduct legs.
-Every z-coefficient is a finite sum: for a fixed output exponent the
-derivative index k is pinned by the pairing exponent.  The engine
-(`_mode_terms`) makes one pass over the legs and sums the exact
-coefficients of every wanted exponent.  `multi_mode_op` (with `mode_op`
-as its one-target case) and `residue_op` run on it; they are the generic
-route, and the test oracle of both closed forms in the package: the
-Virasoro rows of `virasoro` and the screening images of
-`screening._closed_images`, whose left side is a bare exponential.  The
-command line runs the engine only for a fractional residue.  The whole
-series in a window, summed straight from the definition, is a test
-oracle outside the package.
+For a fixed output exponent the derivative index k is pinned by the
+pairing exponent, so the engine (`_mode_terms`) sums the exact
+coefficients of every target exponent in one pass over the legs.
+`multi_mode_op`, `mode_op` and the integer `residue_op` run on it: the
+generic route, and the test oracle of the closed forms of `virasoro` and
+of the screenings.  No command runs it.
 
-An integer residue needs every exponential pairing integral.  One rule,
-`_integral_pairing`, checks that for `residue_op` and for the screening
-images, and refuses a fractional pairing with one message.
+A screening's left side is a bare e^alpha, and the closed form of
+Y(e^alpha, z) is one walk over the coproduct splits of a monomial
+(`_contracted_splits`): `screening._closed_images` reads it for the
+integer images and `residue_op` for the truncated fractional residue.
+An integer residue needs every exponential pairing integral; one rule,
+`_integral_pairing`, refuses a fractional one with one message.
 """
 
 from __future__ import annotations
@@ -41,6 +39,7 @@ from .lattice import (
     canonical,
     canonical_quotient,
     canonical_scalar,
+    common_numerators,
     phase_exponent,
 )
 
@@ -63,51 +62,62 @@ def _dk_term(space: MomentumSpace, mom, mono, k: int):
     return result
 
 
+def _contracted_splits(space: MomentumSpace, coords, monos) -> tuple[int, int, dict]:
+    """The closed form of Y(e^alpha, z), alpha given by its coords, walked
+    over the coproduct splits R of each mono of monos (`_mono_splits`).
+    E^+(-alpha, z) contracts each factor (s, l) of R with -(s-1)!
+    <alpha, e_l>, so a split weighs mult(R) times its contractions, c /
+    D^len(mono) for an int c, and on mono e^mu gives (mono minus R)
+    d^k e^alpha / k! at z^(<alpha, mu> - deg R + k).  Returns (da, D,
+    {mono: [(mono minus R, deg R, c), ...]}) without the splits of c = 0:
+    da is the common denominator of alpha, D = da times the Gram one."""
+    da, scaled = common_numerators(coords)
+    big_d = space._den * da
+    g = [sum(x * row[l] for x, row in zip(scaled, space._num)) for l in range(space.rank)]
+    out = {}
+    for mono in monos:
+        n = len(mono)
+        splits = out[mono] = []
+        for left, right, mult, deg in _mono_splits(mono):
+            c = mult * big_d ** (n - len(right))
+            for s, l in right:
+                c *= -factorial(s - 1) * g[l]
+            if c:
+                splits.append((left, deg, c))
+    return da, big_d, out
+
+
 _MATCH_CACHE: dict = {}
 
 
-def _mode_terms(a: FieldElement, b: FieldElement, want) -> dict:
-    """Core engine: want(E) returns the iterable of derivative indices k to
-    keep for a combination with pairing exponent E.  Returns the map
-    {exponent E + k: term dict}, exponents in the order they are first met
-    and in canonical form (an int when integral).  Each coefficient is an
+def _mode_terms(a: FieldElement, b: FieldElement, targets) -> dict:
+    """Core engine: the map {m: term dict} of the z^m coefficients of Y(a)b
+    for the exponents m of targets (sorted, in canonical form) that some
+    leg reaches, in the order they are first met.  Each coefficient is an
     exact sum, in canonical form: an int when integral, a Fraction
     otherwise, and zeros are dropped.  `_dk_term` leaves out the 1/k! of
     d^k, so each contribution through d^k is divided by k! as it is added.
     """
     space = a.space
-    b_legs = [
-        (beta, not any(beta), cb, _mono_splits(mono_b)) for (beta, mono_b), cb in b.terms.items()
-    ]
+    b_legs = [(beta, cb, _mono_splits(mono_b)) for (beta, mono_b), cb in b.terms.items()]
     out: dict[int | Fraction, dict] = {}
     for (alpha, mono_a), ca in a.terms.items():
-        alpha_zero = not any(alpha)
         a_splits = _mono_splits(mono_a)
-        for beta, beta_zero, cb, b_splits in b_legs:
+        for beta, cb, b_splits in b_legs:
             pab = _over_den(space, space.pair_num(alpha, beta))
             # d^k keeps the momentum alpha: every output term of this pair has alpha + beta
             mom = canonical(x + y for x, y in zip(beta, alpha))
             scale0 = ca * cb
             for a_left, a_right, mult_a, deg_ar in a_splits:
-                len_ar = len(a_right)
                 for b_left, b_right, mult_b, deg_br in b_splits:
-                    # a pure-exponential leg pairs to zero with any leftover
-                    # primitive on the other side
-                    if alpha_zero and len(b_right) > len_ar:
-                        continue
-                    if beta_zero and len_ar > len(b_right):
-                        continue
                     e_pair = pab - deg_ar - deg_br
-                    ks = want(e_pair)
+                    ks = [k.numerator for k in (m - e_pair for m in targets) if k >= 0 and k.denominator == 1]
                     if not ks:
                         continue
                     mkey = (space, a_right, b_right, alpha, beta)
                     coeff = _MATCH_CACHE.get(mkey)
                     if coeff is None:
-                        coeff = _match_coefficient(
-                            space, list(a_right), list(b_right), alpha, beta
-                        )
-                        _MATCH_CACHE[mkey] = coeff
+                        coeff = _MATCH_CACHE[mkey] = _match_coefficient(space, list(a_right), list(b_right), alpha, beta)
                     if not coeff:
                         continue
                     scale = scale0 * mult_a * mult_b * coeff
@@ -117,9 +127,7 @@ def _mode_terms(a: FieldElement, b: FieldElement, want) -> dict:
                         for (_mom, dmono), dc in _dk_term(space, alpha, a_left, k).items():
                             term_key = (mom, _merge_mono(b_left, dmono) if b_left else dmono)
                             bucket[term_key] = bucket.get(term_key, 0) + f * dc
-    return {
-        e: {key: canonical_scalar(c) for key, c in terms.items() if c} for e, terms in out.items()
-    }
+    return {e: {key: canonical_scalar(c) for key, c in terms.items() if c} for e, terms in out.items()}
 
 
 def multi_mode_op(a: FieldElement, ms, b: FieldElement) -> dict:
@@ -127,16 +135,7 @@ def multi_mode_op(a: FieldElement, ms, b: FieldElement) -> dict:
     m in canonical form (an int when integral)."""
     a._check_space(b)
     targets = sorted({canonical_scalar(Fraction(m)) for m in ms})
-
-    def want(e_pair):
-        ks = []
-        for m in targets:
-            k = m - e_pair
-            if k >= 0 and k.denominator == 1:
-                ks.append(k.numerator)
-        return tuple(ks)
-
-    buckets = _mode_terms(a, b, want)
+    buckets = _mode_terms(a, b, targets)
     return {m: FieldElement(a.space, buckets.get(m, {})) for m in targets}
 
 
@@ -148,13 +147,11 @@ def mode_op(a: FieldElement, m, b: FieldElement) -> FieldElement:
 
 @dataclass
 class FractionalResidue:
-    """Truncated fractional residue: complex coefficients, explicitly
-    approximate."""
+    """Truncated fractional residue: complex coefficients."""
 
     element_terms: dict
     truncation: int
     tail_scale: dict[int, float]
-    approximate: bool = True
 
 
 def _integral_pairing(space: MomentumSpace, ma, mb) -> int:
@@ -184,18 +181,50 @@ def _residue_weight(m) -> complex:
     return (phase - 1) / (2j * cmath.pi * float(m + 1))
 
 
+def _residue_buckets(space: MomentumSpace, alpha, b: FieldElement, K: int):
+    """(buckets, tail) of the truncated residue of Y(e^alpha) on b: buckets
+    maps each exponent, in the order first met, to its exact coefficients
+    over the whole of b (canonical, zeros dropped), from the closed form
+    (`_contracted_splits`) on each term u e^mu of b.  At a fractional
+    pairing <alpha, mu> each split keeps the first K terms of its k-sum,
+    and at an integral one the one k that lands on z^{-1}.  tail maps each
+    output degree to the weight of the first omitted term (k = K) of a
+    fractional pairing."""
+    _da, big_d, walks = _contracted_splits(space, alpha, {mono for _mu, mono in b.terms})
+    buckets: dict = {}
+    tail: dict[int, float] = {}
+    for (mu, mono), cb in b.terms.items():
+        p = _over_den(space, space.pair_num(alpha, mu))
+        mom = canonical(x + y for x, y in zip(mu, alpha))
+        fractional = p.denominator != 1
+        if fractional:
+            top = _mono_degree(mono) + K
+            tail[top] = max(tail.get(top, 0.0), abs(_residue_weight(p + K)) / float(factorial(K)))
+        den = big_d ** len(mono)
+        for left, deg, c in walks[mono]:
+            for k in range(K) if fractional else (deg - p - 1,):
+                if k < 0:
+                    continue
+                bucket = buckets.setdefault(p - deg + k, {})
+                f = canonical_quotient(cb * c, den * factorial(k))
+                for (_mom, dmono), dc in _dk_term(space, alpha, (), k).items():
+                    key = (mom, _merge_mono(left, dmono) if left else dmono)
+                    bucket[key] = bucket.get(key, 0) + f * dc
+    return {e: {key: canonical_scalar(c) for key, c in terms.items() if c} for e, terms in buckets.items()}, tail
+
+
 def residue_op(a: FieldElement, b: FieldElement, truncate: int | None = None):
-    """resY(a) b on the generic engine (`_mode_terms`).
+    """resY(a) b.
 
     Integer case (no `truncate`): requires every exponential pairing
-    integral; equals the exact z^{-1} coefficient.  For a = e^alpha this is
-    the screening Z_alpha, which the package computes from its closed form
-    (`screening.apply_screening`); this route is its test oracle.
-    Fractional case (a `truncate` is given): the first `truncate` terms of
-    each k-sum, each z^m weighted by `_residue_weight(m)`, summed as complex
-    floats in the order the engine first meets the exponents; the tail
-    scale of each output degree is the weight of the first omitted term
-    (k = `truncate`).  `screen-apply --fractional` runs this case.
+    integral; the exact z^{-1} coefficient, on the generic engine.  For
+    a = e^alpha this is the screening Z_alpha, which the package computes
+    from its closed form (`screening.apply_screening`); this route is its
+    test oracle.
+    Fractional case (`screen-apply --fractional`): a must be a bare
+    exponential e^alpha.  Each exponent's exact coefficients
+    (`_residue_buckets`) are weighted by `_residue_weight` and summed as
+    complex floats in the order the exponents are first met.
     """
     a._check_space(b)
     if truncate is None:
@@ -206,27 +235,14 @@ def residue_op(a: FieldElement, b: FieldElement, truncate: int | None = None):
 
     if truncate < 1:
         raise ValueError("fractional residues require a truncation bound >= 1")
-    K = truncate
-
-    def want(e_pair):
-        return tuple(range(K))
-
-    buckets = _mode_terms(a, b, want)
+    (alpha, mono_a), ca = next(iter(a.terms.items()), ((None, None), 0))
+    if len(a.terms) != 1 or mono_a or ca != 1:
+        raise ValueError("a truncated residue takes a bare exponential e^alpha on the left")
+    buckets, tail = _residue_buckets(a.space, alpha, b, truncate)
     out: dict = {}
-    tail: dict[int, float] = {}
     for exponent, terms in buckets.items():
         weight = _residue_weight(exponent)
-        if not weight:
-            continue
         for key, c in terms.items():
             # a sum that starts at 0: a -0.0 part prints as 0.0
             _accumulate(out, key, 0 + complex(c) * weight)
-    for (alpha, mono_a), _ca in a.terms.items():
-        for (beta, mono_b), _cb in b.terms.items():
-            m = a.space.pair_coords(alpha, beta) + K
-            if m.denominator == 1:
-                continue
-            w = abs(_residue_weight(m)) / float(factorial(K))
-            deg = _mono_degree(mono_a) + _mono_degree(mono_b) + K
-            tail[deg] = max(tail.get(deg, 0.0), w)
-    return FractionalResidue(out, K, tail)
+    return FractionalResidue(out, truncate, tail)

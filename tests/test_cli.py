@@ -154,7 +154,37 @@ def test_integer_screen_apply_makes_no_engine_pass(capsys, monkeypatch):
         capsys, "screen-apply", "--algebra", "A1", "--ell", "4",
         "--momentum", "-a1", "--state", "exp[1/2*a1]", "--fractional", "--truncate", "2",
     )
-    assert code == 0 and len(calls) == 1  # the fractional residue runs the engine
+    assert code == 0 and doc["approximate_result"]["terms"]
+    assert calls == []  # the fractional residue runs on the closed form too
+
+
+def test_fractional_screen_apply_on_integral_pairing_is_exact(capsys):
+    # k = 3 lands on z^-1 here, past --truncate 1: the exact residue of
+    # the integer route, as complex coefficients, with no tail entry
+    code, doc = run_json(
+        capsys, "screen-apply", "--algebra", "A1", "--ell", "4", "--momentum", "-a",
+        "--state", "d^2 phi[a1] * d phi[a1] * exp[2*a1]", "--fractional", "--truncate", "1",
+    )
+    assert code == 0
+    assert doc["approximate_result"] == {
+        "truncation": 1,
+        "tail_scale": {},
+        "terms": [
+            {"momentum": "a1", "monomial": [[1, 0], [1, 0], [1, 0], [1, 0]], "coeff": "(-0.125+0j)"},
+            {"momentum": "a1", "monomial": [[1, 0], [1, 0], [2, 0]], "coeff": "(-0.25+0j)"},
+            {"momentum": "a1", "monomial": [[2, 0], [2, 0]], "coeff": "(-0.375+0j)"},
+            {"momentum": "a1", "monomial": [[4, 0]], "coeff": "(-0.041666666666666664+0j)"},
+        ],
+    }
+    code, doc = run_json(
+        capsys, "screen-apply", "--algebra", "A1", "--ell", "4", "--momentum", "-a",
+        "--state", "d^2 phi[a1] * d phi[a1] * exp[2*a1]",
+    )
+    assert code == 0 and doc["result"] == (
+        "-1/8 * d phi[a1] * d phi[a1] * d phi[a1] * d phi[a1] * exp[a1]"
+        " - 1/4 * d phi[a1] * d phi[a1] * d^2 phi[a1] * exp[a1]"
+        " - 3/8 * d^2 phi[a1] * d^2 phi[a1] * exp[a1] - 1/24 * d^4 phi[a1] * exp[a1]"
+    )
 
 
 @pytest.mark.parametrize("algebra, module, top", INTEGER_SCREEN_POOLS)
@@ -185,10 +215,10 @@ def test_fractional_pairing_error_names_momenta(capsys):
 
 # Exact stdout of two truncated fractional residues.  The coefficients are
 # complex floats.  Each state has three terms of one momentum and degrees
-# 0, 1 and 2, so an output term collects contributions from three exponent
-# buckets of the mode engine, summed in floats in the order the engine
-# first meets those exponents: these digits pin that order as well as the
-# exact values behind them.
+# 0, 1 and 2, so an output term collects contributions from several exponent
+# buckets, summed in floats; on these states a sum in sorted exponent order
+# gives the same digits, so the order the closed form first meets the
+# exponents is pinned by `test_fractional_screen_apply_sums_in_first_met_order`.
 A1_CENTER_TAIL = {"8": 9.28775344840659e-07, "9": 9.28775344840659e-07, "10": 9.28775344840659e-07}
 A1_CENTER_TERMS = [
     ("-1/2*a1", (), "-0.2122065907891938j"),
@@ -406,6 +436,29 @@ def test_fractional_screen_apply_stdout_is_pinned(capsys, algebra, momentum, sta
     )
     assert code == 0
     assert out == _fractional_stdout(algebra, momentum, state, tail, terms)
+
+
+def test_fractional_screen_apply_sums_in_first_met_order(capsys):
+    # degrees 0, 1 and 3 on one momentum: the exponents are first met as
+    # 1/2, 3/2, -1/2, -5/2, -3/2, and the constant term sums three weighted
+    # buckets; summed in sorted exponent order it ends in ...751j instead
+    state = "exp[-1/2*a1] - d phi[a1] * exp[-1/2*a1] + 2 * d phi[a1] * d phi[a1] * d phi[a1] * exp[-1/2*a1]"
+    code, doc = run_json(
+        capsys, "screen-apply", "--algebra", "A1", "--ell", "4", "--momentum", "-a1",
+        "--state", state, "--fractional", "--truncate", "2",
+    )
+    assert code == 0
+    assert doc["approximate_result"] == {
+        "truncation": 2,
+        "tail_scale": {"2": 0.04547284088339867, "3": 0.04547284088339867, "5": 0.04547284088339867},
+        "terms": [
+            {"momentum": "-3/2*a1", "monomial": [], "coeff": "-0.8488263631567752j"},
+            {"momentum": "-3/2*a1", "monomial": [[1, 0]], "coeff": "-2.673803043943842j"},
+            {"momentum": "-3/2*a1", "monomial": [[1, 0], [1, 0]], "coeff": "0.12732395447351627j"},
+            {"momentum": "-3/2*a1", "monomial": [[1, 0], [1, 0], [1, 0]], "coeff": "-0.8488263631567752j"},
+            {"momentum": "-3/2*a1", "monomial": [[1, 0], [1, 0], [1, 0], [1, 0]], "coeff": "-0.25464790894703254j"},
+        ],
+    }
 
 
 @pytest.mark.parametrize(

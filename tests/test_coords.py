@@ -114,7 +114,8 @@ def test_products_and_modes_of_fractional_momenta_are_canonical(sl, a_text, b_te
     for e in series.support():
         assert keys_canonical(series.coefficient(e))
         assert keys_canonical(mode_op(a, e, b))
-    res = residue_op(a, b, truncate=3)
+    ((mom, _mono),) = a.terms  # a truncated residue takes a bare exponential
+    res = residue_op(FieldElement(sl.space, {(mom, ()): 1}), b, truncate=3)
     assert all(is_canonical(mom) for mom, _mono in res.element_terms)
 
 
@@ -132,7 +133,11 @@ def test_random_products_and_modes_are_canonical(rng):
     series = vertex_op(a, b, (lo, lo + 2))
     for e, elem in multi_mode_op(a, series.support(), b).items():
         assert keys_canonical(elem) and elem == series.coefficient(e)
-    res = residue_op(a, b, truncate=2)
+    (mom, mono), c = next(iter(a.terms.items()))
+    if len(a.terms) > 1 or mono or c != 1:
+        with pytest.raises(ValueError, match="bare exponential"):
+            residue_op(a, b, truncate=2)
+    res = residue_op(FieldElement(sl.space, {(mom, ()): 1}), b, truncate=2)
     assert all(is_canonical(mom) for mom, _mono in res.element_terms)
 
 

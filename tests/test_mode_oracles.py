@@ -32,6 +32,7 @@ from latvoa.freefield import (
     _ep_coeff,
     _match_coefficient,
     _merge_mono,
+    _mono_degree,
     _mono_splits,
     _pe_coeff,
     _pp_coeff,
@@ -46,9 +47,10 @@ from latvoa.screening import (
     nichols_check,
     short_screening_set,
 )
-from latvoa.vertexop import _accumulate, _mode_terms, multi_mode_op, residue_op
+from latvoa.vertexop import _accumulate, _mode_terms, _residue_buckets, multi_mode_op, residue_op
 from latvoa.virasoro import CommutatorReport, _TermRows, commutator_check, stress_tensor
 
+from conftest import support_min
 from oracles import momenta
 
 
@@ -502,28 +504,14 @@ def test_mode_terms_equal_fraction_engine(data):
             # a z^{-1} coefficient with Fraction coefficients, built by the oracle
             res = fraction_mode_terms(_stress(sl).element, a, _want_modes((-1,))).get(-1)
             a = FieldElement(space, res) if res else a
-    if data.draw(st.booleans()):
-        want = _want_modes(
-            sorted(
-                {
-                    canonical_scalar(Fraction(n, d))
-                    for n, d in data.draw(
-                        st.lists(
-                            st.tuples(st.integers(-8, 3), st.sampled_from((1, 2, 3))),
-                            min_size=1,
-                            max_size=3,
-                        )
-                    )
-                }
-            )
-        )
-    else:
-        depth = data.draw(st.integers(1, 5))
-
-        def want(e_pair):
-            return tuple(range(depth))
-
-    got = _mode_terms(a, b, want)
+    # targets from the lowest exponent of Y(a)b up, so that every k stays small
+    lo = support_min(a, b)
+    steps = st.tuples(st.integers(-2, 5), st.sampled_from((1, 2, 3)))
+    targets = sorted(
+        {canonical_scalar(lo + Fraction(n, d)) for n, d in data.draw(st.lists(steps, min_size=1, max_size=3))}
+    )
+    want = _want_modes(targets, max_k=math.inf)
+    got = _mode_terms(a, b, targets)
     ref = fraction_mode_terms(a, b, want)
     assert list(got) == list(ref)  # exponents in first-seen order
     assert got == ref
@@ -850,3 +838,84 @@ def test_apply_screening_with_fractional_alpha_equals_residue(data):
     assert apply_screening(alpha, state, table) == image  # from the filled table
     for coeff in image.terms.values():
         assert type(coeff) is (int if coeff.denominator == 1 else Fraction)
+
+
+# --- the truncated fractional residue ------------------------------------------
+
+
+def _module_cosets(sl, names=None) -> tuple:
+    """The named module cosets, or all of them."""
+    if names:
+        return tuple(sl.named_cosets()[n] for n in names)
+    return tuple(sl.long_lattice_coset(rep) for rep in sl.module_cosets().coset_reps)
+
+
+@functools.cache
+def _layer_states(sl, cosets: tuple, top: int) -> tuple:
+    return tuple(v for coset in cosets for layer in module_layers(sl, coset, top) for v in layer.basis)
+
+
+# (lattice, module cosets, top level): every layer state of blue and green
+# pairs integrally with both short screenings
+INTEGER_LAYERS = [
+    (sl, _module_cosets(sl, ("blue", "green")), top)
+    for sl, top in zip(_lattices([("A", 1, 4), ("B", 2, 4)]), (4, 2))
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_truncated_residue_on_integral_pairing_is_exact(data):
+    # the one k that lands on z^-1 is kept whatever the bound
+    sl, cosets, top = data.draw(st.sampled_from(INTEGER_LAYERS), label="lattice")
+    v = data.draw(st.sampled_from(_layer_states(sl, cosets, top)))
+    alpha = data.draw(st.sampled_from(short_screening_set(sl)))
+    res = residue_op(FieldElement.exponential(sl.space, alpha), v, truncate=data.draw(st.integers(1, 10)))
+    assert res.element_terms == {key: complex(c) for key, c in apply_screening(alpha, v).terms.items()}
+    assert res.tail_scale == {}
+
+
+# (lattice, module cosets, top level): fractional and integral pairings
+FRACTIONAL_LAYERS = [
+    (sl, _module_cosets(sl, names), top)
+    for sl, names, top in zip(
+        _lattices([("A", 1, 4), ("A", 1, 6), ("A", 1, 8), ("B", 2, 4), ("G", 2, 6)]),
+        (None, None, None, ("center", "steinberg"), None),
+        (3, 3, 3, 1, 1),
+    )
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_truncated_closed_form_equals_engine(data):
+    # the closed form's exact buckets against the engine on the same
+    # exponents: equal wherever no term's k-sum was cut, and everywhere
+    # once the bound reaches every exponent
+    sl, cosets, top = data.draw(st.sampled_from(FRACTIONAL_LAYERS), label="lattice")
+    space = sl.space
+    alpha = data.draw(st.sampled_from(short_screening_set(sl)))
+    v = FieldElement(space, {})
+    for w in data.draw(st.lists(st.sampled_from(_layer_states(sl, cosets, top)), min_size=1, max_size=3)):
+        num, den = data.draw(st.sampled_from((-3, -1, 1, 2))), data.draw(st.sampled_from((1, 2)))
+        v = v + canonical_scalar(Fraction(num, den)) * w
+    if v.is_zero():
+        return
+    K = data.draw(st.integers(1, 8))
+    buckets, _tail = _residue_buckets(space, alpha.coords, v, K)
+    targets = sorted(buckets)
+    engine = _mode_terms(FieldElement.exponential(space, alpha), v, targets)
+    legs = [(space.pair_coords(alpha.coords, mu), _mono_degree(mono)) for mu, mono in v.terms]
+
+    def uncut(m):
+        return all(m - p + d < K for p, d in legs if p.denominator != 1 and (m - p).denominator == 1)
+
+    assert [m for m in buckets if uncut(m)] == [m for m in engine if uncut(m)]
+    assert all(buckets[m] == engine[m] for m in buckets if uncut(m))
+    reach = max((int(m - p + d) for m in targets for p, d in legs if (m - p).denominator == 1), default=0)
+    full, _tail = _residue_buckets(space, alpha.coords, v, reach + 1)
+    assert sorted(engine) == targets and list(engine) == [m for m in full if m in engine]
+    assert engine == {m: full[m] for m in engine}
+    for terms in engine.values():
+        for c in terms.values():
+            assert type(c) is (int if c.denominator == 1 else Fraction)

@@ -13,11 +13,14 @@ Gram matrix, and the coordinate-wise coset reduction to the seed's rational
 solves.  The `groundstates` lines hold the text of F to the seed's phase
 scalars, and the fractional `screen-apply` lines hold the residue weights
 to the seed's: the `exp[1/2*a1]` line a collapsed phase -1, the
-`exp[1/3*a1]` line a complex one.
+`exp[1/3*a1]` line a complex one.  `ALLOWED_DIFFERENCES` lists the lines on
+which the program deliberately differs from the seed, each with the
+CHANGES.md line that records the difference and its own test.
 Both programs run in subprocesses; no bytecode is written, so the frozen
 copy is only read.
 """
 
+import json
 import os
 import shlex
 import subprocess
@@ -26,7 +29,25 @@ from pathlib import Path
 
 import pytest
 
+from latvoa.expr import parse_momentum, parse_state
+from latvoa.lattice import ScreeningLattices
+from latvoa.rootdata import build_root_system
+
 ROOT = Path(__file__).resolve().parent.parent
+
+FRACTIONAL_ON_INTEGRAL = (
+    "screen-apply --algebra A1 --ell 4 --momentum -a --state 'd^2 phi[a1] * d phi[a1] * exp[2*a1]'"
+)
+
+# line -> the CHANGES.md line that records the difference
+ALLOWED_DIFFERENCES = {
+    # the seed's truncated residue keeps k < K on an integral pairing, so it
+    # drops the z^-1 term (k = 3) and prints no terms; the program prints
+    # the exact residue
+    FRACTIONAL_ON_INTEGRAL + " --fractional --truncate 1": (
+        "One closed form for the screening residue: `screen-apply --fractional` leaves the generic engine"
+    ),
+}
 
 KERNEL_LINES = [
     "kernel --algebra A1 --ell 4 --max-level 3",
@@ -94,3 +115,31 @@ def test_kernel_equals_frozen_seed(line):
 @pytest.mark.parametrize("line", LINES)
 def test_command_equals_frozen_seed(line):
     assert_equals_frozen_seed(line)
+
+
+def test_allowed_differences_are_recorded():
+    changes = (ROOT / "CHANGES.md").read_text()
+    for line, record in ALLOWED_DIFFERENCES.items():
+        assert line not in KERNEL_LINES + LINES
+        assert f"- {record}" in changes
+
+
+def test_fractional_residue_on_integral_pairing_differs_from_seed():
+    line = FRACTIONAL_ON_INTEGRAL + " --fractional --truncate 1"
+    assert line in ALLOWED_DIFFERENCES
+    got, seed = run(ROOT / "src", line), run(ROOT / "perfbench" / "reference", line)
+    assert got[0] == seed[0] == 0 and got[2] == seed[2] == ""
+    doc, seed_doc = json.loads(got[1]), json.loads(seed[1])
+    assert seed_doc["approximate_result"]["terms"] == []
+    # every other field is the seed's
+    seed_doc["approximate_result"]["terms"] = doc["approximate_result"]["terms"]
+    assert doc == seed_doc
+    # the terms are the integer route's exact residue
+    sl = ScreeningLattices(build_root_system("A", 1), 4)
+    code, out, _err = run(ROOT / "src", FRACTIONAL_ON_INTEGRAL)
+    exact = parse_state(json.loads(out)["result"], sl)
+    assert code == 0 and len(exact.terms) == 4
+    assert {
+        (parse_momentum(t["momentum"], sl).coords, tuple(map(tuple, t["monomial"]))): complex(t["coeff"])
+        for t in doc["approximate_result"]["terms"]
+    } == {key: complex(c) for key, c in exact.terms.items()}

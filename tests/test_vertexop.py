@@ -150,7 +150,7 @@ def test_fractional_residue_matches_display_formula():
     K = 5
     res = residue_op(a, b, truncate=K)
     assert isinstance(res, FractionalResidue)
-    assert res.approximate and res.truncation == K
+    assert res.truncation == K
     expect: dict = {}
     for k in range(K):
         w = (cmath.exp(2j * cmath.pi * (k + 0.5)) - 1) / (2j * cmath.pi * (k + 0.5))
@@ -169,6 +169,14 @@ def test_fractional_residue_requires_truncation():
     b = exp_state(SL_A1, [F(1, 2)])
     with pytest.raises(ValueError, match="truncation bound >= 1"):
         residue_op(a, b, truncate=0)
+
+
+def test_fractional_residue_takes_a_bare_exponential():
+    e = exp_state(SL_A1, [-1])
+    b = exp_state(SL_A1, [F(1, 2)])
+    for a in (2 * e, e.derive(), e + exp_state(SL_A1, [1]), FieldElement.zero(SL_A1.space)):
+        with pytest.raises(ValueError, match="bare exponential"):
+            residue_op(a, b, truncate=3)
 
 
 def test_state_series_window():
